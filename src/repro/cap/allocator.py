@@ -95,7 +95,7 @@ class CapAllocator:
         self._config = config
         self._perf: PerformanceModel = energy_model.perf_model
         self._power: PowerModel = energy_model.power_model
-        self._ladder = FrequencyLadder(config)
+        self._ladder = self._perf.ladder
         self._n_cores = n_cores
         self._cycle_ns = config.cpu.cycle_ns
 
@@ -125,7 +125,6 @@ class CapAllocator:
         # no powerdown-exit term) — the same reference Eq. 1 uses.
         cpi_max = perf.predict(delta, base, 0.0,
                                profiled_freq=current_freq).cpi
-        cache: dict = {}
         n_channels = len(delta.channel_busy_ns)
         accesses = delta.channel_reads + delta.channel_writes
         total_accesses = float(accesses.sum())
@@ -133,25 +132,26 @@ class CapAllocator:
                           for c in range(n_channels)])
         drop_order = [int(c) for c in np.argsort(utils, kind="stable")]
         xi_product = perf.xi_bank(delta) * perf.xi_bus(delta)
+        # The global ladder in one batched pass.
+        pred = perf.predict_ladder(delta, None, profiled_freq=current_freq)
+        tpi_mem = pred.tpi_mem_ns.tolist()
+        scales = perf.time_scale_ladder(delta, current_freq)
+        powers = self._power.predict_ladder(delta, scales).memory_w.tolist()
+        scales = scales.tolist()
 
         out: List[CapCandidate] = []
         for g in self._ladder:
-            pred_g = perf.predict(delta, g, None,
-                                  profiled_freq=current_freq)
-            cpi_g = pred_g.cpi
-            scale = perf.time_scale(delta, current_freq, g, cache=cache)
-            power_g = self._power.predict(delta, g, scale).memory_w
+            cpi_g = pred.cpi[g.index]
             out.append(CapCandidate(
                 global_point=g, channel_bus_mhz=None,
-                predicted_power_w=power_g, predicted_cpi=cpi_g,
+                predicted_power_w=powers[g.index], predicted_cpi=cpi_g,
                 min_perf=self._min_perf(cpi_g, cpi_max),
-                tpi_mem_ns=pred_g.tpi_mem_ns))
+                tpi_mem_ns=tpi_mem[g.index]))
             if g.index >= len(self._ladder) - 1 or total_accesses <= 0:
                 continue
             lower = self._ladder[g.index + 1]
             extra_burst_ns = lower.burst_ns - g.burst_ns
-            tpi_mem_g = perf.tpi_mem_ns(delta, g, None,
-                                        profiled_freq=current_freq)
+            tpi_mem_g = tpi_mem[g.index]
             channel_mhz = [g.bus_mhz] * n_channels
             extra_tpi_ns = 0.0
             for ch in drop_order:
@@ -163,7 +163,7 @@ class CapAllocator:
                 cpi_k = self._cpi_with_tpi_mem(delta,
                                                tpi_mem_g + extra_tpi_ns)
                 power_k = self._power.predict(
-                    delta, g, scale,
+                    delta, g, scales[g.index],
                     channel_bus_mhz=tuple(channel_mhz)).memory_w
                 out.append(CapCandidate(
                     global_point=g, channel_bus_mhz=tuple(channel_mhz),
@@ -180,7 +180,7 @@ class CapAllocator:
                 continue
             ratio = cpi_max[core] / cpi[core]
             # Max frequency can never be slower than a candidate: clamp,
-            # mirroring MemScalePolicy._is_feasible's guard.
+            # mirroring MemScalePolicy._feasible's guard.
             if ratio > 1.0:
                 ratio = 1.0
             if ratio < worst:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.config import SystemConfig
 from repro.core.frequency import FrequencyPoint
 from repro.core.perf_model import PerformanceModel
@@ -42,7 +44,11 @@ def rest_of_system_power_w(avg_dimm_power_w: float,
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    """Predicted energy terms for one candidate frequency."""
+    """Predicted energy terms for one candidate frequency.
+
+    :meth:`EnergyModel.estimate_ladder` returns one record for the whole
+    ladder, every field (and the breakdown's) a per-point array.
+    """
 
     freq_bus_mhz: float
     time_scale: float          #: T(candidate) / T(profiled interval)
@@ -50,6 +56,11 @@ class EnergyEstimate:
     system_power_w: float
     ser: float                 #: Eq. 10, relative to the base frequency
     memory_energy_ratio: float  #: memory-only variant (MemEnergy policy)
+
+
+def _inf_like(value):
+    """``inf`` shaped like ``value`` (a float for a scalar)."""
+    return np.full(np.shape(value), np.inf) if np.ndim(value) else float("inf")
 
 
 class EnergyModel:
@@ -65,6 +76,9 @@ class EnergyModel:
         self.rest_power_w = rest_power_w
         self._perf = perf_model if perf_model is not None else PerformanceModel(config)
         self._power = power_model if power_model is not None else PowerModel(config)
+        if tuple(self._perf.ladder) != tuple(self._power.ladder):
+            raise ValueError("perf_model and power_model must share one "
+                             "frequency ladder (build both from one config)")
 
     @property
     def perf_model(self) -> PerformanceModel:
@@ -74,44 +88,47 @@ class EnergyModel:
     def power_model(self) -> PowerModel:
         return self._power
 
+    def _estimate(self, freq_bus_mhz, time_scale, breakdown: PowerBreakdown,
+                  scale_base: float, memory_base_w: float) -> EnergyEstimate:
+        """Eq. 10 for one point (floats) or many (arrays) against the
+        base point's time scale and memory power."""
+        memory_w = breakdown.memory_w
+        system_w = memory_w + self.rest_power_w
+        denom = scale_base * (memory_base_w + self.rest_power_w)
+        mem_denom = scale_base * memory_base_w
+        return EnergyEstimate(
+            freq_bus_mhz=freq_bus_mhz,
+            time_scale=time_scale,
+            breakdown=breakdown,
+            system_power_w=system_w,
+            ser=((time_scale * system_w) / denom if denom > 0
+                 else _inf_like(time_scale)),
+            memory_energy_ratio=((time_scale * memory_w) / mem_denom
+                                 if mem_denom > 0 else _inf_like(time_scale)),
+        )
+
     def estimate(self, delta: CounterDelta, profiled_freq: FrequencyPoint,
-                 candidate: FrequencyPoint, base: FrequencyPoint,
-                 cache: Optional[dict] = None) -> EnergyEstimate:
+                 candidate: FrequencyPoint,
+                 base: FrequencyPoint) -> EnergyEstimate:
         """Predict SER and power for running the profiled work at ``candidate``.
 
         ``base`` is the SER reference (the paper's nominal frequency: the
         maximum). All predictions derive from counters profiled at
         ``profiled_freq``.
-
-        ``cache`` (optional, caller-owned, valid for one ``delta`` /
-        ``profiled_freq`` pair) memoizes the base-frequency reference and
-        shared sub-predictions across a candidate scan; every model here
-        is pure, so cached results are identical to fresh ones.
         """
-        scale_cand = self._perf.time_scale(delta, profiled_freq, candidate,
-                                           cache=cache)
-        base_ref = cache.get("base") if cache is not None else None
-        if base_ref is None:
-            scale_base = self._perf.time_scale(delta, profiled_freq, base,
-                                               cache=cache)
-            p_base = self._power.predict(delta, base, scale_base)
-            if cache is not None:
-                cache["base"] = (scale_base, p_base)
-        else:
-            scale_base, p_base = base_ref
+        scale_cand = self._perf.time_scale(delta, profiled_freq, candidate)
+        scale_base = self._perf.time_scale(delta, profiled_freq, base)
+        p_base = self._power.predict(delta, base, scale_base)
         p_cand = self._power.predict(delta, candidate, scale_cand)
-        sys_cand = p_cand.memory_w + self.rest_power_w
-        sys_base = p_base.memory_w + self.rest_power_w
-        denom = scale_base * sys_base
-        ser = (scale_cand * sys_cand) / denom if denom > 0 else float("inf")
-        mem_denom = scale_base * p_base.memory_w
-        mem_ratio = ((scale_cand * p_cand.memory_w) / mem_denom
-                     if mem_denom > 0 else float("inf"))
-        return EnergyEstimate(
-            freq_bus_mhz=candidate.bus_mhz,
-            time_scale=scale_cand,
-            breakdown=p_cand,
-            system_power_w=sys_cand,
-            ser=ser,
-            memory_energy_ratio=mem_ratio,
-        )
+        return self._estimate(candidate.bus_mhz, scale_cand, p_cand,
+                              scale_base, p_base.memory_w)
+
+    def estimate_ladder(self, delta: CounterDelta,
+                        profiled_freq: FrequencyPoint) -> EnergyEstimate:
+        """:meth:`estimate` for every ladder point in one pass, with the
+        fastest point as ``base``; fields are per-point arrays."""
+        scale = self._perf.time_scale_ladder(delta, profiled_freq)
+        power = self._power.predict_ladder(delta, scale)
+        bus_mhz = np.array([p.bus_mhz for p in self._perf.ladder])
+        return self._estimate(bus_mhz, scale, power, scale[0],
+                              power.memory_w[0])

@@ -81,8 +81,8 @@ class PerChannelMemScaleGovernor(MemScaleGovernor):
                             + xi_product * share * extra_burst_ns)
             cpi_f = self._cpi_with_extra_memory_time(delta, chosen,
                                                      extra_tpi_ns)
-            if self.policy._is_feasible(cpi_f, cpi_max, epoch_remaining_ns,
-                                        transition_ns):
+            if self.policy._feasible(cpi_f, cpi_max, epoch_remaining_ns,
+                                     transition_ns):
                 controller.set_channel_frequency(ch, lower)
                 self.per_channel_drops += 1
                 cumulative_extra_ns = extra_tpi_ns

@@ -28,13 +28,18 @@ from typing import Optional
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.frequency import FrequencyPoint
+from repro.core.frequency import FrequencyLadder, FrequencyPoint
 from repro.memsim.counters import CounterDelta
 
 
 @dataclass(frozen=True)
 class CpiPrediction:
-    """Per-core CPI predictions at one candidate frequency."""
+    """Per-core CPI predictions at one candidate frequency.
+
+    :meth:`PerformanceModel.predict_ladder` returns the same record for
+    the whole ladder: ``freq_bus_mhz`` and ``tpi_mem_ns`` are then
+    per-point arrays and ``cpi`` is (points x cores).
+    """
 
     freq_bus_mhz: float
     cpi: np.ndarray          #: predicted CPI per core
@@ -55,18 +60,37 @@ class PerformanceModel:
     paper sketches for deep queues ("profiling at one more frequency and
     interpolating") analytically; disable it to get the paper's plain
     constant-xi approximation.
+
+    Every equation has one implementation that takes the candidate
+    point's constants either as floats (one point: :meth:`predict`,
+    :meth:`tpi_mem_ns`, :meth:`time_scale`) or as per-point arrays (the
+    whole ladder at once: :meth:`predict_ladder`,
+    :meth:`time_scale_ladder`). Both evaluate the same elementwise
+    expressions in the same operand order, so a ladder row equals the
+    single-point result bit for bit.
     """
 
     def __init__(self, config: SystemConfig, scale_queues: bool = True):
         config.validate()
         self._config = config
-        self._tpi_cpu_ns = config.cpu.cpi_cpu * config.cpu.cycle_ns
+        self._cycle_ns = config.cpu.cycle_ns
+        self._tpi_cpu_ns = config.cpu.cpi_cpu * self._cycle_ns
         self._scale_queues = scale_queues
+        self._ladder = FrequencyLadder(config)
+        # Per-point constants of the candidate ladder, fastest first.
+        self._bus_mhz = np.array([p.bus_mhz for p in self._ladder])
+        self._mc_latency_ns = np.array([p.mc_latency_ns for p in self._ladder])
+        self._burst_ns = np.array([p.burst_ns for p in self._ladder])
 
     @property
     def tpi_cpu_ns(self) -> float:
         """Fixed wall-clock time per non-missing instruction."""
         return self._tpi_cpu_ns
+
+    @property
+    def ladder(self) -> FrequencyLadder:
+        """The points the ``*_ladder`` methods evaluate, fastest first."""
+        return self._ladder
 
     # -- Eq. 6: expected device access time --------------------------------
 
@@ -106,29 +130,58 @@ class PerformanceModel:
         """E[S_bank]: MC processing plus device time, no queueing (Eq. 5)."""
         return freq.mc_latency_ns + self.device_time_ns(delta, pd_exit_ns)
 
-    def _queue_scale(self, delta: CounterDelta, freq: FrequencyPoint,
-                     profiled_freq: Optional[FrequencyPoint],
-                     pd_exit_ns: Optional[float]) -> float:
-        """Ratio adjusting measured xi terms to the candidate frequency."""
-        if not self._scale_queues or profiled_freq is None:
-            return 1.0
-        s_prof = (self.s_bank_ns(delta, profiled_freq, pd_exit_ns)
-                  + profiled_freq.burst_ns)
-        s_cand = self.s_bank_ns(delta, freq, pd_exit_ns) + freq.burst_ns
-        return s_cand / s_prof if s_prof > 0 else 1.0
+    def _tpi_mem(self, delta: CounterDelta, device_ns: float,
+                 mc_latency_ns, burst_ns,
+                 profiled_freq: Optional[FrequencyPoint]):
+        """Eq. 9 for candidate constants given as floats or arrays.
+
+        With queue scaling, the measured xi terms are adjusted by the
+        ratio of candidate to profiled total service time (S_bank plus
+        the burst).
+        """
+        s_bank = mc_latency_ns + device_ns
+        scale = 1.0
+        if self._scale_queues and profiled_freq is not None:
+            s_prof = ((profiled_freq.mc_latency_ns + device_ns)
+                      + profiled_freq.burst_ns)
+            if s_prof > 0:
+                scale = (s_bank + burst_ns) / s_prof
+        xi_bank = 1.0 + delta.xi_bank * scale
+        xi_bus = 1.0 + delta.xi_bus * scale
+        return xi_bank * (s_bank + xi_bus * burst_ns)
 
     def tpi_mem_ns(self, delta: CounterDelta, freq: FrequencyPoint,
                    pd_exit_ns: Optional[float] = None,
                    profiled_freq: Optional[FrequencyPoint] = None) -> float:
         """E[TPI_mem] at ``freq`` (Eq. 9)."""
-        s_bank = self.s_bank_ns(delta, freq, pd_exit_ns)
-        s_bus = freq.burst_ns
-        scale = self._queue_scale(delta, freq, profiled_freq, pd_exit_ns)
-        xi_bank = 1.0 + delta.xi_bank * scale
-        xi_bus = 1.0 + delta.xi_bus * scale
-        return xi_bank * (s_bank + xi_bus * s_bus)
+        return self._tpi_mem(delta, self.device_time_ns(delta, pd_exit_ns),
+                             freq.mc_latency_ns, freq.burst_ns,
+                             profiled_freq)
 
     # -- Eq. 3: per-core CPI -------------------------------------------------------
+
+    def _predict(self, delta: CounterDelta, bus_mhz, mc_latency_ns,
+                 burst_ns, pd_exit_ns: Optional[float],
+                 profiled_freq: Optional[FrequencyPoint]) -> CpiPrediction:
+        """Eq. 3 per core on top of Eq. 9, for one point or many.
+
+        ``alpha`` is TLM/TIC per core (0 where a core committed
+        nothing); with per-point arrays, ``cpi`` is (points x cores).
+        """
+        device_ns = self.device_time_ns(delta, pd_exit_ns)
+        tpi_mem = self._tpi_mem(delta, device_ns, mc_latency_ns, burst_ns,
+                                profiled_freq)
+        tic = np.asarray(delta.tic, dtype=np.float64)
+        alpha = np.divide(delta.tlm, tic, out=np.zeros(len(tic)),
+                          where=tic > 0)
+        per_point = (tpi_mem[:, None] if isinstance(tpi_mem, np.ndarray)
+                     else tpi_mem)
+        cpi = (self._tpi_cpu_ns + alpha * per_point) / self._cycle_ns
+        return CpiPrediction(
+            freq_bus_mhz=bus_mhz, cpi=cpi, tpi_mem_ns=tpi_mem,
+            device_time_ns=device_ns,
+            xi_bank=self.xi_bank(delta), xi_bus=self.xi_bus(delta),
+        )
 
     def predict(self, delta: CounterDelta, freq: FrequencyPoint,
                 pd_exit_ns: Optional[float] = None,
@@ -140,57 +193,57 @@ class PerformanceModel:
         when given (and queue scaling is enabled) the xi terms are
         adjusted to the candidate frequency.
         """
-        tpi_mem = self.tpi_mem_ns(delta, freq, pd_exit_ns, profiled_freq)
-        cycle = self._config.cpu.cycle_ns
-        n = len(delta.tic)
-        cpi = np.empty(n, dtype=np.float64)
-        for core in range(n):
-            alpha = delta.alpha(core)
-            cpi[core] = (self._tpi_cpu_ns + alpha * tpi_mem) / cycle
-        return CpiPrediction(
-            freq_bus_mhz=freq.bus_mhz, cpi=cpi, tpi_mem_ns=tpi_mem,
-            device_time_ns=self.device_time_ns(delta, pd_exit_ns),
-            xi_bank=self.xi_bank(delta), xi_bus=self.xi_bus(delta),
-        )
+        return self._predict(delta, freq.bus_mhz, freq.mc_latency_ns,
+                             freq.burst_ns, pd_exit_ns, profiled_freq)
+
+    def predict_ladder(self, delta: CounterDelta,
+                       pd_exit_ns: Optional[float] = None,
+                       profiled_freq: Optional[FrequencyPoint] = None
+                       ) -> CpiPrediction:
+        """:meth:`predict` at every :attr:`ladder` point in one pass.
+
+        ``freq_bus_mhz`` and ``tpi_mem_ns`` become per-point arrays and
+        ``cpi`` a (points x cores) matrix; row ``k`` equals
+        ``predict(delta, ladder[k], ...)``.
+        """
+        return self._predict(delta, self._bus_mhz, self._mc_latency_ns,
+                             self._burst_ns, pd_exit_ns, profiled_freq)
+
+    # -- execution-time ratio ----------------------------------------------------
+
+    @staticmethod
+    def _weighted_ratio(delta: CounterDelta, at_to: np.ndarray,
+                        at_from: np.ndarray):
+        """Instruction-weighted mean of the per-core ratios at_to / at_from,
+        over the last axis (one value per row of a matrix)."""
+        weights = np.asarray(delta.tic, dtype=np.float64)
+        total = weights.sum()
+        if total <= 0:
+            return np.ones(at_to.shape[:-1])
+        ratios = np.divide(at_to, at_from,
+                           out=np.ones_like(at_to), where=at_from > 0)
+        return (ratios * weights).sum(axis=-1) / total
 
     def time_scale(self, delta: CounterDelta, from_freq: FrequencyPoint,
                    to_freq: FrequencyPoint,
-                   pd_exit_ns: Optional[float] = None,
-                   cache: Optional[dict] = None) -> float:
+                   pd_exit_ns: Optional[float] = None) -> float:
         """Predicted execution-time ratio T(to) / T(from) for the mix.
 
         Instruction-weighted mean of the per-core CPI ratios: cores with
         more committed work dominate the epoch's wall-clock length.
-
-        ``cache`` optionally memoizes the sub-predictions for repeated
-        calls with the *same* ``delta``/``pd_exit_ns`` (the policy's
-        candidate scan evaluates ten candidates against one profile);
-        the model is pure, so cached and fresh results are identical.
         """
-        if cache is None:
-            at_from = self.predict(delta, from_freq, pd_exit_ns,
-                                   profiled_freq=from_freq).cpi
-        else:
-            key = ("cpi", from_freq.bus_mhz)
-            at_from = cache.get(key)
-            if at_from is None:
-                at_from = self.predict(delta, from_freq, pd_exit_ns,
-                                       profiled_freq=from_freq).cpi
-                cache[key] = at_from
-        if cache is None:
-            at_to = self.predict(delta, to_freq, pd_exit_ns,
-                                 profiled_freq=from_freq).cpi
-        else:
-            key = ("cpi_at", from_freq.bus_mhz, to_freq.bus_mhz)
-            at_to = cache.get(key)
-            if at_to is None:
-                at_to = self.predict(delta, to_freq, pd_exit_ns,
-                                     profiled_freq=from_freq).cpi
-                cache[key] = at_to
-        weights = np.asarray(delta.tic, dtype=np.float64)
-        total = weights.sum()
-        if total <= 0:
-            return 1.0
-        ratios = np.divide(at_to, at_from,
-                           out=np.ones_like(at_to), where=at_from > 0)
-        return float((ratios * weights).sum() / total)
+        at_from = self.predict(delta, from_freq, pd_exit_ns,
+                               profiled_freq=from_freq).cpi
+        at_to = self.predict(delta, to_freq, pd_exit_ns,
+                             profiled_freq=from_freq).cpi
+        return float(self._weighted_ratio(delta, at_to, at_from))
+
+    def time_scale_ladder(self, delta: CounterDelta,
+                          from_freq: FrequencyPoint,
+                          pd_exit_ns: Optional[float] = None) -> np.ndarray:
+        """:meth:`time_scale` from ``from_freq`` to every ladder point."""
+        at_from = self.predict(delta, from_freq, pd_exit_ns,
+                               profiled_freq=from_freq).cpi
+        at_to = self.predict_ladder(delta, pd_exit_ns,
+                                    profiled_freq=from_freq).cpi
+        return self._weighted_ratio(delta, at_to, at_from)

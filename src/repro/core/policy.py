@@ -68,7 +68,7 @@ class MemScalePolicy:
         self._config = config
         self._energy = energy_model
         self._perf: PerformanceModel = energy_model.perf_model
-        self._ladder = FrequencyLadder(config)
+        self._ladder = self._perf.ladder
         if per_core_bounds is not None:
             bounds = np.asarray(per_core_bounds, dtype=np.float64)
             if bounds.shape != (n_cores,):
@@ -82,6 +82,8 @@ class MemScalePolicy:
             self._gamma_per_core = np.full(
                 n_cores, config.policy.cpi_bound, dtype=np.float64)
         self._gamma = float(self._gamma_per_core.min())
+        #: 1 + gamma per core: a target is the max-frequency time times this.
+        self._gamma_factor = 1.0 + self._gamma_per_core
         self._pd_exit_ns = pd_exit_ns
         self.objective = objective
         self.slack_ns = np.zeros(n_cores, dtype=np.float64)
@@ -89,7 +91,8 @@ class MemScalePolicy:
 
     @property
     def ladder(self) -> FrequencyLadder:
-        """The candidate frequency ladder searched each epoch (Section 3.2)."""
+        """The candidate frequency ladder searched each epoch (Section 3.2):
+        the energy model's, so the batched scan and its models agree."""
         return self._ladder
 
     @property
@@ -117,81 +120,76 @@ class MemScalePolicy:
             slack_c + D * ((1+gamma) * CPI_max(c)/CPI_f(c) - 1) >= 0
 
         where ``D`` is the remaining epoch wall time. The exhaustive
-        search over the (ten) candidates is the paper's own approach.
+        search over the (ten) candidates is the paper's own approach; it
+        runs as one batched evaluation of the whole ladder (a points x
+        cores CPI matrix, per-point energy ratios, one feasibility mask)
+        followed by the choice in ladder order.
         """
         if epoch_remaining_ns <= 0:
             raise ValueError("epoch_remaining_ns must be positive")
-        base = self._ladder.fastest
+        ladder = self._ladder
+        base = ladder.fastest
         # The degradation reference is execution *without energy
         # management* (Eq. 1): maximum frequency and no powerdown, so the
         # powerdown-exit term of Eq. 6 is excluded from the reference CPI.
         cpi_max = self._perf.predict(profile_delta, base, 0.0,
                                      profiled_freq=current_freq).cpi
-        best: Optional[FrequencyPoint] = None
+        cpi = self._perf.predict_ladder(profile_delta, self._pd_exit_ns,
+                                        profiled_freq=current_freq).cpi
+        # Switching frequencies suspends memory operation while the DLLs
+        # re-lock; charge that stall against the epoch's slack budget (it
+        # is negligible for millisecond epochs but real for scaled-down
+        # ones).
+        penalty_ns = self._config.policy.transition_penalty_ns(
+            current_freq.bus_mhz)
+        transition_ns = np.array([0.0 if p.bus_mhz == current_freq.bus_mhz
+                                  else penalty_ns for p in ladder])
+        feasible_mask = self._feasible(cpi, cpi_max, epoch_remaining_ns,
+                                       transition_ns[:, None]).tolist()
+        estimate = self._energy.estimate_ladder(profile_delta, current_freq)
+        scores = (estimate.ser
+                  if self.objective is PolicyObjective.SYSTEM_ENERGY
+                  else estimate.memory_energy_ratio).tolist()
+        best: Optional[int] = None
         best_score = float("inf")
-        best_cpi: Optional[np.ndarray] = None
         feasible: List[float] = []
-        rejected = False
-        # one profile delta serves the whole candidate scan: let the
-        # energy model reuse its base reference and shared predictions
-        estimate_cache: dict = {}
-        for candidate in self._ladder:
-            cpi_f = self._perf.predict(profile_delta, candidate,
-                                       self._pd_exit_ns,
-                                       profiled_freq=current_freq).cpi
-            # Switching frequencies suspends memory operation while the
-            # DLLs re-lock; charge that stall against the epoch's slack
-            # budget (it is negligible for millisecond epochs but real
-            # for scaled-down ones).
-            if candidate.bus_mhz != current_freq.bus_mhz:
-                transition_ns = self._config.policy.transition_penalty_ns(
-                    current_freq.bus_mhz)
-            else:
-                transition_ns = 0.0
-            if not self._is_feasible(cpi_f, cpi_max, epoch_remaining_ns,
-                                     transition_ns):
-                rejected = True
+        for k, candidate in enumerate(ladder):
+            if not feasible_mask[k]:
                 continue
             feasible.append(candidate.bus_mhz)
-            estimate = self._energy.estimate(profile_delta, current_freq,
-                                             candidate, base,
-                                             cache=estimate_cache)
-            score = (estimate.ser
-                     if self.objective is PolicyObjective.SYSTEM_ENERGY
-                     else estimate.memory_energy_ratio)
             # strict < keeps the highest-frequency minimum on ties
-            if score < best_score:
-                best, best_score, best_cpi = candidate, score, cpi_f
+            if scores[k] < best_score:
+                best, best_score = k, scores[k]
         if best is None:
             # Even the maximum frequency misses the target (deep negative
             # slack): run flat out and repay the deficit.
-            best = base
-            best_score = 1.0
-            best_cpi = cpi_max
+            chosen, best_score, best_cpi = base, 1.0, cpi_max
+        else:
+            chosen, best_cpi = ladder[best], cpi[best].copy()
         decision = FrequencyDecision(
-            chosen=best, feasible=feasible, ser=best_score,
-            predicted_cpi=best_cpi, limited_by_slack=rejected)
+            chosen=chosen, feasible=feasible, ser=best_score,
+            predicted_cpi=best_cpi,
+            limited_by_slack=len(feasible) < len(ladder))
         self.decisions.append(decision)
         return decision
 
-    def _is_feasible(self, cpi_f: np.ndarray, cpi_max: np.ndarray,
-                     remaining_ns: float,
-                     transition_ns: float = 0.0) -> bool:
-        for core in range(len(cpi_f)):
-            if cpi_max[core] <= 0:
-                continue
-            ratio = cpi_max[core] / cpi_f[core] if cpi_f[core] > 0 else 1.0
-            # Max frequency can never be slower than a candidate: clamping
-            # guards against queueing-term (xi) mispredictions inflating
-            # the apparent headroom (Section 3.3's approximation).
-            ratio = min(ratio, 1.0)
-            gamma = self._gamma_per_core[core]
-            projected = (self.slack_ns[core]
-                         + remaining_ns * ((1.0 + gamma) * ratio - 1.0)
-                         - transition_ns)
-            if projected < 0:
-                return False
-        return True
+    def _feasible(self, cpi: np.ndarray, cpi_max: np.ndarray,
+                  remaining_ns: float, transition_ns=0.0) -> np.ndarray:
+        """Slack test per candidate: one row of ``cpi`` per candidate (or
+        a single 1-D row), True where every core keeps its slack.
+
+        A core whose reference CPI is not positive is exempt.
+        """
+        # Max frequency can never be slower than a candidate: clamping the
+        # ratio at 1 guards against queueing-term (xi) mispredictions
+        # inflating the apparent headroom (Section 3.3's approximation).
+        ratio = np.divide(cpi_max, cpi, out=np.ones_like(cpi),
+                          where=cpi > 0)
+        ratio = np.where(1.0 < ratio, 1.0, ratio)
+        projected = (self.slack_ns
+                     + remaining_ns * (self._gamma_factor * ratio - 1.0)
+                     - transition_ns)
+        return ~((projected < 0) & ~(cpi_max <= 0)).any(axis=-1)
 
     # -- stage 4: slack update ------------------------------------------------
 
@@ -208,14 +206,13 @@ class MemScalePolicy:
         """
         if epoch_wall_ns <= 0:
             raise ValueError("epoch_wall_ns must be positive")
-        base = self._ladder.fastest
         # Reference is the no-energy-management execution: no powerdown
         # exits at max frequency (see select_frequency).
-        cpi_max = self._perf.predict(epoch_delta, base, 0.0,
-                                     profiled_freq=freq_used).cpi
+        cpi_max = self._perf.predict(epoch_delta, self._ladder.fastest, 0.0,
+                                     profiled_freq=freq_used).cpi.tolist()
         cycle = self._config.cpu.cycle_ns
-        for core in range(len(self.slack_ns)):
-            instructions = float(epoch_delta.tic[core])
+        slack = self.slack_ns.tolist()
+        for core, instructions in enumerate(epoch_delta.tic.tolist()):
             if instructions <= 0:
                 continue
             t_maxfreq = instructions * cpi_max[core] * cycle
@@ -223,6 +220,6 @@ class MemScalePolicy:
             # actually was: cap the estimate to keep slack conservative
             # when the model overestimates max-frequency CPI.
             t_maxfreq = min(t_maxfreq, epoch_wall_ns)
-            gamma = self._gamma_per_core[core]
-            self.slack_ns[core] += t_maxfreq * (1.0 + gamma) - epoch_wall_ns
-
+            slack[core] += (t_maxfreq * self._gamma_factor[core]
+                            - epoch_wall_ns)
+        self.slack_ns[:] = slack

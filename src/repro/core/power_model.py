@@ -24,7 +24,9 @@ the slack mechanism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.config import SystemConfig
 from repro.core.frequency import (BURST_BUS_CYCLES, FrequencyLadder,
@@ -32,9 +34,18 @@ from repro.core.frequency import (BURST_BUS_CYCLES, FrequencyLadder,
 from repro.memsim.counters import CounterDelta
 
 
+_FIELDS = ("background_w", "refresh_w", "actpre_w", "rdwr_w",
+           "termination_w", "pll_reg_w", "mc_w")
+
+
 @dataclass(frozen=True)
 class PowerBreakdown:
-    """Average power (watts) of the memory subsystem over an interval."""
+    """Average power (watts) of the memory subsystem over an interval.
+
+    :meth:`PowerModel.predict_ladder` returns one breakdown whose fields
+    are per-point arrays; the derived properties then work elementwise
+    and :meth:`at` extracts one point.
+    """
 
     background_w: float
     refresh_w: float
@@ -61,13 +72,39 @@ class PowerBreakdown:
         return self.dimm_w + self.mc_w
 
     def scaled(self, factor: float) -> "PowerBreakdown":
-        return PowerBreakdown(*(getattr(self, f) * factor for f in (
-            "background_w", "refresh_w", "actpre_w", "rdwr_w",
-            "termination_w", "pll_reg_w", "mc_w")))
+        return PowerBreakdown(*(getattr(self, f) * factor for f in _FIELDS))
+
+    def at(self, index: int) -> "PowerBreakdown":
+        """Point ``index`` of a breakdown with per-point array fields."""
+        return PowerBreakdown(*(float(getattr(self, f)[index])
+                                for f in _FIELDS))
+
+
+def _channel_sums(delta: CounterDelta) -> Tuple[float, float, float]:
+    """(busy ns, reads, writes) summed over channels."""
+    return (float(delta.channel_busy_ns.sum()),
+            float(delta.channel_reads.sum()),
+            float(delta.channel_writes.sum()))
+
+
+def _clamp01(utilization):
+    """``min(1.0, max(0.0, u))``, elementwise for arrays (NaN -> 0.0)."""
+    if isinstance(utilization, np.ndarray):
+        low = np.where(utilization > 0.0, utilization, 0.0)
+        return np.where(low < 1.0, low, 1.0)
+    return min(1.0, max(0.0, utilization))
 
 
 class PowerModel:
-    """Evaluates :class:`PowerBreakdown` for measured or predicted activity."""
+    """Evaluates :class:`PowerBreakdown` for measured or predicted activity.
+
+    :meth:`predict` and :meth:`predict_ladder` share one kernel that
+    takes the candidate points' constants (burst time, standby derate,
+    register/PLL clock ratio, MC V^2*f ratio) as arrays; the ladder's
+    constants are computed once per model. Sums over ranks, channels
+    and state columns keep the historical left-to-right order, so the
+    numpy kernels reproduce the scalar arithmetic bit for bit.
+    """
 
     def __init__(self, config: SystemConfig):
         config.validate()
@@ -87,6 +124,10 @@ class PowerModel:
         # Per-rank refresh energy: IDD5 burst above precharge standby.
         self._e_refresh_rank_j = (cur.vdd * (cur.idd5 - cur.idd2n)
                                   * t.t_rfc_ns * 1e-9) * chips
+        #: Current of each rank-state column, in counters._STATE_ORDER.
+        self._idd_by_state = np.array([cur.idd3n, cur.idd2n, cur.idd3p,
+                                       cur.idd2p, cur.idd6])
+        self._ladder_constants = self._point_constants(self._ladder.points)
 
     @property
     def config(self) -> SystemConfig:
@@ -104,17 +145,48 @@ class PowerModel:
         ratio = bus_mhz / self._f_max.bus_mhz
         return cur.static_fraction + (1.0 - cur.static_fraction) * ratio
 
+    def _vf_ratio(self, freq: FrequencyPoint) -> float:
+        """MC V^2 * f relative to the maximum operating point."""
+        return ((freq.mc_voltage ** 2) * freq.mc_mhz
+                / ((self._f_max.mc_voltage ** 2) * self._f_max.mc_mhz))
+
+    def _point_constants(self, points: Sequence[FrequencyPoint]) -> tuple:
+        """(burst ns, standby derate, register/PLL clock ratio, MC V^2*f
+        ratio) per point, as arrays."""
+        return (np.array([p.burst_ns for p in points]),
+                np.array([self._freq_derate(p.bus_mhz) for p in points]),
+                np.array([p.bus_mhz / self._f_max.bus_mhz for p in points]),
+                np.array([self._vf_ratio(p) for p in points]))
+
     def mc_voltage(self, freq: FrequencyPoint) -> float:
         return freq.mc_voltage
 
     # -- component models -----------------------------------------------------
 
+    def _background_w(self, delta: CounterDelta, derate) -> float:
+        """Standby/powerdown power summed over ranks.
+
+        ``derate`` is one factor for every rank or one per rank. Each
+        term is ``frac * idd * vdd * chips * derate`` (self-refresh
+        keeps only IDD6; its clock is stopped, so no derate); a rank's
+        five terms add left to right, then the rank totals do.
+        """
+        interval = delta.interval_ns
+        if interval <= 0:
+            return 0.0
+        terms = delta.rank_state_ns / interval
+        terms *= self._idd_by_state
+        terms *= self._config.currents.vdd
+        terms *= self._config.org.chips_per_rank
+        terms[:, :4] *= derate
+        total = 0.0
+        for rank_w in terms.cumsum(axis=1)[:, -1].tolist():
+            total += rank_w
+        return total
+
     def background_power_w(self, delta: CounterDelta, bus_mhz: float) -> float:
         """Standby/powerdown background power across all ranks."""
-        if delta.interval_ns <= 0:
-            return 0.0
-        return sum(self._rank_background_w(delta, rank, bus_mhz)
-                   for rank in range(delta.rank_state_ns.shape[0]))
+        return self._background_w(delta, self._freq_derate(bus_mhz))
 
     def refresh_power_w(self, delta: CounterDelta) -> float:
         if delta.interval_ns <= 0:
@@ -127,61 +199,66 @@ class PowerModel:
             return 0.0
         return delta.pocc * self._e_actpre_rank_j / (delta.interval_ns * 1e-9)
 
-    def rdwr_power_w(self, delta: CounterDelta) -> float:
-        """IDD4 burst power above standby, weighted by channel busy time."""
-        if delta.interval_ns <= 0:
-            return 0.0
+    def _burst_powers(self, reads: float, writes: float) -> tuple:
+        """(IDD4 burst power above standby, ODT termination power) while
+        the channel bursts, weighted by the read share of ``reads +
+        writes`` (which must be positive)."""
         cur = self._config.currents
         chips = self._config.org.chips_per_rank
-        total_busy = float(delta.channel_busy_ns.sum())
-        reads = float(delta.channel_reads.sum())
-        writes = float(delta.channel_writes.sum())
-        ops = reads + writes
-        if ops <= 0 or total_busy <= 0:
-            return 0.0
-        read_share = reads / ops
+        read_share = reads / (reads + writes)
         p_read = (cur.idd4r - cur.idd3n) * cur.vdd * chips
         p_write = (cur.idd4w - cur.idd3n) * cur.vdd * chips
         p_burst = read_share * p_read + (1.0 - read_share) * p_write
-        return p_burst * (total_busy / delta.interval_ns)
+        p_term = (read_share * cur.termination_w_read
+                  + (1.0 - read_share) * cur.termination_w_write)
+        return p_burst, p_term
+
+    def _rdwr_term_w(self, delta: CounterDelta, total_busy: float,
+                     reads: float, writes: float) -> tuple:
+        """Measured (read/write, termination) power from channel sums."""
+        if delta.interval_ns <= 0:
+            return 0.0, 0.0
+        ops = reads + writes
+        if ops <= 0 or total_busy <= 0:
+            return 0.0, 0.0
+        p_burst, p_term = self._burst_powers(reads, writes)
+        busy_frac = total_busy / delta.interval_ns
+        term_w = (p_term * busy_frac
+                  if self._config.org.ranks_per_channel - 1 > 0 else 0.0)
+        return p_burst * busy_frac, term_w
+
+    def rdwr_power_w(self, delta: CounterDelta) -> float:
+        """IDD4 burst power above standby, weighted by channel busy time."""
+        return self._rdwr_term_w(delta, *_channel_sums(delta))[0]
 
     def termination_power_w(self, delta: CounterDelta) -> float:
         """ODT power in the channel's other ranks while a burst is driven."""
-        if delta.interval_ns <= 0:
-            return 0.0
-        cur = self._config.currents
-        other_ranks = self._config.org.ranks_per_channel - 1
-        if other_ranks <= 0:
-            return 0.0
-        reads = float(delta.channel_reads.sum())
-        writes = float(delta.channel_writes.sum())
-        ops = reads + writes
-        total_busy = float(delta.channel_busy_ns.sum())
-        if ops <= 0 or total_busy <= 0:
-            return 0.0
-        read_share = reads / ops
-        p_term = (read_share * cur.termination_w_read
-                  + (1.0 - read_share) * cur.termination_w_write)
-        return p_term * (total_busy / delta.interval_ns)
+        return self._rdwr_term_w(delta, *_channel_sums(delta))[1]
 
-    def pll_reg_power_w(self, utilization: float, bus_mhz: float) -> float:
-        """Register + PLL power for every DIMM, linear in channel frequency."""
+    def _pll_reg_w(self, load, ratio):
+        """Register + PLL power of every DIMM at clamped utilization
+        ``load`` and clock ``ratio`` of the maximum (floats or arrays)."""
         p = self._config.power
-        ratio = bus_mhz / self._f_max.bus_mhz
         reg = (p.register_idle_w_per_dimm
                + (p.register_peak_w_per_dimm - p.register_idle_w_per_dimm)
-               * min(1.0, max(0.0, utilization)))
+               * load)
         pll = p.pll_w_per_dimm
         return (reg + pll) * ratio * self._config.org.total_dimms
 
+    def pll_reg_power_w(self, utilization: float, bus_mhz: float) -> float:
+        """Register + PLL power for every DIMM, linear in channel frequency."""
+        return self._pll_reg_w(_clamp01(utilization),
+                               bus_mhz / self._f_max.bus_mhz)
+
+    def _mc_w(self, load, vf_ratio):
+        """MC power at clamped utilization ``load`` and V^2*f ratio
+        ``vf_ratio`` (floats or arrays)."""
+        p = self._config.power
+        return (p.mc_idle_w + (p.mc_peak_w - p.mc_idle_w) * load) * vf_ratio
+
     def mc_power_w(self, utilization: float, freq: FrequencyPoint) -> float:
         """MC power: utilization-linear, then scaled by V^2 * f (DVFS)."""
-        p = self._config.power
-        base = (p.mc_idle_w + (p.mc_peak_w - p.mc_idle_w)
-                * min(1.0, max(0.0, utilization)))
-        vf_ratio = ((freq.mc_voltage ** 2) * freq.mc_mhz
-                    / ((self._f_max.mc_voltage ** 2) * self._f_max.mc_mhz))
-        return base * vf_ratio
+        return self._mc_w(_clamp01(utilization), self._vf_ratio(freq))
 
     # -- top-level entry points --------------------------------------------------
 
@@ -197,68 +274,43 @@ class PowerModel:
         extension): each channel's DIMM background and register/PLL power
         is then derated by its own clock.
         """
-        util = delta.mean_channel_utilization
+        org = self._config.org
+        if channel_bus_mhz is not None and len(channel_bus_mhz) != org.channels:
+            raise ValueError("channel_bus_mhz must cover every channel")
+        interval = delta.interval_ns
+        total_busy, reads, writes = _channel_sums(delta)
+        n_channels = delta.channel_busy_ns.size
+        # mean channel utilization (ndarray.mean() is this sum / count)
+        load = _clamp01(0.0 if interval <= 0 or n_channels == 0
+                        else total_busy / n_channels / interval)
+        refresh_w = self.refresh_power_w(delta)
+        actpre_w = self.actpre_power_w(delta)
+        rdwr_w, term_w = self._rdwr_term_w(delta, total_busy, reads, writes)
         if channel_bus_mhz is not None:
-            org = self._config.org
-            if len(channel_bus_mhz) != org.channels:
-                raise ValueError("channel_bus_mhz must cover every channel")
-            background = 0.0
-            for rank in range(org.total_ranks):
-                ch = rank // org.ranks_per_channel
-                background += self._rank_background_w(
-                    delta, rank, channel_bus_mhz[ch])
+            derate = np.repeat([self._freq_derate(mhz)
+                                for mhz in channel_bus_mhz],
+                               org.ranks_per_channel)
             # pll_reg_power_w covers all DIMMs; dividing by the channel
             # count yields one channel's share (DIMMs/channel is uniform).
             pll_reg = sum(
                 self.pll_reg_power_w(delta.channel_utilization(ch), mhz)
-                / self._config.org.channels
+                / org.channels
                 for ch, mhz in enumerate(channel_bus_mhz)
             )
             return PowerBreakdown(
-                background_w=background,
-                refresh_w=self.refresh_power_w(delta),
-                actpre_w=self.actpre_power_w(delta),
-                rdwr_w=self.rdwr_power_w(delta),
-                termination_w=self.termination_power_w(delta),
-                pll_reg_w=pll_reg,
-                mc_w=self.mc_power_w(util, freq),
+                background_w=self._background_w(delta, derate[:, None]),
+                refresh_w=refresh_w, actpre_w=actpre_w, rdwr_w=rdwr_w,
+                termination_w=term_w, pll_reg_w=pll_reg,
+                mc_w=self._mc_w(load, self._vf_ratio(freq)),
             )
         dev_mhz = device_bus_mhz if device_bus_mhz is not None else freq.bus_mhz
         return PowerBreakdown(
             background_w=self.background_power_w(delta, dev_mhz),
-            refresh_w=self.refresh_power_w(delta),
-            actpre_w=self.actpre_power_w(delta),
-            rdwr_w=self.rdwr_power_w(delta),
-            termination_w=self.termination_power_w(delta),
-            pll_reg_w=self.pll_reg_power_w(util, freq.bus_mhz),
-            mc_w=self.mc_power_w(util, freq),
+            refresh_w=refresh_w, actpre_w=actpre_w, rdwr_w=rdwr_w,
+            termination_w=term_w,
+            pll_reg_w=self._pll_reg_w(load, freq.bus_mhz / self._f_max.bus_mhz),
+            mc_w=self._mc_w(load, self._vf_ratio(freq)),
         )
-
-    def _rank_background_w(self, delta: CounterDelta, rank: int,
-                           bus_mhz: float) -> float:
-        """Background power of one rank at its channel's clock.
-
-        The state rows are unpacked to plain floats in one ``tolist``
-        call (index order follows ``counters._STATE_ORDER``); each term
-        keeps the ``frac * idd * vdd * chips * derate`` evaluation order
-        so results match the original per-state loop bit for bit.
-        """
-        interval = delta.interval_ns
-        if interval <= 0:
-            return 0.0
-        cur = self._config.currents
-        vdd = cur.vdd
-        chips = self._config.org.chips_per_rank
-        derate = self._freq_derate(bus_mhz)
-        row = delta.rank_state_ns[rank].tolist()
-        act_stby, pre_stby, act_pd, pre_pd, self_ref = row
-        total = (act_stby / interval) * cur.idd3n * vdd * chips * derate
-        total += (pre_stby / interval) * cur.idd2n * vdd * chips * derate
-        total += (act_pd / interval) * cur.idd3p * vdd * chips * derate
-        total += (pre_pd / interval) * cur.idd2p * vdd * chips * derate
-        # Self-refresh keeps only IDD6; the clock is stopped, so no derate.
-        total += (self_ref / interval) * cur.idd6 * vdd * chips
-        return total
 
     def predict(self, delta: CounterDelta, candidate: FrequencyPoint,
                 time_scale: float,
@@ -285,60 +337,83 @@ class PowerModel:
         if delta.interval_ns <= 0:
             return self.measure(delta, candidate,
                                 channel_bus_mhz=channel_bus_mhz)
-        interval = delta.interval_ns * time_scale
         if channel_bus_mhz is not None:
-            return self._predict_per_channel(delta, candidate, interval,
+            return self._predict_per_channel(delta, candidate,
+                                             delta.interval_ns * time_scale,
                                              channel_bus_mhz)
-        accesses = float(delta.channel_reads.sum() + delta.channel_writes.sum())
-        busy_ns = accesses * candidate.burst_ns
-        util = busy_ns / (interval * max(1, len(delta.channel_busy_ns)))
+        return self._predict_points(
+            delta, np.array([time_scale]),
+            self._point_constants((candidate,))).at(0)
 
-        # Background: hold absolute active/powerdown time, stretch standby.
+    def predict_ladder(self, delta: CounterDelta,
+                       time_scale: np.ndarray) -> PowerBreakdown:
+        """:meth:`predict` at every :attr:`ladder` point in one pass.
+
+        ``time_scale[k]`` is point ``k``'s execution-time ratio; the
+        breakdown's fields are per-point arrays. Unlike :meth:`predict`
+        a non-positive ratio is not rejected here: its entries are
+        meaningless and left for the caller to ignore.
+        """
+        if delta.interval_ns <= 0:
+            points = [self.measure(delta, p) for p in self._ladder]
+            return PowerBreakdown(*(np.array([getattr(b, f) for b in points])
+                                    for f in _FIELDS))
+        return self._predict_points(delta, time_scale,
+                                    self._ladder_constants)
+
+    def _predict_points(self, delta: CounterDelta, time_scale: np.ndarray,
+                        constants: tuple) -> PowerBreakdown:
+        """Global-frequency prediction kernel behind :meth:`predict` and
+        :meth:`predict_ladder`: one entry per point, ``interval_ns > 0``."""
+        burst_ns, derate, pll_ratio, vf_ratio = constants
         cur = self._config.currents
-        vdd = cur.vdd
         chips = self._config.org.chips_per_rank
-        derate = self._freq_derate(candidate.bus_mhz)
-        total_bg = 0.0
-        for row in delta.rank_state_ns.tolist():
-            # index order matches counters._STATE_ORDER
-            act_stby, pre_stby, act_pd, pre_pd, self_ref = row
-            fixed = act_stby + act_pd + pre_pd + self_ref
-            pre_stby_new = max(0.0, interval - fixed)
-            total_bg += (act_stby / interval) * cur.idd3n * vdd * chips * derate
-            total_bg += (pre_stby_new / interval) * cur.idd2n * vdd * chips * derate
-            total_bg += (act_pd / interval) * cur.idd3p * vdd * chips * derate
-            total_bg += (pre_pd / interval) * cur.idd2p * vdd * chips * derate
-            total_bg += (self_ref / interval) * cur.idd6 * vdd * chips
-
-        refresh_w = (float(delta.refreshes.sum()) * time_scale
-                     * self._e_refresh_rank_j / (interval * 1e-9))
-        actpre_w = delta.pocc * self._e_actpre_rank_j / (interval * 1e-9)
-
+        interval = delta.interval_ns * time_scale
         reads = float(delta.channel_reads.sum())
         writes = float(delta.channel_writes.sum())
-        ops = reads + writes
-        if ops > 0:
-            read_share = reads / ops
-            p_read = (cur.idd4r - cur.idd3n) * cur.vdd * chips
-            p_write = (cur.idd4w - cur.idd3n) * cur.vdd * chips
-            p_burst = read_share * p_read + (1.0 - read_share) * p_write
-            rdwr_w = p_burst * (busy_ns / interval)
-            other_ranks = self._config.org.ranks_per_channel - 1
-            p_term = (read_share * cur.termination_w_read
-                      + (1.0 - read_share) * cur.termination_w_write)
-            term_w = p_term * (busy_ns / interval) if other_ranks > 0 else 0.0
+        busy_ns = (reads + writes) * burst_ns
+        busy_frac = busy_ns / interval
+        load = _clamp01(busy_ns / (interval
+                                   * max(1, len(delta.channel_busy_ns))))
+
+        # Background: hold absolute active/powerdown time, stretch standby.
+        # terms[rank, state, point]; the rank-major, state-minor sequence
+        # of terms adds left to right from 0.0 (one cumsum per point).
+        states = np.asarray(delta.rank_state_ns, dtype=np.float64)
+        act_stby, _, act_pd, pre_pd, self_ref = states.T
+        pre_stby_new = interval - (act_stby + act_pd + pre_pd + self_ref)[:, None]
+        frac = states[:, :, None] / interval
+        frac[:, 1] = np.where(pre_stby_new > 0.0, pre_stby_new, 0.0) / interval
+        terms = frac * self._idd_by_state[:, None] * cur.vdd * chips
+        terms[:, :4] *= derate
+        n_points = len(interval)
+        background = np.cumsum(
+            np.concatenate((np.zeros((1, n_points)),
+                            terms.reshape(-1, n_points))), axis=0)[-1]
+
+        interval_s = interval * 1e-9
+        refresh_w = (float(delta.refreshes.sum()) * time_scale
+                     * self._e_refresh_rank_j / interval_s)
+        actpre_w = delta.pocc * self._e_actpre_rank_j / interval_s
+
+        if reads + writes > 0:
+            p_burst, p_term = self._burst_powers(reads, writes)
+            rdwr_w = p_burst * busy_frac
+            if self._config.org.ranks_per_channel - 1 > 0:
+                term_w = p_term * busy_frac
+            else:
+                term_w = np.zeros(n_points)
         else:
-            rdwr_w = 0.0
-            term_w = 0.0
+            rdwr_w = term_w = np.zeros(n_points)
 
         return PowerBreakdown(
-            background_w=total_bg,
+            background_w=background,
             refresh_w=refresh_w,
             actpre_w=actpre_w,
             rdwr_w=rdwr_w,
             termination_w=term_w,
-            pll_reg_w=self.pll_reg_power_w(util, candidate.bus_mhz),
-            mc_w=self.mc_power_w(util, candidate),
+            pll_reg_w=self._pll_reg_w(load, pll_ratio),
+            mc_w=self._mc_w(load, vf_ratio),
         )
 
     def _predict_per_channel(self, delta: CounterDelta,

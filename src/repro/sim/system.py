@@ -33,6 +33,13 @@ from repro.sim.results import (
 from repro.sim.telemetry import TelemetrySink, epoch_record
 
 
+def _mean(values: List[float]) -> float:
+    """``float(np.mean(values))``: np.mean's own arithmetic (one
+    ``add.reduce``, then a division by the count) without its
+    per-call dispatch."""
+    return float(np.add.reduce(np.array(values)) / len(values))
+
+
 class SystemSimulator:
     """One run: a workload trace under one energy-management governor.
 
@@ -64,6 +71,8 @@ class SystemSimulator:
         self.cluster = CpuCluster(self.engine, self.controller, config.cpu,
                                   workload.cores, loop_traces=True)
         self.power_model = PowerModel(config)
+        self._core_apps = [(core.core_id, core.app_name)
+                           for core in self.cluster.cores]
         # Approximate steady-state absorption (memsim/steady.py):
         # default-off surrogate that extrapolates stationary epoch
         # bodies instead of simulating every event.
@@ -220,21 +229,24 @@ class SystemSimulator:
     def _sample_epoch(self, time_ns: float, freq, delta,
                       device_mhz: Optional[float]) -> EpochSample:
         cycle_ns = self.config.cpu.cycle_ns
+        interval = delta.interval_ns
+        instructions = delta.tic.tolist()
         app_cpi: Dict[str, List[float]] = {}
-        for core in self.cluster.cores:
-            instr = float(delta.tic[core.core_id])
+        for core_id, app in self._core_apps:
+            instr = instructions[core_id]
             if instr <= 0:
                 continue
-            cpi = delta.interval_ns / (instr * cycle_ns)
-            app_cpi.setdefault(core.app_name, []).append(cpi)
+            app_cpi.setdefault(app, []).append(interval / (instr * cycle_ns))
         breakdown = self.power_model.measure(delta, freq,
                                              device_bus_mhz=device_mhz)
-        util = np.array([delta.channel_utilization(c)
-                         for c in range(self.config.org.channels)])
+        if interval <= 0:
+            util = np.zeros(self.config.org.channels)
+        else:
+            util = delta.channel_busy_ns / interval
         return EpochSample(
             time_ns=time_ns,
             bus_mhz=freq.bus_mhz,
-            app_cpi={app: float(np.mean(v)) for app, v in app_cpi.items()},
+            app_cpi={app: _mean(v) for app, v in app_cpi.items()},
             channel_util=util,
             memory_power_w=breakdown.memory_w,
         )

@@ -40,6 +40,19 @@ def test_detects_dangling_code_reference(tmp_path):
     assert bad[0][2] == "src/nowhere/ghost.py"
 
 
+def test_smoke_output_does_not_satisfy_a_reference(tmp_path):
+    # A file that exists only in a git-ignored smoke output directory is
+    # absent from a fresh clone, so naming it is still a dangling link.
+    (tmp_path / ".repro_scenarios_smoke").mkdir()
+    (tmp_path / ".repro_scenarios_smoke" / "summary.json").write_text("{}")
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "smoke.md").write_text(
+        "the smoke run writes `summary.json`\n")
+    bad = check_docs_links.dangling(tmp_path)
+    assert [(p.name, line, target) for p, line, target in bad] == [
+        ("smoke.md", 1, "summary.json")]
+
+
 def test_accepts_valid_references(tmp_path):
     (tmp_path / "docs").mkdir()
     (tmp_path / "src").mkdir()

@@ -37,8 +37,12 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_REF = re.compile(r"`([A-Za-z0-9_./-]+\.(?:md|py|json|yml|toml))`")
 
 EXTERNAL = ("http://", "https://", "mailto:")
+# Tool caches and the git-ignored output directories of local runs: a
+# reference that resolves only to a generated artifact there would
+# still dangle on a fresh clone.
 SKIP_DIRS = {".git", ".repro_cache", "__pycache__", ".pytest_cache",
-             ".hypothesis", ".claude"}
+             ".hypothesis", ".claude", ".repro_service_smoke",
+             ".repro_scenarios_smoke"}
 
 
 def file_index(root: Path) -> List[str]:
