@@ -76,9 +76,6 @@ class EnergyModel:
         self.rest_power_w = rest_power_w
         self._perf = perf_model if perf_model is not None else PerformanceModel(config)
         self._power = power_model if power_model is not None else PowerModel(config)
-        if tuple(self._perf.ladder) != tuple(self._power.ladder):
-            raise ValueError("perf_model and power_model must share one "
-                             "frequency ladder (build both from one config)")
 
     @property
     def perf_model(self) -> PerformanceModel:
@@ -129,6 +126,5 @@ class EnergyModel:
         fastest point as ``base``; fields are per-point arrays."""
         scale = self._perf.time_scale_ladder(delta, profiled_freq)
         power = self._power.predict_ladder(delta, scale)
-        bus_mhz = np.array([p.bus_mhz for p in self._perf.ladder])
-        return self._estimate(bus_mhz, scale, power, scale[0],
-                              power.memory_w[0])
+        return self._estimate(self._perf.ladder_bus_mhz, scale, power,
+                              scale[0], power.memory_w[0])

@@ -92,6 +92,11 @@ class PerformanceModel:
         """The points the ``*_ladder`` methods evaluate, fastest first."""
         return self._ladder
 
+    @property
+    def ladder_bus_mhz(self) -> np.ndarray:
+        """Bus MHz of every :attr:`ladder` point, fastest first."""
+        return self._bus_mhz
+
     # -- Eq. 6: expected device access time --------------------------------
 
     def device_time_ns(self, delta: CounterDelta,

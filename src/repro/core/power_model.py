@@ -101,9 +101,11 @@ class PowerModel:
     :meth:`predict` and :meth:`predict_ladder` share one kernel that
     takes the candidate points' constants (burst time, standby derate,
     register/PLL clock ratio, MC V^2*f ratio) as arrays; the ladder's
-    constants are computed once per model. Sums over ranks, channels
-    and state columns keep the historical left-to-right order, so the
-    numpy kernels reproduce the scalar arithmetic bit for bit.
+    constants are computed once per model. The per-channel-DFS
+    prediction reuses the kernel's standby-stretch and burst-power
+    parts. Sums over ranks, channels and state columns keep the
+    historical left-to-right order, so the numpy kernels reproduce the
+    scalar arithmetic bit for bit.
     """
 
     def __init__(self, config: SystemConfig):
@@ -145,6 +147,11 @@ class PowerModel:
         ratio = bus_mhz / self._f_max.bus_mhz
         return cur.static_fraction + (1.0 - cur.static_fraction) * ratio
 
+    def _rank_derates(self, channel_bus_mhz: Sequence[float]) -> np.ndarray:
+        """Standby derate of every rank, from its own channel's clock."""
+        return np.repeat([self._freq_derate(mhz) for mhz in channel_bus_mhz],
+                         self._config.org.ranks_per_channel)
+
     def _vf_ratio(self, freq: FrequencyPoint) -> float:
         """MC V^2 * f relative to the maximum operating point."""
         return ((freq.mc_voltage ** 2) * freq.mc_mhz
@@ -183,6 +190,31 @@ class PowerModel:
         for rank_w in terms.cumsum(axis=1)[:, -1].tolist():
             total += rank_w
         return total
+
+    def _stretched_background_w(self, delta: CounterDelta,
+                                interval: np.ndarray, derate) -> np.ndarray:
+        """Predicted background power at each point's ``interval`` (ns,
+        positive): absolute active and powerdown time is held while
+        precharge standby absorbs the change in interval length.
+
+        ``derate`` scales the clocked states' terms ``terms[rank, state,
+        point]``: one factor per point, or shape ``(ranks, 1, 1)`` for
+        one per rank. The rank-major, state-minor sequence of terms adds
+        left to right from 0.0 (one cumsum per point).
+        """
+        cur = self._config.currents
+        chips = self._config.org.chips_per_rank
+        states = np.asarray(delta.rank_state_ns, dtype=np.float64)
+        act_stby, _, act_pd, pre_pd, self_ref = states.T
+        pre_stby_new = interval - (act_stby + act_pd + pre_pd + self_ref)[:, None]
+        frac = states[:, :, None] / interval
+        frac[:, 1] = np.where(pre_stby_new > 0.0, pre_stby_new, 0.0) / interval
+        terms = frac * self._idd_by_state[:, None] * cur.vdd * chips
+        terms[:, :4] *= derate
+        n_points = len(interval)
+        return np.cumsum(
+            np.concatenate((np.zeros((1, n_points)),
+                            terms.reshape(-1, n_points))), axis=0)[-1]
 
     def background_power_w(self, delta: CounterDelta, bus_mhz: float) -> float:
         """Standby/powerdown background power across all ranks."""
@@ -287,9 +319,7 @@ class PowerModel:
         actpre_w = self.actpre_power_w(delta)
         rdwr_w, term_w = self._rdwr_term_w(delta, total_busy, reads, writes)
         if channel_bus_mhz is not None:
-            derate = np.repeat([self._freq_derate(mhz)
-                                for mhz in channel_bus_mhz],
-                               org.ranks_per_channel)
+            derate = self._rank_derates(channel_bus_mhz)
             # pll_reg_power_w covers all DIMMs; dividing by the channel
             # count yields one channel's share (DIMMs/channel is uniform).
             pll_reg = sum(
@@ -366,8 +396,6 @@ class PowerModel:
         """Global-frequency prediction kernel behind :meth:`predict` and
         :meth:`predict_ladder`: one entry per point, ``interval_ns > 0``."""
         burst_ns, derate, pll_ratio, vf_ratio = constants
-        cur = self._config.currents
-        chips = self._config.org.chips_per_rank
         interval = delta.interval_ns * time_scale
         reads = float(delta.channel_reads.sum())
         writes = float(delta.channel_writes.sum())
@@ -375,21 +403,8 @@ class PowerModel:
         busy_frac = busy_ns / interval
         load = _clamp01(busy_ns / (interval
                                    * max(1, len(delta.channel_busy_ns))))
-
-        # Background: hold absolute active/powerdown time, stretch standby.
-        # terms[rank, state, point]; the rank-major, state-minor sequence
-        # of terms adds left to right from 0.0 (one cumsum per point).
-        states = np.asarray(delta.rank_state_ns, dtype=np.float64)
-        act_stby, _, act_pd, pre_pd, self_ref = states.T
-        pre_stby_new = interval - (act_stby + act_pd + pre_pd + self_ref)[:, None]
-        frac = states[:, :, None] / interval
-        frac[:, 1] = np.where(pre_stby_new > 0.0, pre_stby_new, 0.0) / interval
-        terms = frac * self._idd_by_state[:, None] * cur.vdd * chips
-        terms[:, :4] *= derate
+        background = self._stretched_background_w(delta, interval, derate)
         n_points = len(interval)
-        background = np.cumsum(
-            np.concatenate((np.zeros((1, n_points)),
-                            terms.reshape(-1, n_points))), axis=0)[-1]
 
         interval_s = interval * 1e-9
         refresh_w = (float(delta.refreshes.sum()) * time_scale
@@ -422,16 +437,14 @@ class PowerModel:
                              ) -> PowerBreakdown:
         """Per-channel-DFS prediction backing :meth:`predict`.
 
-        Mirrors the global path's stretch-the-standby accounting, but
-        each channel's burst time and clock-derated components follow
-        its own frequency. The MC remains at the global ``candidate``.
+        Shares the global path's stretch-the-standby and burst-power
+        kernels, but each channel's burst time and clock-derated
+        components follow its own frequency. The MC remains at the
+        global ``candidate``.
         """
         org = self._config.org
         if len(channel_bus_mhz) != org.channels:
             raise ValueError("channel_bus_mhz must cover every channel")
-        cur = self._config.currents
-        vdd = cur.vdd
-        chips = org.chips_per_rank
 
         # Busy time per channel from its own burst length.
         busy_by_channel = []
@@ -443,20 +456,10 @@ class PowerModel:
         busy_ns = sum(busy_by_channel)
         util = busy_ns / (interval * max(1, org.channels))
 
-        # Background: hold absolute active/powerdown time, stretch
-        # standby; derate each rank by its channel's clock.
-        total_bg = 0.0
-        for rank, row in enumerate(delta.rank_state_ns.tolist()):
-            derate = self._freq_derate(
-                channel_bus_mhz[rank // org.ranks_per_channel])
-            act_stby, pre_stby, act_pd, pre_pd, self_ref = row
-            fixed = act_stby + act_pd + pre_pd + self_ref
-            pre_stby_new = max(0.0, interval - fixed)
-            total_bg += (act_stby / interval) * cur.idd3n * vdd * chips * derate
-            total_bg += (pre_stby_new / interval) * cur.idd2n * vdd * chips * derate
-            total_bg += (act_pd / interval) * cur.idd3p * vdd * chips * derate
-            total_bg += (pre_pd / interval) * cur.idd2p * vdd * chips * derate
-            total_bg += (self_ref / interval) * cur.idd6 * vdd * chips
+        # Background: each rank's standby derates with its channel's clock.
+        background = self._stretched_background_w(
+            delta, np.array([interval]),
+            self._rank_derates(channel_bus_mhz)[:, None, None])
 
         time_scale = interval / delta.interval_ns
         refresh_w = (float(delta.refreshes.sum()) * time_scale
@@ -465,20 +468,12 @@ class PowerModel:
 
         reads = float(delta.channel_reads.sum())
         writes = float(delta.channel_writes.sum())
-        ops = reads + writes
-        if ops > 0 and busy_ns > 0:
-            read_share = reads / ops
-            p_read = (cur.idd4r - cur.idd3n) * vdd * chips
-            p_write = (cur.idd4w - cur.idd3n) * vdd * chips
-            p_burst = read_share * p_read + (1.0 - read_share) * p_write
+        rdwr_w = term_w = 0.0
+        if reads + writes > 0 and busy_ns > 0:
+            p_burst, p_term = self._burst_powers(reads, writes)
             rdwr_w = p_burst * (busy_ns / interval)
-            p_term = (read_share * cur.termination_w_read
-                      + (1.0 - read_share) * cur.termination_w_write)
-            term_w = (p_term * (busy_ns / interval)
-                      if org.ranks_per_channel > 1 else 0.0)
-        else:
-            rdwr_w = 0.0
-            term_w = 0.0
+            if org.ranks_per_channel > 1:
+                term_w = p_term * (busy_ns / interval)
 
         # pll_reg_power_w covers all DIMMs; one channel's share is 1/channels.
         pll_reg = sum(
@@ -487,7 +482,7 @@ class PowerModel:
             for ch, mhz in enumerate(channel_bus_mhz)
         )
         return PowerBreakdown(
-            background_w=total_bg,
+            background_w=float(background[0]),
             refresh_w=refresh_w,
             actpre_w=actpre_w,
             rdwr_w=rdwr_w,

@@ -41,16 +41,23 @@ def test_detects_dangling_code_reference(tmp_path):
 
 
 def test_smoke_output_does_not_satisfy_a_reference(tmp_path):
-    # A file that exists only in a git-ignored smoke output directory is
-    # absent from a fresh clone, so naming it is still a dangling link.
-    (tmp_path / ".repro_scenarios_smoke").mkdir()
-    (tmp_path / ".repro_scenarios_smoke" / "summary.json").write_text("{}")
+    # A file that exists only in a git-ignored output directory, at the
+    # top level or below it, is absent from a fresh clone, so naming it
+    # is still a dangling link, by bare name or by full path.
+    (tmp_path / ".gitignore").write_text(
+        "# local output\n.repro_scenarios_smoke/\nbench/out/\n")
+    for output, name in ((".repro_scenarios_smoke", "summary.json"),
+                         ("bench/out", "results.json")):
+        (tmp_path / output).mkdir(parents=True)
+        (tmp_path / output / name).write_text("{}")
     (tmp_path / "docs").mkdir()
     (tmp_path / "docs" / "smoke.md").write_text(
-        "the smoke run writes `summary.json`\n")
+        "the smoke run writes `summary.json`\n"
+        "the benchmark writes `results.json` (`bench/out/results.json`)\n")
     bad = check_docs_links.dangling(tmp_path)
     assert [(p.name, line, target) for p, line, target in bad] == [
-        ("smoke.md", 1, "summary.json")]
+        ("smoke.md", 1, "summary.json"), ("smoke.md", 2, "results.json"),
+        ("smoke.md", 2, "bench/out/results.json")]
 
 
 def test_accepts_valid_references(tmp_path):

@@ -4,7 +4,8 @@
 in one batched pass (a points x cores CPI matrix, per-point time scales,
 powers and energy ratios, one slack-feasibility mask), and
 ``PowerModel.measure`` / ``predict`` and ``update_slack`` use numpy
-kernels in place of per-rank and per-core loops. :class:`Reference`
+kernels in place of per-rank and per-core loops; ``CapAllocator``
+prices its global ladder with the same kernels. :class:`Reference`
 below is the earlier scalar implementation, one candidate, rank and core
 at a time. The properties require exact equality (``==``, never approx)
 over randomized counter deltas: zero TIC/TLM cores, zero accesses, a
@@ -19,9 +20,11 @@ from typing import List, NamedTuple, Optional
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.cap import CapAllocator
 from repro.config import SystemConfig, scaled_config
 from repro.core.energy_model import EnergyModel
-from repro.core.frequency import FrequencyLadder, FrequencyPoint
+from repro.core.frequency import (BURST_BUS_CYCLES, FrequencyLadder,
+                                  FrequencyPoint)
 from repro.core.perf_model import PerformanceModel
 from repro.core.policy import MemScalePolicy, PolicyObjective
 from repro.core.power_model import PowerBreakdown, PowerModel
@@ -32,6 +35,7 @@ CFG = scaled_config()
 CFG_ONE_RANK = CFG.with_org(dimms_per_channel=1, ranks_per_dimm=1)
 LADDER = FrequencyLadder(CFG)
 PERF, POWER = PerformanceModel(CFG), PowerModel(CFG)
+ALLOC = CapAllocator(CFG, EnergyModel(CFG, 40.0, PERF, POWER), n_cores=4)
 
 
 class Decision(NamedTuple):
@@ -207,10 +211,14 @@ class Reference:
         return PowerBreakdown(background, refresh, actpre, rdwr, term,
                               pll_reg, self.mc_w(util, freq))
 
-    def predict(self, delta, candidate, time_scale):
+    def predict(self, delta, candidate, time_scale, channel_bus_mhz=None):
         if delta.interval_ns <= 0:
-            return self.measure(delta, candidate)
+            return self.measure(delta, candidate,
+                                channel_bus_mhz=channel_bus_mhz)
         interval = delta.interval_ns * time_scale
+        if channel_bus_mhz is not None:
+            return self.predict_per_channel(delta, candidate, interval,
+                                            channel_bus_mhz)
         accesses = float(delta.channel_reads.sum()
                          + delta.channel_writes.sum())
         busy_ns = accesses * candidate.burst_ns
@@ -248,6 +256,54 @@ class Reference:
         return PowerBreakdown(total_bg, refresh_w, actpre_w, rdwr_w, term_w,
                               self.pll_reg_w(util, candidate.bus_mhz),
                               self.mc_w(util, candidate))
+
+    def predict_per_channel(self, delta, candidate, interval,
+                            channel_bus_mhz):
+        org, cur = self.cfg.org, self.cfg.currents
+        vdd, chips = cur.vdd, org.chips_per_rank
+        busy_by_channel = []
+        for ch, mhz in enumerate(channel_bus_mhz):
+            accesses = float(delta.channel_reads[ch]
+                             + delta.channel_writes[ch])
+            burst_ns = BURST_BUS_CYCLES * 1000.0 / mhz
+            busy_by_channel.append(accesses * burst_ns)
+        busy_ns = sum(busy_by_channel)
+        util = busy_ns / (interval * max(1, org.channels))
+        total_bg = 0.0
+        for rank, row in enumerate(delta.rank_state_ns.tolist()):
+            derate = self.derate(
+                channel_bus_mhz[rank // org.ranks_per_channel])
+            act_stby, pre_stby, act_pd, pre_pd, self_ref = row
+            fixed = act_stby + act_pd + pre_pd + self_ref
+            pre_stby_new = max(0.0, interval - fixed)
+            total_bg += (act_stby / interval) * cur.idd3n * vdd * chips * derate
+            total_bg += (pre_stby_new / interval) * cur.idd2n * vdd * chips * derate
+            total_bg += (act_pd / interval) * cur.idd3p * vdd * chips * derate
+            total_bg += (pre_pd / interval) * cur.idd2p * vdd * chips * derate
+            total_bg += (self_ref / interval) * cur.idd6 * vdd * chips
+        time_scale = interval / delta.interval_ns
+        refresh_w = (float(delta.refreshes.sum()) * time_scale
+                     * self.e_refresh / (interval * 1e-9))
+        actpre_w = delta.pocc * self.e_actpre / (interval * 1e-9)
+        reads = float(delta.channel_reads.sum())
+        writes = float(delta.channel_writes.sum())
+        ops = reads + writes
+        rdwr_w = term_w = 0.0
+        if ops > 0 and busy_ns > 0:
+            read_share = reads / ops
+            p_read = (cur.idd4r - cur.idd3n) * vdd * chips
+            p_write = (cur.idd4w - cur.idd3n) * vdd * chips
+            p_burst = read_share * p_read + (1.0 - read_share) * p_write
+            rdwr_w = p_burst * (busy_ns / interval)
+            p_term = (read_share * cur.termination_w_read
+                      + (1.0 - read_share) * cur.termination_w_write)
+            if org.ranks_per_channel > 1:
+                term_w = p_term * (busy_ns / interval)
+        pll_reg = sum(self.pll_reg_w(busy_by_channel[ch] / interval, mhz)
+                      / org.channels
+                      for ch, mhz in enumerate(channel_bus_mhz))
+        return PowerBreakdown(total_bg, refresh_w, actpre_w, rdwr_w, term_w,
+                              pll_reg, self.mc_w(util, candidate))
 
     # -- energy model (Eq. 10) and policy ----------------------------------
 
@@ -464,12 +520,15 @@ def test_measure_matches_per_rank_loop(data, config, freq, device_bus_mhz,
 @settings(max_examples=50, deadline=None)
 def test_predict_matches_per_rank_loop(data, config, time_scale):
     """The global prediction, one point at a time and for the whole
-    ladder at once."""
+    ladder at once, and the per-channel-DFS prediction."""
     delta = data.draw(deltas(config, n_cores=4))
     model, ref = PowerModel(config), Reference(config)
     scales = np.array(data.draw(st.lists(
         st.floats(min_value=0.05, max_value=20.0),
         min_size=len(model.ladder), max_size=len(model.ladder))))
+    channel_bus_mhz = data.draw(st.lists(
+        st.sampled_from([p.bus_mhz for p in LADDER]),
+        min_size=config.org.channels, max_size=config.org.channels))
 
     ladder = model.predict_ladder(delta, scales)
     for k, point in enumerate(model.ladder):
@@ -477,3 +536,23 @@ def test_predict_matches_per_rank_loop(data, config, time_scale):
                               ref.predict(delta, point, time_scale))
         assert_same_breakdown(ladder.at(k),
                               ref.predict(delta, point, float(scales[k])))
+        assert_same_breakdown(
+            model.predict(delta, point, time_scale, channel_bus_mhz),
+            ref.predict(delta, point, time_scale, channel_bus_mhz))
+
+
+@given(data=st.data(), current=ladder_points)
+@settings(max_examples=40, deadline=None)
+def test_cap_allocator_global_ladder_matches_per_point_loop(data, current):
+    """Predicted power, CPI and memory time per miss of the cap
+    allocator's global candidates, one ladder point at a time."""
+    delta = data.draw(deltas())
+    ref = Reference(CFG)
+    got = [(c.predicted_power_w, c.predicted_cpi.tolist(), c.tpi_mem_ns)
+           for c in ALLOC.candidates(delta, current)
+           if c.channel_bus_mhz is None]
+    want = [(ref.predict(delta, g, ref.time_scale(delta, current, g)).memory_w,
+             ref.cpi(delta, g, None, current).tolist(),
+             ref.tpi_mem_ns(delta, g, None, current))
+            for g in ref.ladder]
+    assert got == want

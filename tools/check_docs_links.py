@@ -11,7 +11,8 @@ so a target is accepted when it resolves against the referencing
 file's directory or the repo root, or when it is a path *suffix* of
 some tracked file — a reference only fails when no file in the repo
 matches it at all, which is exactly the rename/delete rot this guard
-is for.
+is for. Files that ``.gitignore`` matches (tool caches, the output of
+local runs) do not count, because a fresh clone lacks them.
 
 Usage::
 
@@ -23,8 +24,10 @@ any were found.
 
 from __future__ import annotations
 
+import os
 import re
 import sys
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import Iterator, List, Tuple
 
@@ -37,24 +40,52 @@ MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_REF = re.compile(r"`([A-Za-z0-9_./-]+\.(?:md|py|json|yml|toml))`")
 
 EXTERNAL = ("http://", "https://", "mailto:")
-# Tool caches and the git-ignored output directories of local runs: a
-# reference that resolves only to a generated artifact there would
-# still dangle on a fresh clone.
-SKIP_DIRS = {".git", ".repro_cache", "__pycache__", ".pytest_cache",
-             ".hypothesis", ".claude", ".repro_service_smoke",
-             ".repro_scenarios_smoke"}
+# Skipped whatever .gitignore says: git's own data and local tool
+# settings.
+SKIP_DIRS = (".git", ".claude")
 
 
-def file_index(root: Path) -> List[str]:
-    """POSIX-style relative paths of every file under ``root``."""
+def skip_patterns(root: Path) -> List[str]:
+    """``SKIP_DIRS`` plus every pattern of ``root/.gitignore``: a
+    reference that resolves only to a file there would still dangle on
+    a fresh clone."""
+    patterns = list(SKIP_DIRS)
+    gitignore = root / ".gitignore"
+    if gitignore.is_file():
+        for line in gitignore.read_text().splitlines():
+            line = line.strip()
+            if line and not line.startswith(("#", "!")):
+                patterns.append(line.rstrip("/"))
+    return patterns
+
+
+def is_skipped(rel: str, patterns: List[str]) -> bool:
+    """Whether the root-relative POSIX path ``rel``, or a directory it
+    lies in, matches a pattern. As in .gitignore, a pattern with a
+    slash matches a path from the root (``bench/out``); one without
+    matches a name at any depth (``__pycache__``, ``*.pyc``)."""
+    parts = rel.split("/")
+    for depth in range(1, len(parts) + 1):
+        prefix = "/".join(parts[:depth])
+        for pattern in patterns:
+            if "/" in pattern:
+                if fnmatchcase(prefix, pattern.lstrip("/")):
+                    return True
+            elif fnmatchcase(parts[depth - 1], pattern):
+                return True
+    return False
+
+
+def file_index(root: Path, skipped: List[str]) -> List[str]:
+    """POSIX-style relative paths of every file under ``root`` that no
+    ``skipped`` pattern matches."""
     paths = []
     for path in root.rglob("*"):
         if not path.is_file():
             continue
-        rel = path.relative_to(root)
-        if rel.parts[0] in SKIP_DIRS:
-            continue
-        paths.append(rel.as_posix())
+        rel = path.relative_to(root).as_posix()
+        if not is_skipped(rel, skipped):
+            paths.append(rel)
     return paths
 
 
@@ -73,25 +104,28 @@ def references(path: Path) -> Iterator[Tuple[int, str]]:
             yield lineno, match.group(1)
 
 
-def resolves(target: str, source: Path, root: Path,
-             index: List[str]) -> bool:
+def resolves(target: str, source: Path, root: Path, index: List[str],
+             skipped: List[str]) -> bool:
     target = target.split("#", 1)[0]
     if not target:  # pure anchor: [back](#layering)
         return True
-    if (source.parent / target).exists() or (root / target).exists():
-        return True
+    for path in (source.parent / target, root / target):
+        rel = Path(os.path.relpath(path, root)).as_posix()
+        if path.exists() and not is_skipped(rel, skipped):
+            return True
     return any(path == target or path.endswith("/" + target)
                for path in index)
 
 
 def dangling(root: Path) -> List[Tuple[Path, int, str]]:
-    index = file_index(root)
+    skipped = skip_patterns(root)
+    index = file_index(root, skipped)
     bad = []
     for path in doc_files(root):
         for lineno, target in references(path):
             if target.startswith(EXTERNAL):
                 continue
-            if not resolves(target, path, root, index):
+            if not resolves(target, path, root, index, skipped):
                 bad.append((path, lineno, target))
     return bad
 
