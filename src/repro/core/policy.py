@@ -209,10 +209,10 @@ class MemScalePolicy:
         # Reference is the no-energy-management execution: no powerdown
         # exits at max frequency (see select_frequency).
         cpi_max = self._perf.predict(epoch_delta, self._ladder.fastest, 0.0,
-                                     profiled_freq=freq_used).cpi.tolist()
+                                     profiled_freq=freq_used).cpi
         cycle = self._config.cpu.cycle_ns
-        slack = self.slack_ns.tolist()
-        for core, instructions in enumerate(epoch_delta.tic.tolist()):
+        for core in range(len(self.slack_ns)):
+            instructions = float(epoch_delta.tic[core])
             if instructions <= 0:
                 continue
             t_maxfreq = instructions * cpi_max[core] * cycle
@@ -220,6 +220,5 @@ class MemScalePolicy:
             # actually was: cap the estimate to keep slack conservative
             # when the model overestimates max-frequency CPI.
             t_maxfreq = min(t_maxfreq, epoch_wall_ns)
-            slack[core] += (t_maxfreq * self._gamma_factor[core]
-                            - epoch_wall_ns)
-        self.slack_ns[:] = slack
+            gamma = self._gamma_per_core[core]
+            self.slack_ns[core] += t_maxfreq * (1.0 + gamma) - epoch_wall_ns

@@ -24,7 +24,6 @@ Counter inventory (names follow the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Dict, List
 
 import numpy as np
@@ -344,11 +343,7 @@ class CounterFile:
             bto=self.bto, btc=self.btc, cto=self.cto, ctc=self.ctc,
             rbhc=self.rbhc, obmc=self.obmc, cbmc=self.cbmc, epdc=self.epdc,
             pocc=self.pocc, reads=self.reads, writes=self.writes,
-            # one flat conversion, then a view: numpy's nested-list shape
-            # discovery costs more than the copy itself
-            rank_state_ns=np.array(
-                list(chain.from_iterable(self.rank_state_ns)),
-                dtype=np.float64).reshape(self.n_ranks, len(_STATE_ORDER)),
+            rank_state_ns=np.array(self.rank_state_ns, dtype=np.float64),
             refreshes=np.array(self.refreshes, dtype=np.float64),
             channel_busy_ns=np.array(self.channel_busy_ns, dtype=np.float64),
             channel_reads=np.array(self.channel_reads, dtype=np.float64),

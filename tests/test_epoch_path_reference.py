@@ -2,10 +2,10 @@
 
 ``MemScalePolicy.select_frequency`` evaluates the whole frequency ladder
 in one batched pass (a points x cores CPI matrix, per-point time scales,
-powers and energy ratios, one slack-feasibility mask), and
-``PowerModel.measure`` / ``predict`` and ``update_slack`` use numpy
-kernels in place of per-rank and per-core loops; ``CapAllocator``
-prices its global ladder with the same kernels. :class:`Reference`
+powers and energy ratios, one slack-feasibility mask),
+``PowerModel.measure`` / ``predict`` use numpy kernels in place of
+per-rank loops, ``update_slack`` takes its reference CPI from the same
+CPI kernel, and ``CapAllocator`` prices its global ladder with them. :class:`Reference`
 below is the earlier scalar implementation, one candidate, rank and core
 at a time. The properties require exact equality (``==``, never approx)
 over randomized counter deltas: zero TIC/TLM cores, zero accesses, a
