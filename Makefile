@@ -1,9 +1,9 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench-smoke bench bench-perf bench-perf-smoke bench-profile \
-	sweep validate cache-stats clean-cache docs-links multidomain-smoke \
-	service-smoke placement-smoke scenarios-smoke
+.PHONY: test bench-smoke bench sweep validate cache-stats clean-cache \
+	docs-links multidomain-smoke service-smoke placement-smoke \
+	scenarios-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -23,36 +23,6 @@ validate:
 # Micro-benchmarks (pytest-benchmark; declared in the [bench] extra).
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s
-
-# Simulator-throughput benchmark: pinned workloads, events/sec recorded
-# to BENCH_perf.json, non-zero exit on a >10% regression vs the
-# committed baseline (same machine only).
-bench-perf:
-	$(PYTHON) -m repro perfbench
-
-# Non-gating variant for CI smoke: prints the baseline-vs-current
-# comparison and refreshes BENCH_perf.json (uploaded as an artifact)
-# but never fails on *throughput* — shared-runner numbers are too
-# noisy to gate; the 10% same-machine gate stays a local concern
-# (`make bench-perf`). The absorption check IS gating: the busy-period
-# absorber and the steady-state surrogate must both have engaged on
-# mid1, machine speed notwithstanding — zero absorbed events there
-# means the fast path silently stopped firing.
-bench-perf-smoke:
-	$(PYTHON) -m repro perfbench --no-gate
-	$(PYTHON) -c "import json; r = json.load(open('BENCH_perf.json'))['latest']['mid1']; \
-	assert r['events_busy_absorbed'] > 0, 'busy-period chain absorption never engaged on mid1: %r' % r; \
-	assert r['events_steady_skipped'] > 0, 'steady-state surrogate never engaged on mid1: %r' % r; \
-	print('perfbench: mid1 absorption engaged (busy_absorbed=%d steady_skipped=%d)' \
-	% (r['events_busy_absorbed'], r['events_steady_skipped']))"
-
-# Profile the measured runs: single repeat of every scenario under
-# cProfile, top-20 cumulative hot spots printed, raw pstats dump in
-# perf.pstats (the CI artifact). Writes its record to a scratch file so
-# the profiler's overhead never pollutes BENCH_perf.json numbers.
-bench-profile:
-	$(PYTHON) -m repro perfbench --no-gate --repeats 1 \
-	    --output .bench_profile.json --profile-out perf.pstats
 
 # Two-point multi-domain budget sweep with acceptance checks: the
 # coordinated governor must post zero ledger violations, beat the

@@ -23,7 +23,7 @@ import pytest
 
 from repro.config import SystemConfig, scaled_config
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
-from repro.sim.parallel import SweepOutcome, default_jobs, run_sweep
+from repro.sim.parallel import Outcome, default_jobs, run_sweep
 from repro.sim.results import PolicyComparison, RunResult
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 
@@ -72,7 +72,7 @@ class BenchContext:
 
     def sweep(self, mixes: Sequence[str], policies: Sequence[str],
               runner: ExperimentRunner = None, key: Tuple = (),
-              jobs: int = None) -> List[SweepOutcome]:
+              jobs: int = None) -> List[Outcome]:
         """Fan (mix x policy) runs across processes and absorb the
         outcomes into the session cache, so later benches reuse them."""
         runner = runner or self.runner()

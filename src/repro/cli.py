@@ -13,7 +13,6 @@ Every experiment is reachable from the shell::
     python -m repro trace import k6.trc --name myapp --cores 4
     python -m repro run trace:myapp --cores 4
     python -m repro bench --smoke
-    python -m repro perfbench
     python -m repro cache --prune
     python -m repro service run --dir sweeps --mixes MID1 --policies MemScale
     python -m repro service resume --dir sweeps
@@ -38,23 +37,29 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis import (cap_summary_table, device_energy_table,
                             format_table, multidomain_summary_table)
-from repro.config import NS_PER_US, scaled_config
+from repro.config import SystemConfig, scaled_config
 from repro.cpu.stats import workload_stats
-from repro.cpu.workloads import MIXES, known_mix_names, mix_names
+from repro.cpu.workloads import MIXES, mix_names
 from repro.sim import experiments
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
-from repro.sim.parallel import (run_cap_sweep, run_multidomain_sweep,
-                                run_placement_sweep, run_scenario_sweep,
-                                run_sweep, scenario_label, split_outcomes,
-                                sweep_table)
+from repro.sim.parallel import (KINDS, JobFailure, JobSpec, Outcome,
+                                cap_specs, check_mixes, check_specs,
+                                multidomain_specs, placement_specs,
+                                policy_specs, run_specs, run_sweep,
+                                scenario_specs, split_outcomes, sweep_table)
 from repro.sim.runner import (GOVERNOR_INFO, IMPORTED_TRACE_PREFIX,
                               POLICY_NAMES, ExperimentRunner,
                               RunnerSettings, governor_listing)
 from repro.sim.telemetry import JsonlTelemetry
+
+#: Scale of the tiny acceptance sweeps (`bench`, `cap`, `multidomain`
+#: and `service` smokes).
+SMOKE_SETTINGS = RunnerSettings(cores=4, instructions_per_core=8_000,
+                                seed=2011)
 
 #: Budget points of the cap smoke leg (`repro cap --smoke` and the
 #: capped leg of `repro bench --smoke`): a loose and a tight cap.
@@ -101,6 +106,10 @@ SMOKE_PLACEMENT_PROFILE_NS = 400.0
 #: traffic add latency the frequency policy does not model.
 SMOKE_PLACEMENT_CPI_SLACK = 0.05
 
+#: The line the sweep commands print when the validator was armed.
+VALIDATOR_ARMED = ("protocol validator: armed on every simulated run, "
+                   "zero violations")
+
 
 def _report_failures(failed, what: str) -> None:
     """Print failed-job records and exit non-zero; a sweep with one bad
@@ -113,13 +122,10 @@ def _report_failures(failed, what: str) -> None:
                      + "\n  ".join(lines))
 
 
-def _cache_from_args(args) -> Optional[ExperimentCache]:
+def _cache_dir(args) -> Optional[str]:
     if getattr(args, "no_cache", False):
         return None
-    cache_dir = getattr(args, "cache_dir", None)
-    if cache_dir is None:
-        return None
-    return ExperimentCache(cache_dir)
+    return getattr(args, "cache_dir", None)
 
 
 def _device_config(config, device: Optional[str]):
@@ -134,8 +140,11 @@ def _device_config(config, device: Optional[str]):
         raise SystemExit(exc.args[0])
 
 
-def _make_runner(args) -> ExperimentRunner:
-    config = scaled_config()
+def _config_from_args(args,
+                      config: Optional[SystemConfig] = None) -> SystemConfig:
+    """``config`` (default: the scaled Table 2 config) with whatever
+    config flags the command accepts applied."""
+    config = config if config is not None else scaled_config()
     if getattr(args, "bound", None) is not None:
         config = config.with_policy(cpi_bound=args.bound)
     if getattr(args, "validate", False):
@@ -146,13 +155,76 @@ def _make_runner(args) -> ExperimentRunner:
         config = config.replace(busy_absorption=False)
     if getattr(args, "approx_steady_state", False):
         config = config.replace(approx_steady_state=True)
-    config = _device_config(config, getattr(args, "device", None))
+    return _device_config(config, getattr(args, "device", None))
+
+
+def _settings_from_args(args) -> RunnerSettings:
+    return RunnerSettings(cores=args.cores,
+                          instructions_per_core=args.instructions,
+                          seed=args.seed)
+
+
+def _make_runner(args) -> ExperimentRunner:
+    cache_dir = _cache_dir(args)
     return ExperimentRunner(
-        config=config,
-        settings=RunnerSettings(cores=args.cores,
-                                instructions_per_core=args.instructions,
-                                seed=args.seed),
-        cache=_cache_from_args(args))
+        config=_config_from_args(args), settings=_settings_from_args(args),
+        cache=ExperimentCache(cache_dir) if cache_dir is not None else None)
+
+
+def _specs(build: Callable[[], List[JobSpec]]) -> List[JobSpec]:
+    """A sweep's specs; a bad mix, policy, device or budget exits with
+    the builder's message."""
+    try:
+        specs = build()
+        check_specs(specs)
+    except (ValueError, KeyError) as exc:
+        raise SystemExit(exc.args[0])
+    return specs
+
+
+def _sweep(args, what: str, specs: Sequence[JobSpec], config: SystemConfig,
+           settings: RunnerSettings,
+           table: Callable[[List[object]], str], notes: str = "",
+           check: Callable[[List[Outcome]], List[str]] = lambda good: [],
+           smoke_detail: str = "", done_note: str = "checks passed"
+           ) -> None:
+    """The path every sweep command shares: run ``specs`` under the
+    command's --jobs/--cache-dir/--telemetry/--retries flags, print
+    ``table(outcomes)`` and ``notes``, exit non-zero on a failed
+    acceptance ``check`` or failed jobs, and print the summary line
+    (``<WHAT> SMOKE OK`` under --smoke)."""
+    if args.jobs is not None and args.jobs < 1:
+        raise SystemExit("--jobs must be >= 1")
+    start = time.perf_counter()
+    outcomes = run_specs(specs, config=config, settings=settings,
+                         jobs=args.jobs, cache_dir=_cache_dir(args),
+                         telemetry_dir=args.telemetry,
+                         retries=args.retries)
+    wall = time.perf_counter() - start
+    good, failed = split_outcomes(outcomes)
+    if good:
+        print(table(outcomes))
+    if notes:
+        print(f"\n{notes}")
+    if config.validate_protocol:
+        print(VALIDATOR_ARMED)
+    if args.telemetry:
+        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
+    if getattr(args, "save", None):
+        from repro.sim.serialize import save_results
+        save_results(args.save, [o.result for o in good]
+                     + [o.comparison for o in good])
+        print(f"results saved to {args.save}")
+    failures = check(good)
+    if failures:
+        raise SystemExit(f"{what.upper()} CHECKS FAILED:\n  "
+                         + "\n  ".join(failures))
+    _report_failures(failed, f"{what} sweep")
+    if getattr(args, "smoke", False):
+        print(f"\n{what.upper()} SMOKE OK: {len(good)} runs "
+              f"({smoke_detail}), {wall:.2f}s wall")
+    else:
+        print(f"\n{len(good)} runs in {wall:.2f}s wall ({done_note})")
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -198,14 +270,10 @@ def _add_retries_arg(parser: argparse.ArgumentParser,
 
 
 def _check_mix(mix: str) -> str:
-    # ``trace:<name>`` mixes resolve against the cache's imported-trace
-    # store inside the runner, which owns the error message.
-    if mix.startswith(IMPORTED_TRACE_PREFIX):
-        return mix
-    known = known_mix_names()
-    if mix not in known:
-        raise SystemExit(f"unknown mix {mix!r}; choose from {known} "
-                         f"(or an imported 'trace:<name>')")
+    try:
+        check_mixes([mix])
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     return mix
 
 
@@ -254,8 +322,9 @@ def cmd_run(args) -> None:
         ["average CPI increase", f"{cmp.avg_cpi_increase:+.1%}"],
         ["worst CPI increase", f"{cmp.worst_cpi_increase:+.1%}"],
     ]
-    point = (scenario_label(args.policy, args.device) if args.device
-             else args.policy)
+    point = (JobSpec("scenario", mix, policy=args.policy,
+                     device=args.device).point
+             if args.device else args.policy)
     print(format_table(["metric", "value"], rows,
                        title=f"{point} on {mix} vs baseline"))
     app_rows = [[app, f"{inc:+.1%}"]
@@ -268,59 +337,20 @@ def cmd_run(args) -> None:
         print("\nprotocol validator: armed, zero violations")
 
 
+def _device_table(outcomes, **title) -> str:
+    return device_energy_table([_scenario_row(o) for o in
+                                split_outcomes(outcomes)[0]], **title)
+
+
 def _scenario_row(o) -> dict:
-    """One :func:`device_energy_table` row from a ScenarioOutcome."""
+    """One :func:`device_energy_table` row from a scenario outcome."""
     return {
-        "workload": o.mix, "policy": o.policy, "device": o.device,
+        "workload": o.mix, "policy": o.policy, "device": o.spec.device,
         "memory_energy_j": o.result.memory_energy_j,
-        "background_share": o.background_share,
+        "background_share": o.extras["background_share"],
         "mem_savings": o.comparison.memory_energy_savings,
         "worst_cpi_increase": o.comparison.worst_cpi_increase,
     }
-
-
-def _check_devices(devices) -> None:
-    from repro.scenarios.devices import lookup_device
-    for device in devices:
-        try:
-            lookup_device(device)
-        except KeyError as exc:
-            raise SystemExit(exc.args[0])
-
-
-def _sweep_devices(args, mixes, policies, config, settings,
-                   cache_dir) -> None:
-    """The (mix x policy x device) leg of ``repro sweep --devices``."""
-    _check_devices(args.devices)
-    start = time.perf_counter()
-    outcomes = run_scenario_sweep(mixes, policies, args.devices,
-                                  config=config, settings=settings,
-                                  jobs=args.jobs, cache_dir=cache_dir,
-                                  telemetry_dir=args.telemetry,
-                                  retries=args.retries)
-    wall = time.perf_counter() - start
-    good, failed = split_outcomes(outcomes)
-    if good:
-        print(device_energy_table(
-            [_scenario_row(o) for o in good],
-            title=f"scenario sweep: {len(mixes)} mixes x "
-                  f"{len(policies)} policies x "
-                  f"{len(args.devices)} devices"))
-    print("\nsavings are normalized within each device (vs that "
-          "device's own baseline);\n'standby' is background energy as a "
-          "share of DIMM energy")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    if args.save:
-        from repro.sim.serialize import save_results
-        save_results(args.save, [o.result for o in good]
-                     + [o.comparison for o in good])
-        print(f"results saved to {args.save}")
-    print(f"{len(good)} runs in {wall:.2f}s wall")
-    _report_failures(failed, "scenario sweep")
 
 
 def cmd_sweep(args) -> None:
@@ -332,57 +362,32 @@ def cmd_sweep(args) -> None:
         mixes = list(MIXES)
     if args.scenarios:
         mixes += [m for m in args.scenarios if m not in mixes]
-    for mix in mixes:
-        _check_mix(mix)
     policies = args.policies
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise SystemExit(
-                f"unknown policy {policy!r}; registered governors are:\n"
-                f"{governor_listing()}")
-    config = scaled_config()
-    if args.bound is not None:
-        config = config.with_policy(cpi_bound=args.bound)
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    settings = RunnerSettings(cores=args.cores,
-                              instructions_per_core=args.instructions,
-                              seed=args.seed)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    if args.devices:
-        _sweep_devices(args, mixes, policies, config, settings, cache_dir)
-        return
-    start = time.perf_counter()
-    outcomes = run_sweep(mixes, policies, config=config, settings=settings,
-                         jobs=args.jobs, cache_dir=cache_dir,
-                         telemetry_dir=args.telemetry,
-                         retries=args.retries)
-    wall = time.perf_counter() - start
-    good, failed = split_outcomes(outcomes)
-    print(format_table(
-        ["workload", "policy", "mem savings", "sys savings",
-         "worst CPI", "job wall"],
-        sweep_table(outcomes),
-        title=f"sweep: {len(mixes)} mixes x {len(policies)} policies"))
     jobs = args.jobs if args.jobs is not None else "auto"
-    cache_note = cache_dir if cache_dir is not None else "disabled"
-    print(f"\n{len(good)} runs in {wall:.2f}s wall "
-          f"(jobs={jobs}, cache={cache_note})")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    if args.save:
-        from repro.sim.serialize import save_results
-        save_results(args.save, [o.result for o in good]
-                     + [o.comparison for o in good])
-        print(f"results saved to {args.save}")
-    _report_failures(failed, "sweep")
+    cache_note = _cache_dir(args) or "disabled"
+    done_note = f"jobs={jobs}, cache={cache_note}"
+    config = _config_from_args(args)
+    settings = _settings_from_args(args)
+    if args.devices:
+        specs = _specs(lambda: scenario_specs(mixes, policies, args.devices))
+        _sweep(args, "scenario", specs, config, settings,
+               table=lambda outcomes: _device_table(
+                   outcomes, title=f"scenario sweep: {len(mixes)} mixes x "
+                                   f"{len(policies)} policies x "
+                                   f"{len(args.devices)} devices"),
+               notes="savings are normalized within each device (vs that "
+                     "device's own baseline);\n'standby' is background "
+                     "energy as a share of DIMM energy",
+               done_note=done_note)
+        return
+    specs = _specs(lambda: policy_specs(mixes, policies))
+    _sweep(args, "policy", specs, config, settings,
+           table=lambda outcomes: format_table(
+               ["workload", "policy", "mem savings", "sys savings",
+                "worst CPI", "job wall"], sweep_table(outcomes),
+               title=f"sweep: {len(mixes)} mixes x "
+                     f"{len(policies)} policies"),
+           done_note=done_note)
 
 
 def _check_cap_outcomes(outcomes) -> List[str]:
@@ -395,85 +400,54 @@ def _check_cap_outcomes(outcomes) -> List[str]:
     no lower than the naive lowest-frequency throttle reference.
     """
     failures: List[str] = []
-    throttle = {o.mix: o for o in outcomes if o.budget_fraction is None}
+    throttle = {o.mix: o for o in outcomes
+                if o.spec.budget_fraction is None}
     for o in outcomes:
-        if o.budget_fraction is None:
+        if o.spec.budget_fraction is None:
             continue
-        label = f"{o.mix}/cap{o.budget_fraction:.2f}"
-        cap = o.cap or {}
+        label = o.spec.label
+        cap = o.extras["cap"] or {}
+        budget_w = o.extras["budget_w"]
+        min_perf = o.extras["min_perf"]
         if not cap.get("epochs_accounted"):
             failures.append(f"{label}: ledger accounted no epochs")
             continue
         tol = 1.0 + 0.01 + 1e-9
         if (cap.get("violation_count", 0) == 0
-                and cap.get("peak_power_w", 0.0) > o.budget_w * tol):
+                and cap.get("peak_power_w", 0.0) > budget_w * tol):
             failures.append(
                 f"{label}: silent overshoot — peak epoch power "
-                f"{cap['peak_power_w']:.2f}W over budget {o.budget_w:.2f}W "
+                f"{cap['peak_power_w']:.2f}W over budget {budget_w:.2f}W "
                 f"with no recorded violation")
         ref = throttle.get(o.mix)
-        if ref is not None and o.min_perf < ref.min_perf - 1e-9:
+        if ref is not None and min_perf < ref.extras["min_perf"] - 1e-9:
             failures.append(
-                f"{label}: min-app normalized perf {o.min_perf:.4f} below "
-                f"the throttle reference {ref.min_perf:.4f}")
+                f"{label}: min-app normalized perf {min_perf:.4f} below "
+                f"the throttle reference {ref.extras['min_perf']:.4f}")
     return failures
 
 
 def cmd_cap(args) -> None:
     if args.smoke:
-        mixes = ["MID1"]
-        fractions = list(SMOKE_BUDGET_FRACTIONS)
-        settings = RunnerSettings(cores=4, instructions_per_core=8_000,
-                                  seed=2011)
+        mixes, fractions = ["MID1"], list(SMOKE_BUDGET_FRACTIONS)
+        settings = SMOKE_SETTINGS
     else:
         mixes = args.mixes if args.mixes else mix_names("MID")
         fractions = args.budgets
-        settings = RunnerSettings(cores=args.cores,
-                                  instructions_per_core=args.instructions,
-                                  seed=args.seed)
-    for mix in mixes:
-        _check_mix(mix)
-    if any(f <= 0 for f in fractions):
-        raise SystemExit("--budgets must be positive fractions of the "
-                         "baseline memory power")
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    start = time.perf_counter()
-    outcomes = run_cap_sweep(mixes, fractions, config=config,
-                             settings=settings, jobs=args.jobs,
-                             cache_dir=cache_dir,
-                             telemetry_dir=args.telemetry,
-                             retries=args.retries)
-    wall = time.perf_counter() - start
-    outcomes, failed_jobs = split_outcomes(outcomes)
-    rows = [experiments.cap_outcome_row(o) for o in outcomes]
-    print(cap_summary_table(
-        rows, title=f"power-cap sweep: {len(mixes)} mixes x "
-                    f"{len(fractions)} budgets (+throttle reference)"))
-    print("\nbudgets are fractions of each mix's baseline average memory "
-          "power;\nThrottle rows pin the slowest static frequency (the "
-          "naive alternative)")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    failures = _check_cap_outcomes(outcomes)
-    if failures:
-        raise SystemExit("CAP CHECKS FAILED:\n  " + "\n  ".join(failures))
-    _report_failures(failed_jobs, "cap sweep")
-    if args.smoke:
-        print(f"\nCAP SMOKE OK: {len(outcomes)} runs "
-              f"({len(fractions)} budgets + throttle), {wall:.2f}s wall")
-    else:
-        print(f"\n{len(outcomes)} runs in {wall:.2f}s wall "
-              f"(cap enforcement checks passed)")
+        settings = _settings_from_args(args)
+    specs = _specs(lambda: cap_specs(mixes, fractions))
+    _sweep(args, "cap", specs, _config_from_args(args), settings,
+           table=lambda outcomes: cap_summary_table(
+               [experiments.cap_outcome_row(o)
+                for o in split_outcomes(outcomes)[0]],
+               title=f"power-cap sweep: {len(mixes)} mixes x "
+                     f"{len(fractions)} budgets (+throttle reference)"),
+           notes="budgets are fractions of each mix's baseline average "
+                 "memory power;\nThrottle rows pin the slowest static "
+                 "frequency (the naive alternative)",
+           check=_check_cap_outcomes,
+           smoke_detail=f"{len(fractions)} budgets + throttle",
+           done_note="cap enforcement checks passed")
 
 
 def _check_multidomain_outcomes(outcomes,
@@ -491,29 +465,30 @@ def _check_multidomain_outcomes(outcomes,
     frequency, yet with feasible (core, memory) pairs found.
     """
     failures: List[str] = []
-    coordinated = [o for o in outcomes if o.coordinated]
-    memory_only = {(o.mix, o.budget_fraction): o
-                   for o in outcomes if not o.coordinated}
+    coordinated = [o for o in outcomes if o.spec.coordinated]
+    memory_only = {(o.mix, o.spec.budget_fraction): o
+                   for o in outcomes if not o.spec.coordinated}
     for o in coordinated:
-        label = f"{o.mix}/md{o.budget_fraction:.2f}"
-        summary = o.summary or {}
+        label = o.spec.label
+        summary = o.extras["summary"] or {}
         if not summary.get("epochs_accounted"):
             failures.append(f"{label}: ledger accounted no epochs")
             continue
         if summary.get("violation_count", 0) > 0:
             failures.append(
                 f"{label}: {summary['violation_count']} epochs exceeded "
-                f"the global budget {o.budget_w:.2f}W")
-        ref = memory_only.get((o.mix, o.budget_fraction))
-        if ref is not None and o.system_energy_j >= ref.system_energy_j:
+                f"the global budget {o.extras['budget_w']:.2f}W")
+        ref = memory_only.get((o.mix, o.spec.budget_fraction))
+        mine_j = o.extras["system_energy_j"]
+        if ref is not None and mine_j >= ref.extras["system_energy_j"]:
             failures.append(
-                f"{label}: coordinated system energy "
-                f"{o.system_energy_j:.4f}J does not beat the memory-only "
-                f"reference {ref.system_energy_j:.4f}J")
+                f"{label}: coordinated system energy {mine_j:.4f}J does "
+                f"not beat the memory-only reference "
+                f"{ref.extras['system_energy_j']:.4f}J")
     if coordinated and require_coordinated_split:
-        tight = min(coordinated, key=lambda o: o.budget_fraction)
-        label = f"{tight.mix}/md{tight.budget_fraction:.2f}"
-        summary = tight.summary or {}
+        tight = min(coordinated, key=lambda o: o.spec.budget_fraction)
+        label = tight.spec.label
+        summary = tight.extras["summary"] or {}
         if not summary.get("core_max_infeasible_epochs"):
             failures.append(
                 f"{label}: budget never infeasible for nominal cores "
@@ -532,64 +507,29 @@ def _check_multidomain_outcomes(outcomes,
 
 def cmd_multidomain(args) -> None:
     if args.smoke:
-        mixes = ["MID1"]
-        fractions = list(SMOKE_MULTIDOMAIN_FRACTIONS)
-        settings = RunnerSettings(cores=4, instructions_per_core=8_000,
-                                  seed=2011)
+        mixes, fractions = ["MID1"], list(SMOKE_MULTIDOMAIN_FRACTIONS)
+        settings = SMOKE_SETTINGS
     else:
         mixes = args.mixes if args.mixes else mix_names("MID")
         fractions = args.budgets
-        settings = RunnerSettings(cores=args.cores,
-                                  instructions_per_core=args.instructions,
-                                  seed=args.seed)
-    for mix in mixes:
-        _check_mix(mix)
-    if any(f <= 0 for f in fractions):
-        raise SystemExit("--budgets must be positive fractions of the "
-                         "baseline memory + nominal core power")
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    start = time.perf_counter()
-    outcomes = run_multidomain_sweep(mixes, fractions, config=config,
-                                     settings=settings, jobs=args.jobs,
-                                     cache_dir=cache_dir,
-                                     telemetry_dir=args.telemetry,
-                                     retries=args.retries)
-    wall = time.perf_counter() - start
-    outcomes, failed_jobs = split_outcomes(outcomes)
-    rows = [experiments.multidomain_outcome_row(o) for o in outcomes]
-    print(multidomain_summary_table(
-        rows, title=f"multi-domain budget sweep: {len(mixes)} mixes x "
-                    f"{len(fractions)} global budgets "
-                    f"(+memory-only reference)"))
-    print("\nbudgets are fractions of each mix's baseline memory power "
-          "plus modeled\nnominal core power; MemOnly rows give the whole "
-          "remaining budget to a\nmemory-only CapGovernor (the "
-          "uncoordinated split)")
-    if args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    failures = _check_multidomain_outcomes(
-        outcomes, require_coordinated_split=args.smoke)
-    if failures:
-        raise SystemExit("MULTIDOMAIN CHECKS FAILED:\n  "
-                         + "\n  ".join(failures))
-    _report_failures(failed_jobs, "multidomain sweep")
-    if args.smoke:
-        print(f"\nMULTIDOMAIN SMOKE OK: {len(outcomes)} runs "
-              f"({len(fractions)} budgets x coordinated+memory-only), "
-              f"{wall:.2f}s wall")
-    else:
-        print(f"\n{len(outcomes)} runs in {wall:.2f}s wall "
-              f"(budget-ledger checks passed)")
+        settings = _settings_from_args(args)
+    specs = _specs(lambda: multidomain_specs(mixes, fractions))
+    _sweep(args, "multidomain", specs, _config_from_args(args), settings,
+           table=lambda outcomes: multidomain_summary_table(
+               [experiments.multidomain_outcome_row(o)
+                for o in split_outcomes(outcomes)[0]],
+               title=f"multi-domain budget sweep: {len(mixes)} mixes x "
+                     f"{len(fractions)} global budgets "
+                     f"(+memory-only reference)"),
+           notes="budgets are fractions of each mix's baseline memory "
+                 "power plus modeled\nnominal core power; MemOnly rows "
+                 "give the whole remaining budget to a\nmemory-only "
+                 "CapGovernor (the uncoordinated split)",
+           check=lambda good: _check_multidomain_outcomes(
+               good, require_coordinated_split=args.smoke),
+           smoke_detail=f"{len(fractions)} budgets x "
+                        f"coordinated+memory-only",
+           done_note="budget-ledger checks passed")
 
 
 def _check_placement_outcomes(outcomes, cpi_bound: float,
@@ -609,12 +549,12 @@ def _check_placement_outcomes(outcomes, cpi_bound: float,
     silently dropped).
     """
     failures: List[str] = []
-    references = {o.mix: o for o in outcomes if not o.placed}
+    references = {o.mix: o for o in outcomes if not o.spec.coordinated}
     for o in outcomes:
-        if not o.placed:
+        if not o.spec.coordinated:
             continue
-        label = f"{o.mix}/placed"
-        summary = o.placement or {}
+        label = o.spec.label
+        summary = o.extras["placement"] or {}
         ref = references.get(o.mix)
         if ref is not None \
                 and o.result.memory_energy_j >= ref.result.memory_energy_j:
@@ -645,6 +585,23 @@ def _check_placement_outcomes(outcomes, cpi_bound: float,
     return failures
 
 
+def _placement_table(outcomes, title: str) -> str:
+    rows = []
+    for o in split_outcomes(outcomes)[0]:
+        summary = o.extras["placement"] or {}
+        rows.append([
+            o.mix, "Placed" if o.spec.coordinated else "MemScale",
+            f"{o.result.memory_energy_j:.4f}",
+            f"{o.comparison.worst_cpi_increase:+.1%}",
+            str(summary.get("migrations", "-")),
+            str(summary.get("parked_ranks", "-")),
+            f"{o.wall_s:.2f}s",
+        ])
+    return format_table(["workload", "leg", "mem energy (J)", "worst CPI",
+                         "migrations", "parks", "job wall"], rows,
+                        title=title)
+
+
 def cmd_placement(args) -> None:
     if args.smoke:
         mixes = ["MID1"]
@@ -653,73 +610,32 @@ def cmd_placement(args) -> None:
         # Short epochs so classification/parking cycle many times, and
         # small pages in gentle per-epoch batches so the paced migration
         # pump can drain them: the placed leg has to *win* on energy.
-        config = scaled_config().with_policy(
-            epoch_ns=SMOKE_PLACEMENT_EPOCH_NS,
-            profile_ns=SMOKE_PLACEMENT_PROFILE_NS).with_placement(
-            page_lines=32, migrations_per_epoch=4)
         # The smoke always arms the protocol validator: zero violations
         # with self-refresh parking active is part of the acceptance.
-        config = config.replace(validate_protocol=True)
+        base = scaled_config().with_policy(
+            epoch_ns=SMOKE_PLACEMENT_EPOCH_NS,
+            profile_ns=SMOKE_PLACEMENT_PROFILE_NS).with_placement(
+            page_lines=32, migrations_per_epoch=4).replace(
+            validate_protocol=True)
     else:
         mixes = args.mixes if args.mixes else mix_names("MID")
-        settings = RunnerSettings(cores=args.cores,
-                                  instructions_per_core=args.instructions,
-                                  seed=args.seed)
-        config = scaled_config()
-        if args.validate:
-            config = config.replace(validate_protocol=True)
-    for mix in mixes:
-        _check_mix(mix)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    cache_dir = None if args.no_cache else args.cache_dir
-    if args.jobs is not None and args.jobs < 1:
-        raise SystemExit("--jobs must be >= 1")
-    start = time.perf_counter()
-    outcomes = run_placement_sweep(mixes, config=config, settings=settings,
-                                   jobs=args.jobs, cache_dir=cache_dir,
-                                   telemetry_dir=args.telemetry,
-                                   retries=args.retries)
-    wall = time.perf_counter() - start
-    outcomes, failed_jobs = split_outcomes(outcomes)
-    rows = []
-    for o in outcomes:
-        summary = o.placement or {}
-        rows.append([
-            o.mix, "Placed" if o.placed else "MemScale",
-            f"{o.result.memory_energy_j:.4f}",
-            f"{o.comparison.worst_cpi_increase:+.1%}",
-            str(summary.get("migrations", "-")),
-            str(summary.get("parked_ranks", "-")),
-            f"{o.wall_s:.2f}s",
-        ])
-    print(format_table(
-        ["workload", "leg", "mem energy (J)", "worst CPI",
-         "migrations", "parks", "job wall"],
-        rows, title=f"placement sweep: {len(mixes)} mixes x "
-                    f"(placed + plain-MemScale reference)"))
-    print("\nlegs share the trace and the CPI bound; energies are "
-          "absolute joules\n(enabling placement changes the baseline "
-          "run's decode, so the legs are\nnot normalized to a common "
-          "baseline)")
-    if args.smoke or args.validate:
-        print("protocol validator: armed on every simulated run, "
-              "zero violations")
-    if args.telemetry:
-        print(f"per-epoch telemetry JSONL files in {args.telemetry}/")
-    failures = _check_placement_outcomes(
-        outcomes, cpi_bound=config.policy.cpi_bound,
-        require_parking=args.smoke)
-    if failures:
-        raise SystemExit("PLACEMENT CHECKS FAILED:\n  "
-                         + "\n  ".join(failures))
-    _report_failures(failed_jobs, "placement sweep")
-    if args.smoke:
-        print(f"\nPLACEMENT SMOKE OK: {len(outcomes)} runs "
-              f"(placed + reference on MID1), {wall:.2f}s wall")
-    else:
-        print(f"\n{len(outcomes)} runs in {wall:.2f}s wall "
-              f"(placement checks passed)")
+        settings = _settings_from_args(args)
+        base = None
+    config = _config_from_args(args, base)
+    specs = _specs(lambda: placement_specs(mixes))
+    _sweep(args, "placement", specs, config, settings,
+           table=lambda outcomes: _placement_table(
+               outcomes, title=f"placement sweep: {len(mixes)} mixes x "
+                               f"(placed + plain-MemScale reference)"),
+           notes="legs share the trace and the CPI bound; energies are "
+                 "absolute joules\n(enabling placement changes the "
+                 "baseline run's decode, so the legs are\nnot normalized "
+                 "to a common baseline)",
+           check=lambda good: _check_placement_outcomes(
+               good, cpi_bound=config.policy.cpi_bound,
+               require_parking=args.smoke),
+           smoke_detail="placed + reference on MID1",
+           done_note="placement checks passed")
 
 
 def cmd_governors(args) -> None:
@@ -741,30 +657,33 @@ def cmd_bench(args) -> None:
                          "with: pytest benchmarks/ --benchmark-only -s")
     if args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    config = _device_config(config, args.device)
+    config = _config_from_args(args)
     mix = _check_mix(args.scenario) if args.scenario else "MID1"
-    settings = RunnerSettings(cores=4, instructions_per_core=8_000, seed=2011)
-    cache_dir = None if args.no_cache else args.cache_dir
+    # One parallel sweep: the policy leg on the smoke mix plus a capped
+    # leg (a 2-point budget sweep on MID1) checking the power-capping
+    # governor's no-silent-overshoot and fairness guarantees in tier-1.
+    specs = (policy_specs([mix], ["MemScale", "Static"])
+             + cap_specs(["MID1"], SMOKE_BUDGET_FRACTIONS))
     start = time.perf_counter()
-    outcomes = run_sweep([mix], ["MemScale", "Static"], config=config,
-                         settings=settings, jobs=args.jobs,
-                         cache_dir=cache_dir)
+    outcomes = run_specs(specs, config=config, settings=SMOKE_SETTINGS,
+                         jobs=args.jobs, cache_dir=_cache_dir(args))
     wall = time.perf_counter() - start
+    policy_runs = [o for o, spec in zip(outcomes, specs)
+                   if spec.kind == "policy"]
     good, failed_jobs = split_outcomes(outcomes)
     failures = [f.summary() for f in failed_jobs]
     for o in good:
+        if o.spec.kind != "policy":
+            continue
         if o.result.epochs <= 0:
-            failures.append(f"{o.mix}/{o.policy}: no epochs simulated")
+            failures.append(f"{o.spec.label}: no epochs simulated")
         if not -1.0 <= o.comparison.system_energy_savings <= 1.0:
-            failures.append(f"{o.mix}/{o.policy}: implausible savings "
+            failures.append(f"{o.spec.label}: implausible savings "
                             f"{o.comparison.system_energy_savings:+.1%}")
         if o.comparison.memory_energy_savings <= 0.0:
-            failures.append(f"{o.mix}/{o.policy}: no memory savings")
+            failures.append(f"{o.spec.label}: no memory savings")
+    failures.extend(_check_cap_outcomes(
+        [o for o in good if o.spec.kind == "cap"]))
     # Validator-armed leg: a tiny in-process run (DVFS + powerdown +
     # refresh) with the DDR3 protocol validator raising on any violation,
     # so tier-1 exercises the armed path even when the sweep above was
@@ -779,18 +698,10 @@ def cmd_bench(args) -> None:
         vrunner.run_named_policy("MID1", "MemScale+Fast-PD")
     except ProtocolViolation as exc:
         failures.append(f"validator: {exc}")
-    # Capped leg: a 2-point budget sweep through the same parallel path
-    # (cache shared with the sweep above), checking the power-capping
-    # governor's no-silent-overshoot and fairness guarantees in tier-1.
-    cap_outcomes, cap_failed = split_outcomes(run_cap_sweep(
-        ["MID1"], SMOKE_BUDGET_FRACTIONS, config=config,
-        settings=settings, jobs=args.jobs, cache_dir=cache_dir))
-    failures.extend(f.summary() for f in cap_failed)
-    failures.extend(_check_cap_outcomes(cap_outcomes))
     print(format_table(
         ["workload", "policy", "mem savings", "sys savings",
          "worst CPI", "job wall"],
-        sweep_table(outcomes), title="bench smoke (parallel path)"))
+        sweep_table(policy_runs), title="bench smoke (parallel path)"))
     if failures:
         raise SystemExit("SMOKE FAILED:\n  " + "\n  ".join(failures))
     print("validator: armed leg passed (zero protocol violations)")
@@ -798,28 +709,6 @@ def cmd_bench(args) -> None:
           f"+ throttle reference on MID1)")
     print(f"\nSMOKE OK: {len(outcomes)} runs, {args.jobs} workers, "
           f"{wall:.2f}s wall")
-
-
-def cmd_perfbench(args) -> None:
-    from repro.sim.perfbench import PerfRegressionError, run_perfbench
-    try:
-        run_perfbench(output=args.output, repeats=args.repeats,
-                      scenarios=args.scenarios,
-                      update_baseline=args.update_baseline,
-                      max_regression=args.max_regression,
-                      fast_forward=not args.no_fast_forward,
-                      approx=not args.no_approx,
-                      gate=not args.no_gate,
-                      profile=args.profile or args.profile_out is not None,
-                      profile_out=args.profile_out)
-    except PerfRegressionError as exc:
-        raise SystemExit(f"PERF REGRESSION: {exc}")
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    if args.no_gate:
-        print("perfbench: regression gate disabled (report only)")
-    else:
-        print("perfbench: throughput within the regression gate")
 
 
 def cmd_cache(args) -> None:
@@ -906,7 +795,7 @@ def _check_scenario_outcomes(outcomes, devices,
     (standby) share of DIMM energy than the DDR3-1333 baseline's.
     """
     failures: List[str] = []
-    by = {(o.mix, o.policy, o.device): o for o in outcomes}
+    by = {(o.mix, o.policy, o.spec.device): o for o in outcomes}
     mixes = list(dict.fromkeys(o.mix for o in outcomes))
     limit = cpi_bound + SCENARIOS_SMOKE_CPI_SLACK
 
@@ -932,8 +821,8 @@ def _check_scenario_outcomes(outcomes, devices,
                 f"(within the {cpi_bound:.0%} CPI bound)")
 
     def share(device: str) -> float:
-        vals = [o.background_share for o in outcomes
-                if o.device == device]
+        vals = [o.extras["background_share"] for o in outcomes
+                if o.spec.device == device]
         return sum(vals) / len(vals) if vals else 0.0
 
     if "stt-mram" in devices and "ddr3-1333" in devices:
@@ -1022,15 +911,15 @@ def _scenarios_smoke(args) -> None:
     devices = scn.device_names()
     device_config = config.with_policy(
         cpi_bound=SCENARIOS_SMOKE_CPI_BOUND)
-    outcomes = run_scenario_sweep(list(SCENARIOS_SMOKE_RUNGS),
-                                  ("MemScale", "Static"), devices,
-                                  config=device_config, settings=settings,
-                                  jobs=args.jobs, cache_dir=cache_dir)
+    outcomes = run_specs(scenario_specs(SCENARIOS_SMOKE_RUNGS,
+                                        ("MemScale", "Static"), devices),
+                         config=device_config, settings=settings,
+                         jobs=args.jobs, cache_dir=cache_dir)
     dev_good, failed = split_outcomes(outcomes)
     failures.extend(f"devices: {f.summary()}" for f in failed)
     if dev_good:
         print()
-        print(device_energy_table([_scenario_row(o) for o in dev_good]))
+        print(_device_table(dev_good))
     failures.extend(_check_scenario_outcomes(dev_good, devices))
 
     wall = time.perf_counter() - start
@@ -1066,51 +955,24 @@ def cmd_scenarios(args) -> None:
           "repro run trace:NAME")
 
 
-def _service_specs(args):
-    """Build the JobSpec list a `repro service run` invocation asks for."""
-    from repro.sim import service as svc
-
+def _service_specs(args) -> List[JobSpec]:
+    """The JobSpec list a `repro service run` invocation asks for."""
     mixes = args.mixes if args.mixes else ["MID1"]
-    for mix in mixes:
-        _check_mix(mix)
-    if args.kind in ("policy", "scenario"):
-        for policy in args.policies:
-            if policy not in POLICY_NAMES:
-                raise SystemExit(
-                    f"unknown policy {policy!r}; registered governors "
-                    f"are:\n{governor_listing()}")
-        if args.kind == "policy":
-            return svc.policy_specs(mixes, args.policies)
-        devices = args.devices if args.devices else ["ddr3-1333"]
-        _check_devices(devices)
-        return svc.scenario_specs(mixes, args.policies, devices)
-    if args.kind == "placement":
-        return svc.placement_specs(mixes)
-    if not args.budgets:
+    if args.kind in ("cap", "multidomain") and not args.budgets:
         raise SystemExit(f"--kind {args.kind} needs --budgets")
-    if any(f <= 0 for f in args.budgets):
-        raise SystemExit("--budgets must be positive fractions")
-    if args.kind == "cap":
-        return svc.cap_specs(mixes, args.budgets)
-    return svc.multidomain_specs(mixes, args.budgets)
+    build = {
+        "policy": lambda: policy_specs(mixes, args.policies),
+        "cap": lambda: cap_specs(mixes, args.budgets),
+        "multidomain": lambda: multidomain_specs(mixes, args.budgets),
+        "placement": lambda: placement_specs(mixes),
+        "scenario": lambda: scenario_specs(
+            mixes, args.policies, args.devices or ["ddr3-1333"]),
+    }[args.kind]
+    return _specs(build)
 
 
 def _service_report(service, outcomes, wall: float, verb: str) -> None:
     """Shared tail of `service run` / `service resume`."""
-    from repro.sim.parallel import (JobFailure, cap_label,
-                                    multidomain_label, placement_label)
-
-    def point(o) -> str:
-        if hasattr(o, "device"):
-            return scenario_label(o.policy, o.device)
-        if hasattr(o, "policy"):
-            return o.policy
-        if hasattr(o, "placed"):
-            return placement_label(o.placed)
-        if hasattr(o, "coordinated"):
-            return multidomain_label(o.budget_fraction, o.coordinated)
-        return cap_label(o.budget_fraction)
-
     good, failed = split_outcomes(outcomes)
     rows = []
     for o in outcomes:
@@ -1118,7 +980,7 @@ def _service_report(service, outcomes, wall: float, verb: str) -> None:
             rows.append([o.mix, o.label.split("/", 1)[-1], "FAILED",
                          f"{o.error_type}: {o.message}"])
         else:
-            rows.append([o.mix, point(o), "ok",
+            rows.append([o.mix, o.point, "ok",
                          f"sys {o.comparison.system_energy_savings:+.1%}"])
     status = service.status()
     print(format_table(["workload", "point", "status", "detail"], rows,
@@ -1167,18 +1029,11 @@ def _cmd_service(args, svc) -> None:
         return
 
     # run
-    settings = RunnerSettings(cores=args.cores,
-                              instructions_per_core=args.instructions,
-                              seed=args.seed)
-    config = scaled_config()
-    if args.validate:
-        config = config.replace(validate_protocol=True)
-    if args.no_fast_forward:
-        config = config.replace(fast_forward=False)
-    service = svc.SweepService(args.dir, config=config, settings=settings,
+    specs = _service_specs(args)
+    service = svc.SweepService(args.dir, config=_config_from_args(args),
+                               settings=_settings_from_args(args),
                                telemetry_dir=args.telemetry,
                                jobs=args.jobs, retries=args.retries)
-    specs = _service_specs(args)
     start = time.perf_counter()
     outcomes = service.run(specs, fail_labels=args.fail_label or None)
     _service_report(service, outcomes, time.perf_counter() - start, "run")
@@ -1200,8 +1055,7 @@ def _service_smoke(args) -> None:
 
     directory = args.dir if args.dir else SERVICE_SMOKE_DIR
     shutil.rmtree(directory, ignore_errors=True)
-    settings = RunnerSettings(cores=4, instructions_per_core=8_000,
-                              seed=2011)
+    settings = SMOKE_SETTINGS
     mixes, policies = ["MID1"], ["Static", "MemScale"]
     poison = "MID1/MemScale"
     failures: List[str] = []
@@ -1209,7 +1063,7 @@ def _service_smoke(args) -> None:
 
     service = svc.SweepService(directory, settings=settings,
                                jobs=args.jobs, retries=0)
-    outcomes = service.run(svc.policy_specs(mixes, policies),
+    outcomes = service.run(policy_specs(mixes, policies),
                            fail_labels=[poison])
     good, failed = split_outcomes(outcomes)
     if len(good) != len(policies) - 1 or len(failed) != 1:
@@ -1227,13 +1081,12 @@ def _service_smoke(args) -> None:
         failures.append("resume did not heal the injected failure")
     reference = run_sweep(mixes, policies, settings=settings, jobs=1,
                           cache_dir=service.cache_dir)
-    by_key = {(o.mix, o.policy): o for o in resumed
-              if not isinstance(o, svc.JobFailure)}
+    by_spec = {o.spec: o for o in split_outcomes(resumed)[0]}
     for ref in reference:
-        mine = by_key.get((ref.mix, ref.policy))
+        mine = by_spec.get(ref.spec)
         if mine is None or (run_result_to_dict(mine.result)
                             != run_result_to_dict(ref.result)):
-            failures.append(f"{ref.mix}/{ref.policy}: resumed result "
+            failures.append(f"{ref.spec.label}: resumed result "
                             "differs from the uninterrupted serial run")
     digests = {r["key"]: deterministic_digest(r)
                for r in service.store.records()}
@@ -1535,36 +1388,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ff_arg(p)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("perfbench",
-                       help="simulator-throughput benchmark with a "
-                            "regression gate (writes BENCH_perf.json)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="median-of-N repeats per scenario (default 3)")
-    p.add_argument("--output", default="BENCH_perf.json", metavar="FILE",
-                   help="benchmark/baseline JSON file (default "
-                        "BENCH_perf.json)")
-    p.add_argument("--scenarios", nargs="+", default=None, metavar="NAME",
-                   help="subset of scenarios to run (default: all)")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="re-seed the committed baseline from this run")
-    p.add_argument("--max-regression", type=float, default=0.10,
-                   help="max fractional throughput drop vs baseline "
-                        "before failing (default 0.10)")
-    p.add_argument("--no-gate", action="store_true",
-                   help="report baseline vs current but never fail "
-                        "(the CI smoke leg on shared runners)")
-    p.add_argument("--no-approx", action="store_true",
-                   help="measure with the steady-state surrogate "
-                        "disabled (exact event-by-event epoch bodies)")
-    p.add_argument("--profile", action="store_true",
-                   help="wrap the timed runs in cProfile and print the "
-                        "top-20 cumulative hot spots")
-    p.add_argument("--profile-out", default=None, metavar="FILE",
-                   help="with --profile: also dump the raw pstats "
-                        "profile to FILE (CI artifact)")
-    _add_ff_arg(p)
-    p.set_defaults(func=cmd_perfbench)
-
     p = sub.add_parser("scenarios",
                        help="list the MPKI-laddered scenario library "
                             "and device technology tables")
@@ -1642,10 +1465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dir", required=True, metavar="DIR",
                     help="service directory (queue.jsonl + store/ + "
                          "cache/)")
-    sp.add_argument("--kind",
-                    choices=["policy", "cap", "multidomain", "placement",
-                             "scenario"],
-                    default="policy",
+    sp.add_argument("--kind", choices=list(KINDS), default="policy",
                     help="sweep flavour (default policy)")
     sp.add_argument("--mixes", nargs="+", default=None, metavar="MIX",
                     help="mixes to sweep (default: MID1)")
@@ -1713,9 +1533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", default=None,
                    help="filter by point (policy name, Cap0.80, "
                         "MD0.70, ...)")
-    p.add_argument("--kind", default=None,
-                   choices=["policy", "cap", "multidomain", "placement",
-                            "scenario"],
+    p.add_argument("--kind", default=None, choices=list(KINDS),
                    help="filter by sweep flavour")
     p.add_argument("--status", default=None, choices=["ok", "failed"],
                    help="filter by record status")

@@ -443,11 +443,9 @@ class MemoryController:
             # have allocated: timer re-post first, completion second
             seq = engine._seq
             engine._seq = seq + 2
-            if v is None:
-                skipped = rank.ff_refresh_tick_fast(t, seq + 2, limit)
-            else:
+            if v is not None:
                 v.on_fast_forward(t, limit, 0)
-                skipped = rank.ff_refresh_tick(t, seq + 2, limit)
+            skipped = rank.ff_refresh_tick(t, seq + 2, limit)
             entry = [t + t_refi, seq + 1, rank._refresh_timer, rank]
             rank._timer_entry = entry
             heapreplace(queue, entry)  # drop absorbed head, land re-post

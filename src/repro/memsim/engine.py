@@ -80,6 +80,11 @@ from typing import Callable, Optional
 _COMPACT_MIN = 8
 
 
+def _never() -> bool:
+    """The stop predicate of :meth:`EventEngine.run_until`."""
+    return False
+
+
 class SimulationError(RuntimeError):
     """Raised on misuse of the engine (e.g. scheduling in the past)."""
 
@@ -452,67 +457,18 @@ class EventEngine:
 
         On return the clock reads exactly ``time_ns`` even when the queue
         drained early, so periodic controllers can rely on the clock.
+        This is :meth:`run_until_stopped` with a stop predicate that
+        never holds.
         """
-        if time_ns < self._now:
-            raise SimulationError(
-                f"cannot run backwards to {time_ns} ns from {self._now} ns"
-            )
-        queue = self._queue
-        ff = self._fast_forward
-        prev_armed = self._chain_armed
-        self._chain_armed = self._absorb_chains
-        # dispatch tallies kept in locals and flushed once at loop exit
-        processed = 0
-        absorbed = 0
-        try:
-            while True:
-                chain = self._chain
-                if chain is not None:
-                    self._chain = None
-                    if chain[0] <= time_ns and (
-                            not queue or chain[0] < queue[0][0]):
-                        self._now = chain[0]
-                        absorbed += 1
-                        chain[2]()
-                        continue
-                    heappush(queue, chain)
-                    self._horizon = None
-                if not queue:
-                    break
-                head = queue[0]
-                callback = head[2]
-                if callback is None:
-                    heappop(queue)
-                    if self._tombstones:
-                        self._tombstones -= 1
-                    continue
-                if head[0] > time_ns:
-                    break
-                if len(head) == 3:
-                    self._horizon = None
-                elif ff is not None and ff(head, time_ns):
-                    continue
-                heappop(queue)
-                self._now = head[0]
-                processed += 1
-                callback()
-        finally:
-            self._chain_armed = prev_armed
-            self._events_processed += processed
-            self._chain_absorbed += absorbed
-            chain = self._chain
-            if chain is not None:
-                self._chain = None
-                heappush(queue, chain)
-                self._horizon = None
-        self._now = time_ns
+        self.run_until_stopped(time_ns, _never)
 
     def run_until_stopped(self, time_ns: float,
                           should_stop: Callable[[], bool]) -> bool:
-        """Like :meth:`run_until`, but evaluate ``should_stop()`` after
-        every event and return True the moment it holds — leaving the
-        clock at that event's time. Returns ``should_stop()``'s value
-        after advancing the clock to ``time_ns`` otherwise.
+        """Run all events scheduled up to and at ``time_ns``, evaluating
+        ``should_stop()`` after every event and returning True the moment
+        it holds — leaving the clock at that event's time. Otherwise the
+        clock advances to exactly ``time_ns`` and ``should_stop()``'s
+        value is returned.
 
         This is the simulation main loop fused into the engine: one
         Python loop per event instead of the peek/step/check triple the

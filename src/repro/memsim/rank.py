@@ -314,7 +314,7 @@ class Rank:
     #
     # When the memory controller detects a fully idle subsystem it
     # replays this rank's refresh ticks analytically instead of through
-    # the event loop. The two methods below reproduce the *exact* side
+    # the event loop. The method below reproduces the *exact* side
     # effects of `_refresh_timer` + `_maybe_start_refresh` +
     # `_refresh_done` on an idle rank: same validator hook order, same
     # per-slice residency additions, same sequence numbers for the
@@ -331,20 +331,41 @@ class Rank:
         and must stay a real event (banks blocked on the refresh window
         are re-kicked by it), in which case it is pushed carrying the
         reserved ``done_seq``.
+
+        This runs once per skipped tick on the idle hot path, so the two
+        state transitions are :meth:`_transition_at` inlined: the same
+        float operations in the same order, with the validator hooks
+        behind ``v is not None``. A rank parked in self-refresh never
+        gets here (its refresh timer is tombstoned), so only the two
+        powerdown states need waking.
         """
         v = self.validator
+        counters = self._counters
+        rank_index = self.global_rank_index
+        state = self._state
+        since = self._state_since
         if v is not None:
-            v.on_refresh_due(self.global_rank_index, t_ns)
+            v.on_refresh_due(rank_index, t_ns)
         # refresh executes from standby: wake the rank without an access
-        was_powered_down = self._state.cke_low
+        was_powered_down = (state is RankPowerState.ACTIVE_POWERDOWN
+                            or state is RankPowerState.PRECHARGE_POWERDOWN)
         if was_powered_down:
-            self._transition_at(RankPowerState.PRECHARGE_STANDBY, t_ns)
+            if v is not None:
+                v.on_rank_state(rank_index, state,
+                                RankPowerState.PRECHARGE_STANDBY, t_ns,
+                                self._active_banks > 0)
+            elapsed = t_ns - since
+            if elapsed > 0:
+                counters.account_rank_state(rank_index, state, elapsed)
+            since = t_ns
+            state = RankPowerState.PRECHARGE_STANDBY
         done_ns = t_ns + self._t_rfc_ns
         self.refresh_busy_until = done_ns
         if v is not None:
-            v.on_refresh_issue(self.global_rank_index, t_ns, done_ns,
-                               was_powered_down)
+            v.on_refresh_issue(rank_index, t_ns, done_ns, was_powered_down)
         if done_ns >= limit_ns:
+            self._state = state
+            self._state_since = since
             self._engine.push_reserved(done_ns, done_seq, self._refresh_done)
             return 1
         # completion absorbed too: settle back into the idle power state
@@ -355,44 +376,10 @@ class Rank:
             target = RankPowerState.PRECHARGE_POWERDOWN
         else:
             target = RankPowerState.ACTIVE_STANDBY
-        if target is not self._state:
-            self._transition_at(target, done_ns)
-        return 2
-
-    def ff_refresh_tick_fast(self, t_ns: float, done_seq: int,
-                             limit_ns: float) -> int:
-        """Validator-free :meth:`ff_refresh_tick` for the hot path.
-
-        Same float operations in the same order — only the ``validator
-        is None`` branches are pre-resolved (the controller falls back
-        to :meth:`ff_refresh_tick` whenever the validator is armed), and
-        the two state transitions are inlined.
-        """
-        counters = self._counters
-        rank_index = self.global_rank_index
-        state = self._state
-        since = self._state_since
-        if (state is RankPowerState.ACTIVE_POWERDOWN
-                or state is RankPowerState.PRECHARGE_POWERDOWN):
-            elapsed = t_ns - since
-            if elapsed > 0:
-                counters.account_rank_state(rank_index, state, elapsed)
-            since = t_ns
-            state = RankPowerState.PRECHARGE_STANDBY
-        done_ns = t_ns + self._t_rfc_ns
-        self.refresh_busy_until = done_ns
-        if done_ns >= limit_ns:
-            self._state = state
-            self._state_since = since
-            self._engine.push_reserved(done_ns, done_seq, self._refresh_done)
-            return 1
-        if self.powerdown_mode is PowerdownMode.NONE:
-            target = RankPowerState.PRECHARGE_STANDBY
-        elif self._open_rows == 0:
-            target = RankPowerState.PRECHARGE_POWERDOWN
-        else:
-            target = RankPowerState.ACTIVE_STANDBY
         if target is not state:
+            if v is not None:
+                v.on_rank_state(rank_index, state, target, done_ns,
+                                self._active_banks > 0)
             elapsed = done_ns - since
             if elapsed > 0:
                 counters.account_rank_state(rank_index, state, elapsed)

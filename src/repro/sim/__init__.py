@@ -2,7 +2,9 @@
 
 Sub-modules: :mod:`~repro.sim.system` (the epoch loop),
 :mod:`~repro.sim.runner` (serial orchestration),
-:mod:`~repro.sim.parallel` (process-pool fan-out),
+:mod:`~repro.sim.parallel` (the one job shape and its process-pool
+fan-out), :mod:`~repro.sim.service` / :mod:`~repro.sim.store` (the
+resumable sweep service),
 :mod:`~repro.sim.cache` (content-keyed on-disk artifact cache),
 :mod:`~repro.sim.telemetry` (per-epoch JSONL streams),
 :mod:`~repro.sim.results` / :mod:`~repro.sim.serialize`.
@@ -10,12 +12,10 @@ Sub-modules: :mod:`~repro.sim.system` (the epoch loop),
 
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.sim.parallel import (
-    CapJob,
-    CapOutcome,
-    SweepJob,
-    SweepOutcome,
+    JobSpec,
+    Outcome,
     generate_traces,
-    run_cap_sweep,
+    run_specs,
     run_sweep,
 )
 from repro.sim.results import (
@@ -35,26 +35,24 @@ from repro.sim.telemetry import (
 )
 
 __all__ = [
-    "CapJob",
-    "CapOutcome",
     "DEFAULT_CACHE_DIR",
     "ENERGY_COMPONENTS",
     "EpochSample",
     "ExperimentCache",
     "ExperimentRunner",
+    "JobSpec",
     "JsonlTelemetry",
     "ListTelemetry",
+    "Outcome",
     "POLICY_NAMES",
     "PolicyComparison",
     "RunResult",
     "RunnerSettings",
-    "SweepJob",
-    "SweepOutcome",
     "SystemSimulator",
     "TelemetrySink",
     "compare_to_baseline",
     "generate_traces",
     "load_telemetry",
-    "run_cap_sweep",
+    "run_specs",
     "run_sweep",
 ]

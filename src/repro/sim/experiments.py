@@ -14,6 +14,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.cpu.workloads import MIXES, mix_names
+from repro.sim.parallel import (cap_specs, multidomain_specs, run_specs,
+                                split_outcomes)
 from repro.sim.results import PolicyComparison
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 
@@ -145,20 +147,22 @@ DEFAULT_BUDGET_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.6)
 
 
 def cap_outcome_row(outcome) -> Dict[str, object]:
-    """Flatten one :class:`~repro.sim.parallel.CapOutcome` to a row dict
-    (the shape :func:`repro.analysis.cap_summary_table` renders)."""
-    cap = outcome.cap or {}
+    """Flatten one cap-kind :class:`~repro.sim.parallel.Outcome` to a
+    row dict (the shape :func:`repro.analysis.cap_summary_table`
+    renders)."""
+    extras = outcome.extras
+    cap = extras["cap"] or {}
     return {
         "workload": outcome.mix,
-        "governor": outcome.governor,
-        "budget_fraction": outcome.budget_fraction,
-        "budget_w": outcome.budget_w,
-        "avg_power_w": outcome.avg_power_w,
+        "governor": extras["governor"],
+        "budget_fraction": outcome.spec.budget_fraction,
+        "budget_w": extras["budget_w"],
+        "avg_power_w": extras["avg_power_w"],
         "violations": cap.get("violation_count"),
         "time_over_frac": cap.get("time_over_cap_fraction"),
         "infeasible_epochs": cap.get("infeasible_epochs"),
         "peak_power_w": cap.get("peak_power_w"),
-        "min_perf": outcome.min_perf,
+        "min_perf": extras["min_perf"],
         "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
         "memory_savings": outcome.comparison.memory_energy_savings,
         "system_savings": outcome.comparison.system_energy_savings,
@@ -179,27 +183,16 @@ def cap_sweep(mixes: Optional[Sequence[str]] = None,
     power down to ~60% of it and reports per-point violation, fairness
     (min-app normalized performance), and slowdown statistics, plus a
     naive lowest-frequency throttle reference row per mix. Routed
-    through :func:`repro.sim.parallel.run_cap_sweep`, so runs share the
+    through :func:`repro.sim.parallel.run_specs`, so runs share the
     on-disk trace/baseline cache with every other experiment.
     """
-    from repro.sim.parallel import run_cap_sweep, split_outcomes
-
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    outcomes = run_cap_sweep(
-        mixes, budget_fractions, config=config, settings=settings,
-        jobs=jobs, cache_dir=cache_dir, telemetry_dir=telemetry_dir,
-        include_throttle=include_throttle)
-    good, failed = split_outcomes(outcomes)
     notes = ("budgets are fractions of each mix's baseline average "
              "memory power; Throttle rows pin the slowest static "
              "frequency (the naive capping alternative)")
-    if failed:
-        notes += ("\nFAILED JOBS (excluded from the table):\n  "
-                  + "\n  ".join(f.summary() for f in failed))
-    result = ExperimentResult("cap_sweep", notes=notes)
-    for outcome in good:
-        result.rows.append(cap_outcome_row(outcome))
-    return result
+    specs = cap_specs(mixes if mixes is not None else mix_names("MID"),
+                      budget_fractions, include_throttle=include_throttle)
+    return _spec_experiment("cap_sweep", notes, cap_outcome_row, specs,
+                            config, settings, jobs, cache_dir, telemetry_dir)
 
 
 #: Default multi-domain sweep: global (CPU + memory) budget from the
@@ -208,18 +201,19 @@ DEFAULT_MULTIDOMAIN_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.65)
 
 
 def multidomain_outcome_row(outcome) -> Dict[str, object]:
-    """Flatten one :class:`~repro.sim.parallel.MultiDomainOutcome` to a
-    row dict (the shape :func:`repro.analysis.multidomain_summary_table`
-    renders)."""
-    summary = outcome.summary or {}
+    """Flatten one multidomain-kind :class:`~repro.sim.parallel.Outcome`
+    to a row dict (the shape
+    :func:`repro.analysis.multidomain_summary_table` renders)."""
+    extras = outcome.extras
+    summary = extras["summary"] or {}
     return {
         "workload": outcome.mix,
-        "governor": outcome.governor,
-        "coordinated": outcome.coordinated,
-        "budget_fraction": outcome.budget_fraction,
-        "budget_w": outcome.budget_w,
-        "avg_power_w": outcome.avg_power_w,
-        "avg_core_power_w": outcome.avg_core_power_w,
+        "governor": extras["governor"],
+        "coordinated": outcome.spec.coordinated,
+        "budget_fraction": outcome.spec.budget_fraction,
+        "budget_w": extras["budget_w"],
+        "avg_power_w": extras["avg_power_w"],
+        "avg_core_power_w": extras["avg_core_power_w"],
         "avg_core_mhz": summary.get("avg_core_mhz"),
         "violations": summary.get("violation_count"),
         "time_over_frac": summary.get("time_over_cap_fraction"),
@@ -228,9 +222,9 @@ def multidomain_outcome_row(outcome) -> Dict[str, object]:
             summary.get("core_max_infeasible_epochs"),
         "mem_max_infeasible_epochs":
             summary.get("mem_max_infeasible_epochs"),
-        "min_perf": outcome.min_perf,
+        "min_perf": extras["min_perf"],
         "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
-        "system_energy_j": outcome.system_energy_j,
+        "system_energy_j": extras["system_energy_j"],
     }
 
 
@@ -251,27 +245,31 @@ def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
     memory-only reference (a CapGovernor given the budget left after
     nominal core power). Reports per-point violation, per-domain
     infeasibility, fairness, and explicit-split system energy. Routed
-    through :func:`repro.sim.parallel.run_multidomain_sweep`.
+    through :func:`repro.sim.parallel.run_specs`.
     """
-    from repro.sim.parallel import run_multidomain_sweep, split_outcomes
-
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    outcomes = run_multidomain_sweep(
-        mixes, budget_fractions, config=config, settings=settings,
-        jobs=jobs, cache_dir=cache_dir, telemetry_dir=telemetry_dir,
-        include_memory_only=include_memory_only)
-    outcomes, failed = split_outcomes(outcomes)
     notes = ("budgets are fractions of each mix's baseline memory power "
              "plus modeled nominal core power; MemOnly rows give the "
              "whole remaining budget to a memory-only CapGovernor "
              "(the uncoordinated split)")
+    specs = multidomain_specs(
+        mixes if mixes is not None else mix_names("MID"), budget_fractions,
+        include_memory_only=include_memory_only)
+    return _spec_experiment("multidomain_sweep", notes,
+                            multidomain_outcome_row, specs, config,
+                            settings, jobs, cache_dir, telemetry_dir)
+
+
+def _spec_experiment(name: str, notes: str, row, specs, config, settings,
+                     jobs, cache_dir, telemetry_dir) -> ExperimentResult:
+    """Run ``specs`` and tabulate the good outcomes with ``row``; failed
+    jobs are listed in the notes instead."""
+    good, failed = split_outcomes(run_specs(
+        specs, config=config, settings=settings, jobs=jobs,
+        cache_dir=cache_dir, telemetry_dir=telemetry_dir))
     if failed:
         notes += ("\nFAILED JOBS (excluded from the table):\n  "
                   + "\n  ".join(f.summary() for f in failed))
-    result = ExperimentResult("multidomain_sweep", notes=notes)
-    for outcome in outcomes:
-        result.rows.append(multidomain_outcome_row(outcome))
-    return result
+    return ExperimentResult(name, rows=[row(o) for o in good], notes=notes)
 
 
 def timeline(runner: ExperimentRunner, mix: str) -> ExperimentResult:

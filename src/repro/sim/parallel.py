@@ -1,23 +1,40 @@
-"""Parallel experiment execution: fan (mix x policy) runs across processes.
+"""Parallel experiment execution: one job shape for every sweep kind.
 
-The serial :class:`~repro.sim.runner.ExperimentRunner` evaluates one
-mix under one policy at a time and keeps traces and baselines only in
-process memory. This module turns a Figure sweep into an embarrassingly
-parallel job — the evaluation structure FastCap (Liu et al.) uses for
-epoch-based multi-workload DVFS studies:
+Every experiment of the reproduction is the paper's §4.2 experiment
+repeated: replay a mix under a governor and compare the run with the
+mix's all-on baseline. The sweep kinds differ only in which governor
+runs and what gets summarized, so there is one job type
+(:class:`JobSpec`), one worker, one driver (:func:`run_specs`) and one
+outcome type (:class:`Outcome`). What a kind adds lives in one
+:data:`KINDS` table entry with three pieces:
 
-1. **warm phase** — one task per mix generates the deterministic trace
+* an **overlay** of the sweep config (a device technology table for
+  scenario jobs, ``placement.enabled`` for the placed leg);
+* a **governor** factory (the named policy, a cap or multi-domain
+  governor at a budget, placement-wrapped MemScale, a throttle
+  reference);
+* an **extras** extractor: the kind's bookkeeping (cap ledger,
+  per-domain energy split, placement counters, standby share) as a
+  plain dict on the outcome.
+
+The ``*_specs`` builders name a sweep's points, for :func:`run_specs`
+and the persistent :class:`~repro.sim.service.SweepService` alike.
+
+The driver runs in two phases — the evaluation structure FastCap (Liu
+et al.) uses for epoch-based multi-workload DVFS studies:
+
+1. **warm phase** (only with ``jobs > 1`` and a cache) — one task per
+   distinct (mix, effective config) generates the deterministic trace
    *once*, stores it in the content-keyed on-disk cache
    (:mod:`repro.sim.cache`) in the flat columnar ``.npy`` layout, and
    records the all-on baseline run beside it;
-2. **fan-out phase** — one task per (mix, policy) pair loads the shared
-   artifacts from the cache and simulates only the policy run, with an
-   optional per-run telemetry JSONL stream. Trace loads go through
+2. **fan-out phase** — one task per spec loads the shared artifacts
+   from the cache and simulates only its own run, with an optional
+   per-run telemetry JSONL stream. Trace loads go through
    ``np.load(..., mmap_mode="r")``: every worker's core arrays are
    read-only views of the same memory-mapped file, so the trace bytes
    exist once in the OS page cache no matter how many processes replay
-   them — no per-worker ``generate_workload`` re-run, no per-worker
-   decompression, no per-worker copy.
+   them.
 
 Determinism: trace generation is fully seeded and simulation is
 event-ordered, so a parallel sweep produces *byte-identical*
@@ -43,6 +60,8 @@ The persistent-queue layer on top of this lives in
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
 import re
 import time
@@ -51,174 +70,151 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import multiprocessing
 
 from repro.config import SystemConfig, scaled_config
+from repro.core.baselines import StaticFrequencyGovernor
+from repro.core.governor import Governor
 from repro.cpu.trace import WorkloadTrace
 from repro.cpu.workloads import known_mix_names
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.sim.results import PolicyComparison, RunResult
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, POLICY_NAMES,
-                              ExperimentRunner, RunnerSettings)
+                              ExperimentRunner, RunnerSettings,
+                              governor_listing)
 from repro.sim.telemetry import JsonlTelemetry
 
 PathLike = Union[str, Path]
 
-
-@dataclass(frozen=True)
-class SweepJob:
-    """One unit of fan-out work: a mix evaluated under one policy."""
-
-    mix: str
-    policy: str
+#: Bumped whenever the job-key layout (or the service ledger built on
+#: it) changes incompatibly.
+SERVICE_FORMAT = 1
 
 
-@dataclass(frozen=True)
-class CapJob:
-    """One unit of cap-sweep work: a mix under one power budget.
+def content_digest(payload: Dict[str, object]) -> str:
+    """Stable sha256 of a JSON-serializable payload (canonical form)."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
-    ``budget_fraction`` is the cap expressed as a fraction of the mix's
-    baseline average memory power; ``None`` marks the naive throttle
-    reference (lowest static frequency, no governor), which the fairness
-    comparison is judged against.
+
+class InjectedFailure(RuntimeError):
+    """Raised by the worker for jobs named in ``fail_labels``.
+
+    The failure-injection hook the service smoke and the crash-resume
+    tests use: deterministic, picklable (plain label strings cross the
+    pool, not closures), and absent on resume, so a resumed sweep heals
+    the injected failure like a real transient fault.
     """
 
-    mix: str
-    budget_fraction: Optional[float]
 
-
-@dataclass
-class CapOutcome:
-    """Result of one :class:`CapJob`, with cap bookkeeping."""
-
-    mix: str
-    budget_fraction: Optional[float]  #: None for the throttle reference
-    budget_w: Optional[float]         #: absolute cap (None for throttle)
-    governor: str
-    result: RunResult
-    comparison: PolicyComparison
-    min_perf: float                   #: min-app normalized performance
-    avg_power_w: float                #: run-average memory power
-    cap: Optional[Dict[str, object]]  #: budget ledger + infeasible count
-    wall_s: float
-    cache_hits: int = 0
-    telemetry_path: Optional[str] = None
-
+# -- the job type ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MultiDomainJob:
-    """One unit of multi-domain-sweep work: a mix under one *global*
-    (CPU + memory) budget fraction.
+class JobSpec:
+    """One unit of sweep work: a mix at one point of one kind.
 
-    ``coordinated=True`` runs the :class:`MultiDomainGovernor`;
-    ``coordinated=False`` runs the memory-only reference — a
-    :class:`CapGovernor` given whatever budget remains after nominal
-    core power, the uncoordinated split the tentpole must beat.
+    ``kind`` selects the :data:`KINDS` entry; the point fields are
+    ``policy`` for policy sweeps, ``budget_fraction`` (None meaning the
+    throttle reference) for cap sweeps, ``budget_fraction`` +
+    ``coordinated`` for multi-domain sweeps, ``coordinated`` carrying
+    the placed flag for placement sweeps (a boolean leg selector either
+    way, so the key schema is shared), and ``policy`` + ``device`` for
+    scenario sweeps, which also pin a device technology table.
     """
 
+    kind: str
     mix: str
-    budget_fraction: float
-    coordinated: bool
+    policy: Optional[str] = None
+    budget_fraction: Optional[float] = None
+    coordinated: Optional[bool] = None
+    device: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        kind = KINDS.get(self.kind)
+        if kind is None:
+            raise ValueError(f"unknown job kind {self.kind!r}; "
+                             f"choose from {sorted(KINDS)}")
+        missing = [name for name, attr in kind.fields
+                   if attr in kind.required and getattr(self, attr) is None]
+        if missing:
+            raise ValueError(f"{self.kind} jobs need "
+                             f"{' and '.join(missing)}")
+
+    @property
+    def point(self) -> str:
+        """The point's display/file label within its mix (``Cap0.80``)."""
+        return KINDS[self.kind].point(self)
+
+    @property
+    def label(self) -> str:
+        """Display label (``mix/<point>``), the injection handle too."""
+        return f"{self.mix}/{self.point}"
+
+    def key(self, config_hash: str, settings_hash: str) -> str:
+        """Content key: spec + config/settings fingerprints."""
+        payload = {
+            "format": SERVICE_FORMAT, "kind": self.kind, "mix": self.mix,
+            "policy": self.policy, "budget_fraction": self.budget_fraction,
+            "coordinated": self.coordinated, "config": config_hash,
+            "settings": settings_hash,
+        }
+        # Only scenario jobs carry a device; omitting the field otherwise
+        # keeps every pre-existing service directory's keys stable.
+        if self.device is not None:
+            payload["device"] = self.device
+        return content_digest(payload)
+
+    def to_dict(self) -> Dict[str, object]:
+        return {"kind": self.kind, "mix": self.mix, "policy": self.policy,
+                "budget_fraction": self.budget_fraction,
+                "coordinated": self.coordinated, "device": self.device}
+
+    def job_dict(self) -> Dict[str, object]:
+        """The ``job`` section of this spec's store records."""
+        payload = self.to_dict()
+        payload["label"] = self.label
+        return payload
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
+        return cls(kind=data["kind"], mix=data["mix"],
+                   policy=data.get("policy"),
+                   budget_fraction=data.get("budget_fraction"),
+                   coordinated=data.get("coordinated"),
+                   device=data.get("device"))
 
 
 @dataclass
-class MultiDomainOutcome:
-    """Result of one :class:`MultiDomainJob`, with per-domain accounting."""
+class Outcome:
+    """Result of one :class:`JobSpec`, with execution metadata.
 
-    mix: str
-    budget_fraction: float
-    budget_w: float                   #: absolute global budget (both legs)
-    governor: str
-    coordinated: bool
-    result: RunResult
-    comparison: PolicyComparison
-    min_perf: float                   #: min-app normalized performance
-    avg_power_w: float                #: run-average core + memory power
-    avg_core_power_w: float           #: modeled run-average core power
-    core_energy_j: float              #: modeled core energy over the run
-    system_energy_j: float            #: memory + core + other, explicit split
-    summary: Optional[Dict[str, object]]  #: ledger + per-domain counters
-    wall_s: float
-    cache_hits: int = 0
-    telemetry_path: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class PlacementJob:
-    """One unit of placement-sweep work: a mix with or without the
-    rank-aware page-placement layer.
-
-    ``placed=True`` runs MemScale wrapped in a
-    :class:`~repro.placement.governor.PlacementGovernor` on a
-    placement-enabled copy of the sweep config (page table, hot-page
-    migration, self-refresh parking); ``placed=False`` runs plain
-    MemScale on the config as given — the reference the placement leg
-    must beat on memory energy at the same CPI-degradation target.
+    ``extras`` holds the kind's bookkeeping under the field names its
+    store records carry (``budget_w``, ``cap``, ``summary``,
+    ``placement``, ``background_share``, ...).
     """
 
-    mix: str
-    placed: bool
-
-
-@dataclass
-class PlacementOutcome:
-    """Result of one :class:`PlacementJob`, with placement accounting."""
-
-    mix: str
-    placed: bool
-    governor: str
+    spec: JobSpec
     result: RunResult
     comparison: PolicyComparison
-    min_perf: float                   #: min-app normalized performance
-    avg_power_w: float                #: run-average memory power
-    #: migration/parking/copy-traffic counters (None on the reference leg)
-    placement: Optional[Dict[str, object]]
-    wall_s: float
-    cache_hits: int = 0
-    telemetry_path: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class ScenarioJob:
-    """One unit of scenario-sweep work: a mix under one policy on one
-    named device technology table (:mod:`repro.scenarios.devices`)."""
-
-    mix: str
-    policy: str
-    device: str
-
-
-@dataclass
-class ScenarioOutcome:
-    """Result of one :class:`ScenarioJob`, with device accounting."""
-
-    mix: str
-    policy: str
-    device: str
-    result: RunResult
-    comparison: PolicyComparison
-    #: Background (standby) share of the run's DIMM energy — the number
-    #: a device table shifts most visibly (STT-MRAM drives it near 0).
-    background_share: float
-    wall_s: float
-    cache_hits: int = 0
-    telemetry_path: Optional[str] = None
-
-
-@dataclass
-class SweepOutcome:
-    """Result of one :class:`SweepJob`, with execution metadata."""
-
-    mix: str
-    policy: str
-    result: RunResult
-    comparison: PolicyComparison
+    extras: Dict[str, object]
     wall_s: float                   #: worker wall-clock for this job
     cache_hits: int = 0             #: cache hits observed by the worker
     telemetry_path: Optional[str] = None
+
+    @property
+    def mix(self) -> str:
+        return self.spec.mix
+
+    @property
+    def policy(self) -> Optional[str]:
+        return self.spec.policy
+
+    @property
+    def point(self) -> str:
+        return self.spec.point
 
 
 @dataclass
@@ -227,8 +223,8 @@ class JobFailure:
 
     Returned in place of the job's outcome so a sweep containing one
     bad job still yields every other result. Carries the worker-side
-    traceback of the last attempt; ``job`` is the original job
-    dataclass (:class:`SweepJob`, :class:`CapJob`, ...).
+    traceback of the last attempt; ``job`` is the failed job's
+    :class:`JobSpec`.
     """
 
     job: object
@@ -249,21 +245,325 @@ class JobFailure:
                 f"{'s' if self.attempts != 1 else ''})")
 
 
-def job_label(job: object) -> str:
-    """Stable display label of a job dataclass (``mix/<point>``)."""
-    if isinstance(job, SweepJob):
-        return f"{job.mix}/{job.policy}"
-    if isinstance(job, CapJob):
-        return f"{job.mix}/{cap_label(job.budget_fraction)}"
-    if isinstance(job, MultiDomainJob):
-        return (f"{job.mix}/"
-                f"{multidomain_label(job.budget_fraction, job.coordinated)}")
-    if isinstance(job, PlacementJob):
-        return f"{job.mix}/{placement_label(job.placed)}"
-    if isinstance(job, ScenarioJob):
-        return f"{job.mix}/{scenario_label(job.policy, job.device)}"
-    return str(job)
+# -- the kinds ---------------------------------------------------------------
 
+def _min_perf(comparison: PolicyComparison) -> float:
+    """Min-app normalized performance (the fairness metric)."""
+    return 1.0 / (1.0 + comparison.worst_cpi_increase)
+
+
+def _same_config(config: SystemConfig, spec: JobSpec) -> SystemConfig:
+    return config
+
+
+def _no_extras(runner: ExperimentRunner, spec: JobSpec,
+               governor: Optional[Governor], result: RunResult,
+               comparison: PolicyComparison) -> Dict[str, object]:
+    return {}
+
+
+def _named_governor(runner: ExperimentRunner,
+                    spec: JobSpec) -> Optional[Governor]:
+    # None: the Baseline policy is the reference run itself, compared
+    # with itself rather than simulated again.
+    if spec.policy == "Baseline":
+        return None
+    return runner.make_named_governor(spec.mix, spec.policy)
+
+
+def _cap_governor(runner: ExperimentRunner, spec: JobSpec) -> Governor:
+    if spec.budget_fraction is None:
+        # Naive throttle reference: pin the whole subsystem to the
+        # slowest ladder point for the entire run.
+        return StaticFrequencyGovernor(
+            bus_mhz=min(runner.config.sorted_bus_freqs()))
+    return runner.make_cap_governor(spec.mix,
+                                    budget_fraction=spec.budget_fraction)
+
+
+def _cap_extras(runner: ExperimentRunner, spec: JobSpec, governor: Governor,
+                result: RunResult,
+                comparison: PolicyComparison) -> Dict[str, object]:
+    capped = spec.budget_fraction is not None
+    return {
+        "budget_w": governor.budget.min_watts if capped else None,
+        "governor": governor.name,
+        "min_perf": _min_perf(comparison),
+        "avg_power_w": result.avg_memory_power_w,
+        "cap": governor.cap_summary() if capped else None,
+    }
+
+
+def _multidomain_budget_w(runner: ExperimentRunner, spec: JobSpec) -> float:
+    return (spec.budget_fraction
+            * runner.multidomain_reference_power_w(spec.mix))
+
+
+def _multidomain_governor(runner: ExperimentRunner,
+                          spec: JobSpec) -> Governor:
+    budget_w = _multidomain_budget_w(runner, spec)
+    if spec.coordinated:
+        return runner.make_multidomain_governor(spec.mix, budget_w=budget_w)
+    # Memory-only reference: cores stay at nominal power, so the memory
+    # side gets whatever the global budget leaves (floored to keep the
+    # PowerBudget contract when cores alone exceed it).
+    core_ref_w = runner.baseline_core_power_w(spec.mix)
+    return runner.make_cap_governor(
+        spec.mix, budget_w=max(0.05, budget_w - core_ref_w))
+
+
+def _multidomain_extras(runner: ExperimentRunner, spec: JobSpec,
+                        governor: Governor, result: RunResult,
+                        comparison: PolicyComparison) -> Dict[str, object]:
+    """Per-domain accounting of one global-budget run.
+
+    System energy is assembled from an explicit per-domain split —
+    measured memory energy, *modeled* core energy, and the calibrated
+    "other" (rest-of-system minus nominal cores) power — so the
+    coordinated and memory-only legs are compared on identical terms.
+    The memory-only reference charges nominal core power for the whole
+    run; the coordinated leg charges the governor's ledgered core power.
+    """
+    core_ref_w = runner.baseline_core_power_w(spec.mix)
+    if spec.coordinated:
+        summary = governor.multidomain_summary()
+        avg_core_w = summary.get("avg_core_power_w") or core_ref_w
+    else:
+        summary = governor.cap_summary()
+        avg_core_w = core_ref_w
+    sim_s = result.sim_time_s
+    core_energy_j = avg_core_w * sim_s
+    other_w = runner.platform_other_power_w(spec.mix)
+    return {
+        "budget_w": _multidomain_budget_w(runner, spec),
+        "governor": governor.name,
+        "min_perf": _min_perf(comparison),
+        "avg_power_w": result.avg_memory_power_w + avg_core_w,
+        "avg_core_power_w": avg_core_w,
+        "core_energy_j": core_energy_j,
+        "system_energy_j": (result.memory_energy_j + core_energy_j
+                            + other_w * sim_s),
+        "summary": summary,
+    }
+
+
+def _placement_config(config: SystemConfig, spec: JobSpec) -> SystemConfig:
+    # The placed leg flips only the enabled flag, inheriting any tuned
+    # placement knobs; the reference leg decodes through the untouched
+    # interleaver. A placement-enabled config routes addresses through
+    # the page table even under the Baseline governor, so each leg is
+    # normalized against its own baseline.
+    if spec.coordinated:
+        return config.with_placement(enabled=True)
+    return config
+
+
+def _placement_governor(runner: ExperimentRunner, spec: JobSpec) -> Governor:
+    if spec.coordinated:
+        return runner.make_placement_governor(spec.mix)
+    return runner.make_memscale_governor(spec.mix)
+
+
+def _placement_extras(runner: ExperimentRunner, spec: JobSpec,
+                      governor: Governor, result: RunResult,
+                      comparison: PolicyComparison) -> Dict[str, object]:
+    return {
+        "governor": governor.name,
+        "min_perf": _min_perf(comparison),
+        "avg_power_w": result.avg_memory_power_w,
+        "placement": (governor.placement_summary() if spec.coordinated
+                      else None),
+    }
+
+
+def _device_config(config: SystemConfig, spec: JobSpec) -> SystemConfig:
+    # Timings + currents only, so cache fingerprints and the service
+    # ledger see an ordinary config change: each (mix, device) pair gets
+    # its own baseline, and savings are normalized within the device.
+    from repro.scenarios.devices import apply_device
+    return apply_device(config, spec.device)
+
+
+def _scenario_extras(runner: ExperimentRunner, spec: JobSpec,
+                     governor: Optional[Governor], result: RunResult,
+                     comparison: PolicyComparison) -> Dict[str, object]:
+    # Background (standby) share of the run's DIMM energy: the number a
+    # device table shifts most visibly (STT-MRAM drives it near 0).
+    dimm_j = result.memory_energy_j - result.energy_j.get("mc", 0.0)
+    background = result.energy_j.get("background", 0.0)
+    return {"background_share": background / dimm_j if dimm_j > 0 else 0.0}
+
+
+def _budget_point(spec: JobSpec) -> str:
+    if spec.budget_fraction is None:
+        return "Throttle"
+    return f"Cap{spec.budget_fraction:.2f}"
+
+
+@dataclass(frozen=True)
+class Kind:
+    """What one experiment kind adds to the shared run."""
+
+    #: (outcome record field, :class:`JobSpec` attribute) pairs that
+    #: name a point of this kind
+    fields: Tuple[Tuple[str, str], ...]
+    #: :class:`JobSpec` attributes that must be set
+    required: Tuple[str, ...]
+    point: Callable[[JobSpec], str]
+    overlay: Callable[[SystemConfig, JobSpec], SystemConfig]
+    #: None runs the mix's baseline compared with itself
+    governor: Callable[[ExperimentRunner, JobSpec], Optional[Governor]]
+    extras: Callable[..., Dict[str, object]]
+
+
+KINDS: Dict[str, Kind] = {
+    "policy": Kind(
+        fields=(("policy", "policy"),), required=("policy",),
+        point=lambda s: s.policy, overlay=_same_config,
+        governor=_named_governor, extras=_no_extras),
+    "cap": Kind(
+        fields=(("budget_fraction", "budget_fraction"),), required=(),
+        point=_budget_point, overlay=_same_config,
+        governor=_cap_governor, extras=_cap_extras),
+    "multidomain": Kind(
+        fields=(("budget_fraction", "budget_fraction"),
+                ("coordinated", "coordinated")),
+        required=("budget_fraction", "coordinated"),
+        point=lambda s: (f"{'MD' if s.coordinated else 'MemOnly'}"
+                         f"{s.budget_fraction:.2f}"),
+        overlay=_same_config, governor=_multidomain_governor,
+        extras=_multidomain_extras),
+    "placement": Kind(
+        fields=(("placed", "coordinated"),), required=("coordinated",),
+        point=lambda s: "Placed" if s.coordinated else "NoPlacement",
+        overlay=_placement_config, governor=_placement_governor,
+        extras=_placement_extras),
+    "scenario": Kind(
+        fields=(("policy", "policy"), ("device", "device")),
+        required=("policy", "device"),
+        point=lambda s: f"{s.policy}@{s.device}", overlay=_device_config,
+        governor=_named_governor, extras=_scenario_extras),
+}
+
+
+# -- spec builders -------------------------------------------------------------
+
+def _need(values: Sequence[object], what: str) -> None:
+    if not values:
+        raise ValueError(f"need at least one {what}")
+
+
+def _fractions(budget_fractions: Sequence[float]) -> List[float]:
+    fractions = [float(f) for f in budget_fractions]
+    _need(fractions, "budget fraction")
+    if any(f <= 0 for f in fractions):
+        raise ValueError("budget fractions must be positive")
+    return fractions
+
+
+def policy_specs(mixes: Sequence[str],
+                 policies: Sequence[str]) -> List[JobSpec]:
+    """Specs for a (mix x policy) sweep, in input order."""
+    return [JobSpec("policy", mix, policy=policy)
+            for mix in mixes for policy in policies]
+
+
+def cap_specs(mixes: Sequence[str], budget_fractions: Sequence[float],
+              include_throttle: bool = True) -> List[JobSpec]:
+    """Specs for a power-cap sweep, ordered ``mix x budget``.
+
+    ``budget_fractions`` are caps expressed as fractions of each mix's
+    *own* baseline average memory power (1.0 = uncapped reference
+    power); the conversion to watts happens in the worker from the
+    cache-shared baseline run, so all workers agree bit for bit. With
+    ``include_throttle`` each mix also gets a lowest-static-frequency
+    reference point (``budget_fraction=None``) — the fairness floor a
+    capping governor must beat.
+    """
+    _need(mixes, "mix")
+    points: List[Optional[float]] = list(_fractions(budget_fractions))
+    if include_throttle:
+        points.append(None)
+    return [JobSpec("cap", mix, budget_fraction=frac)
+            for mix in mixes for frac in points]
+
+
+def multidomain_specs(mixes: Sequence[str],
+                      budget_fractions: Sequence[float],
+                      include_memory_only: bool = True) -> List[JobSpec]:
+    """Specs for a multi-domain sweep, ordered ``mix x fraction x
+    (coordinated, memory-only)`` so per-point pairs sit adjacent.
+
+    ``budget_fractions`` are global (CPU + memory) budgets expressed as
+    fractions of each mix's baseline memory power plus modeled nominal
+    core power. With ``include_memory_only`` each budget point also
+    runs the memory-only reference (``coordinated=False``): a
+    :class:`~repro.cap.governor.CapGovernor` given the budget left after
+    nominal core power — the split a coordinated governor must beat.
+    """
+    _need(mixes, "mix")
+    fractions = _fractions(budget_fractions)
+    legs = [True, False] if include_memory_only else [True]
+    return [JobSpec("multidomain", mix, budget_fraction=frac,
+                    coordinated=coordinated)
+            for mix in mixes for frac in fractions for coordinated in legs]
+
+
+def placement_specs(mixes: Sequence[str],
+                    include_reference: bool = True) -> List[JobSpec]:
+    """Specs for a placement sweep, ordered ``mix x (placed,
+    reference)`` (the ``coordinated`` field carries the placed flag).
+
+    The placed leg wraps MemScale in a
+    :class:`~repro.placement.governor.PlacementGovernor` on a
+    placement-enabled copy of the sweep config (pass a config with
+    tuned ``config.placement`` knobs to shape it); with
+    ``include_reference`` each mix also runs plain MemScale on the
+    config unchanged. Placement's gain is judged between the two legs'
+    *absolute* memory energies: enabling placement changes the decode
+    of the baseline run too, so the legs do not share a reference.
+    """
+    _need(mixes, "mix")
+    legs = [True, False] if include_reference else [True]
+    return [JobSpec("placement", mix, coordinated=placed)
+            for mix in mixes for placed in legs]
+
+
+def scenario_specs(mixes: Sequence[str], policies: Sequence[str],
+                   devices: Sequence[str]) -> List[JobSpec]:
+    """Specs for a (mix x policy x device) scenario sweep, in input
+    order. Devices name :data:`repro.scenarios.devices.DEVICE_TABLES`
+    entries; unknown names fail here."""
+    from repro.scenarios.devices import lookup_device
+
+    _need(devices, "device table")
+    for device in devices:
+        lookup_device(device)
+    return [JobSpec("scenario", mix, policy=policy, device=device)
+            for mix in mixes for policy in policies for device in devices]
+
+
+def check_mixes(mixes: Iterable[str]) -> None:
+    """Raise ValueError on a mix name no worker can resolve."""
+    known = known_mix_names()
+    for mix in mixes:
+        # ``trace:<name>`` mixes resolve against the worker's cache (the
+        # imported-trace store), not the synthetic registry.
+        if mix not in known and not mix.startswith(IMPORTED_TRACE_PREFIX):
+            raise ValueError(f"unknown mix {mix!r}; choose from {known} "
+                             f"(or an imported 'trace:<name>')")
+
+
+def check_specs(specs: Sequence[JobSpec]) -> None:
+    """Fail fast, before any work, on a mix or policy no worker knows."""
+    check_mixes(spec.mix for spec in specs)
+    for spec in specs:
+        if spec.policy is not None and spec.policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {spec.policy!r}; registered "
+                             f"governors are:\n{governor_listing()}")
+
+
+# -- helpers -------------------------------------------------------------------
 
 def default_jobs() -> int:
     """Worker count when the caller does not specify one.
@@ -280,33 +580,10 @@ def default_jobs() -> int:
     return max(1, min(8, cpus))
 
 
-def telemetry_filename(mix: str, policy: str) -> str:
-    """Stable, filesystem-safe JSONL name for one (mix, policy) run."""
-    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", policy)
+def telemetry_filename(mix: str, point: str) -> str:
+    """Stable, filesystem-safe JSONL name for one (mix, point) run."""
+    slug = re.sub(r"[^A-Za-z0-9._-]+", "_", point)
     return f"{mix}__{slug}.jsonl"
-
-
-def cap_label(budget_fraction: Optional[float]) -> str:
-    """Display/file label for one cap sweep point."""
-    if budget_fraction is None:
-        return "Throttle"
-    return f"Cap{budget_fraction:.2f}"
-
-
-def multidomain_label(budget_fraction: float, coordinated: bool) -> str:
-    """Display/file label for one multi-domain sweep point."""
-    prefix = "MD" if coordinated else "MemOnly"
-    return f"{prefix}{budget_fraction:.2f}"
-
-
-def placement_label(placed: bool) -> str:
-    """Display/file label for one placement sweep leg."""
-    return "Placed" if placed else "NoPlacement"
-
-
-def scenario_label(policy: str, device: str) -> str:
-    """Display/file label for one scenario sweep point."""
-    return f"{policy}@{device}"
 
 
 # -- worker-side entry points (module level: must be picklable) -----------
@@ -333,225 +610,41 @@ def _build_trace(args: Tuple[RunnerSettings, str, Optional[str]]
     return mix, runner.trace(mix)
 
 
-def _run_job(args: Tuple[SystemConfig, RunnerSettings, SweepJob,
-                         Optional[str], Optional[str]]) -> SweepOutcome:
-    """Fan-out task: one policy run, compared against the baseline."""
-    config, settings, job, cache_dir, telemetry_dir = args
+def _run_spec(args: Tuple[JobSpec, SystemConfig, RunnerSettings,
+                          Optional[str], Optional[str], frozenset]
+              ) -> Outcome:
+    """Fan-out task: one run of one spec, compared against its baseline."""
+    spec, config, settings, cache_dir, telemetry_dir, fail = args
     start = time.perf_counter()
-    runner = _make_runner(config, settings, cache_dir)
+    if fail and spec.label in fail:
+        raise InjectedFailure(f"injected failure for {spec.label}")
+    kind = KINDS[spec.kind]
+    runner = _make_runner(kind.overlay(config, spec), settings, cache_dir)
+    governor = kind.governor(runner, spec)
     telemetry = None
     telemetry_path = None
     if telemetry_dir is not None:
         telemetry_path = str(Path(telemetry_dir)
-                             / telemetry_filename(job.mix, job.policy))
+                             / telemetry_filename(spec.mix, spec.point))
         telemetry = JsonlTelemetry(telemetry_path)
     try:
-        result, comparison = runner.run_named_policy(
-            job.mix, job.policy, telemetry=telemetry)
+        if governor is None:
+            result, comparison = runner.run_named_policy(spec.mix,
+                                                         "Baseline")
+        else:
+            result, comparison = runner.run_and_compare(
+                spec.mix, governor, telemetry=telemetry)
     finally:
         if telemetry is not None:
             telemetry.close()
+    extras = kind.extras(runner, spec, governor, result, comparison)
     hits = runner.cache.hits if runner.cache is not None else 0
-    return SweepOutcome(mix=job.mix, policy=job.policy, result=result,
-                        comparison=comparison,
-                        wall_s=time.perf_counter() - start,
-                        cache_hits=hits, telemetry_path=telemetry_path)
+    return Outcome(spec=spec, result=result, comparison=comparison,
+                   extras=extras, wall_s=time.perf_counter() - start,
+                   cache_hits=hits, telemetry_path=telemetry_path)
 
 
-def _run_cap_job(args: Tuple[SystemConfig, RunnerSettings, CapJob,
-                             Optional[str], Optional[str]]) -> CapOutcome:
-    """Fan-out task: one capped (or throttle-reference) run on one mix."""
-    from repro.core.baselines import StaticFrequencyGovernor
-
-    config, settings, job, cache_dir, telemetry_dir = args
-    start = time.perf_counter()
-    runner = _make_runner(config, settings, cache_dir)
-    budget_w = None
-    if job.budget_fraction is None:
-        # Naive throttle reference: pin the whole subsystem to the
-        # slowest ladder point for the entire run.
-        governor = StaticFrequencyGovernor(
-            bus_mhz=min(config.sorted_bus_freqs()))
-    else:
-        governor = runner.make_cap_governor(
-            job.mix, budget_fraction=job.budget_fraction)
-        budget_w = governor.budget.min_watts
-    telemetry = None
-    telemetry_path = None
-    if telemetry_dir is not None:
-        telemetry_path = str(Path(telemetry_dir) / telemetry_filename(
-            job.mix, cap_label(job.budget_fraction)))
-        telemetry = JsonlTelemetry(telemetry_path)
-    try:
-        result, comparison = runner.run_and_compare(
-            job.mix, governor, telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    cap = (governor.cap_summary()
-           if job.budget_fraction is not None else None)
-    hits = runner.cache.hits if runner.cache is not None else 0
-    return CapOutcome(
-        mix=job.mix, budget_fraction=job.budget_fraction,
-        budget_w=budget_w, governor=governor.name,
-        result=result, comparison=comparison,
-        min_perf=1.0 / (1.0 + comparison.worst_cpi_increase),
-        avg_power_w=result.avg_memory_power_w, cap=cap,
-        wall_s=time.perf_counter() - start,
-        cache_hits=hits, telemetry_path=telemetry_path)
-
-
-def _run_multidomain_job(args: Tuple[SystemConfig, RunnerSettings,
-                                     MultiDomainJob, Optional[str],
-                                     Optional[str]]) -> MultiDomainOutcome:
-    """Fan-out task: one global-budget run (coordinated or memory-only).
-
-    System energy is assembled from an explicit per-domain split —
-    measured memory energy, *modeled* core energy, and the calibrated
-    "other" (rest-of-system minus nominal cores) power — so the
-    coordinated and memory-only legs are compared on identical terms.
-    The memory-only reference charges nominal core power for the whole
-    run; the coordinated leg charges the governor's ledgered core power.
-    """
-    config, settings, job, cache_dir, telemetry_dir = args
-    start = time.perf_counter()
-    runner = _make_runner(config, settings, cache_dir)
-    budget_w = (job.budget_fraction
-                * runner.multidomain_reference_power_w(job.mix))
-    core_ref_w = runner.baseline_core_power_w(job.mix)
-    other_w = runner.platform_other_power_w(job.mix)
-    if job.coordinated:
-        governor = runner.make_multidomain_governor(job.mix,
-                                                    budget_w=budget_w)
-    else:
-        # Memory-only reference: cores stay at nominal power, so the
-        # memory side gets whatever the global budget leaves (floored to
-        # keep the PowerBudget contract when cores alone exceed it).
-        governor = runner.make_cap_governor(
-            job.mix, budget_w=max(0.05, budget_w - core_ref_w))
-    telemetry = None
-    telemetry_path = None
-    if telemetry_dir is not None:
-        telemetry_path = str(Path(telemetry_dir) / telemetry_filename(
-            job.mix, multidomain_label(job.budget_fraction,
-                                       job.coordinated)))
-        telemetry = JsonlTelemetry(telemetry_path)
-    try:
-        result, comparison = runner.run_and_compare(
-            job.mix, governor, telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    sim_s = result.sim_time_s
-    if job.coordinated:
-        summary = governor.multidomain_summary()
-        avg_core_w = summary.get("avg_core_power_w") or core_ref_w
-    else:
-        summary = governor.cap_summary()
-        avg_core_w = core_ref_w
-    core_energy_j = avg_core_w * sim_s
-    system_energy_j = (result.memory_energy_j + core_energy_j
-                       + other_w * sim_s)
-    hits = runner.cache.hits if runner.cache is not None else 0
-    return MultiDomainOutcome(
-        mix=job.mix, budget_fraction=job.budget_fraction,
-        budget_w=budget_w, governor=governor.name,
-        coordinated=job.coordinated, result=result, comparison=comparison,
-        min_perf=1.0 / (1.0 + comparison.worst_cpi_increase),
-        avg_power_w=result.avg_memory_power_w + avg_core_w,
-        avg_core_power_w=avg_core_w, core_energy_j=core_energy_j,
-        system_energy_j=system_energy_j, summary=summary,
-        wall_s=time.perf_counter() - start,
-        cache_hits=hits, telemetry_path=telemetry_path)
-
-
-def _run_placement_job(args: Tuple[SystemConfig, RunnerSettings,
-                                   PlacementJob, Optional[str],
-                                   Optional[str]]) -> PlacementOutcome:
-    """Fan-out task: one placement (or plain-MemScale reference) run.
-
-    The placed leg flips ``config.placement.enabled`` on a copy of the
-    sweep config — inheriting any tuned placement knobs the caller set —
-    so the reference leg decodes through the untouched interleaver. The
-    two legs share the trace but not baselines: a placement-enabled
-    config routes addresses through the page table even under the
-    Baseline governor, so each leg is normalized against its own
-    baseline and the legs are compared on absolute energy.
-    """
-    config, settings, job, cache_dir, telemetry_dir = args
-    start = time.perf_counter()
-    if job.placed:
-        config = config.with_placement(enabled=True)
-    runner = _make_runner(config, settings, cache_dir)
-    if job.placed:
-        governor = runner.make_placement_governor(job.mix)
-    else:
-        governor = runner.make_memscale_governor(job.mix)
-    telemetry = None
-    telemetry_path = None
-    if telemetry_dir is not None:
-        telemetry_path = str(Path(telemetry_dir) / telemetry_filename(
-            job.mix, placement_label(job.placed)))
-        telemetry = JsonlTelemetry(telemetry_path)
-    try:
-        result, comparison = runner.run_and_compare(
-            job.mix, governor, telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    placement = governor.placement_summary() if job.placed else None
-    hits = runner.cache.hits if runner.cache is not None else 0
-    return PlacementOutcome(
-        mix=job.mix, placed=job.placed, governor=governor.name,
-        result=result, comparison=comparison,
-        min_perf=1.0 / (1.0 + comparison.worst_cpi_increase),
-        avg_power_w=result.avg_memory_power_w, placement=placement,
-        wall_s=time.perf_counter() - start,
-        cache_hits=hits, telemetry_path=telemetry_path)
-
-
-def _run_scenario_job(args: Tuple[SystemConfig, RunnerSettings, ScenarioJob,
-                                  Optional[str], Optional[str]]
-                      ) -> ScenarioOutcome:
-    """Fan-out task: one policy run on one device technology table.
-
-    The worker swaps the job's device table into the sweep config
-    (timings + currents only, so cache fingerprints and the service
-    ledger see an ordinary config change) before building the runner:
-    each (mix, device) pair gets its own baseline, and the comparison is
-    normalized within the device — a policy's savings on STT-MRAM are
-    judged against an STT-MRAM baseline, not a DDR3 one.
-    """
-    from repro.scenarios.devices import apply_device
-
-    config, settings, job, cache_dir, telemetry_dir = args
-    start = time.perf_counter()
-    runner = _make_runner(apply_device(config, job.device), settings,
-                          cache_dir)
-    telemetry = None
-    telemetry_path = None
-    if telemetry_dir is not None:
-        telemetry_path = str(Path(telemetry_dir) / telemetry_filename(
-            job.mix, scenario_label(job.policy, job.device)))
-        telemetry = JsonlTelemetry(telemetry_path)
-    try:
-        result, comparison = runner.run_named_policy(
-            job.mix, job.policy, telemetry=telemetry)
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-    dimm_j = result.memory_energy_j - result.energy_j.get("mc", 0.0)
-    background = result.energy_j.get("background", 0.0)
-    hits = runner.cache.hits if runner.cache is not None else 0
-    return ScenarioOutcome(
-        mix=job.mix, policy=job.policy, device=job.device,
-        result=result, comparison=comparison,
-        background_share=background / dimm_j if dimm_j > 0 else 0.0,
-        wall_s=time.perf_counter() - start,
-        cache_hits=hits, telemetry_path=telemetry_path)
-
-
-# -- driver ----------------------------------------------------------------
+# -- fault-isolated execution ------------------------------------------------------
 
 def _executor(jobs: int) -> ProcessPoolExecutor:
     try:
@@ -607,10 +700,11 @@ def execute_jobs(fn: Callable, job_args: Sequence[object],
     worker the OS killed mid-run) becomes a :class:`JobFailure` record
     in the returned list — input order, one entry per job — while every
     other job still completes. Each job is attempted up to
-    ``1 + retries`` times. ``jobs_meta[i]`` is the job dataclass stored
-    on failure records; ``on_outcome(i, outcome_or_failure)`` fires as
-    soon as job ``i`` settles (the service layer persists results
-    incrementally through it, so a crash loses at most in-flight jobs).
+    ``1 + retries`` times. ``jobs_meta[i]`` is the job stored on failure
+    records (its ``label`` names the record); ``on_outcome(i,
+    outcome_or_failure)`` fires as soon as job ``i`` settles (the
+    service layer persists results incrementally through it, so a crash
+    loses at most in-flight jobs).
 
     With ``jobs == 1`` everything runs inline in the calling process —
     identical results, no pool (and no isolation from a job that kills
@@ -628,8 +722,9 @@ def execute_jobs(fn: Callable, job_args: Sequence[object],
         if status == "ok":
             results[i] = value
         elif attempts[i] > retries:
+            job = jobs_meta[i]
             results[i] = JobFailure(
-                job=jobs_meta[i], label=job_label(jobs_meta[i]),
+                job=job, label=getattr(job, "label", str(job)),
                 attempts=attempts[i], wall_s=wall, **value)
         else:
             return False
@@ -687,34 +782,21 @@ def execute_jobs(fn: Callable, job_args: Sequence[object],
 
 
 def split_outcomes(outcomes: Sequence[object]
-                   ) -> Tuple[List[object], List[JobFailure]]:
+                   ) -> Tuple[List[Outcome], List[JobFailure]]:
     """Partition a sweep's outcome list into (successes, failures)."""
     good = [o for o in outcomes if not isinstance(o, JobFailure)]
     bad = [o for o in outcomes if isinstance(o, JobFailure)]
     return good, bad
 
 
-def _check_inputs(mixes: Sequence[str], policies: Sequence[str]) -> None:
-    known = known_mix_names()
-    for mix in mixes:
-        # ``trace:<name>`` mixes resolve against the worker's cache (the
-        # imported-trace store), not the synthetic registry.
-        if mix.startswith(IMPORTED_TRACE_PREFIX):
-            continue
-        if mix not in known:
-            raise ValueError(f"unknown mix {mix!r}; choose from {known}")
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise ValueError(
-                f"unknown policy {policy!r}; choose from {POLICY_NAMES}")
+# -- the driver ------------------------------------------------------------------
 
-
-def warm_mixes(mixes: Sequence[str], config: SystemConfig,
-               settings: RunnerSettings, cache_dir: Optional[str],
-               jobs: int) -> None:
-    """Warm phase: build each mix's shared trace + baseline cache entry
-    exactly once before fanning out, so concurrent (mix, point) jobs hit
-    the cache instead of racing to regenerate baselines.
+def _warm(specs: Sequence[JobSpec], config: SystemConfig,
+          settings: RunnerSettings, cache_dir: Optional[str],
+          jobs: int) -> None:
+    """Warm phase: build each distinct (mix, effective config)'s trace
+    and baseline cache entries exactly once before fanning out, so
+    concurrent jobs hit the cache instead of racing to regenerate them.
 
     Warm failures are swallowed: the fan-out jobs of an unwarmable mix
     produce their own per-job failure records, which is where the error
@@ -722,18 +804,73 @@ def warm_mixes(mixes: Sequence[str], config: SystemConfig,
     """
     if cache_dir is None:
         return
-    warm_args = [(config, settings, mix, cache_dir) for mix in mixes]
-    execute_jobs(_warm_mix, warm_args, list(mixes), jobs)
+    targets = list(dict.fromkeys(
+        (spec.mix, KINDS[spec.kind].overlay(config, spec))
+        for spec in specs))
+    execute_jobs(_warm_mix,
+                 [(cfg, settings, mix, cache_dir) for mix, cfg in targets],
+                 [mix for mix, _ in targets], jobs)
 
 
-def _fan_out(fn: Callable, job_args: List[tuple], jobs_meta: List[object],
-             mixes: Sequence[str], config: SystemConfig,
-             settings: RunnerSettings, cache_dir: Optional[str],
-             jobs: int, retries: int) -> List[object]:
-    """Warm + fault-isolated fan-out shared by every sweep flavour."""
+def run_specs(specs: Sequence[JobSpec],
+              config: Optional[SystemConfig] = None,
+              settings: Optional[RunnerSettings] = None,
+              jobs: Optional[int] = None,
+              cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR,
+              telemetry_dir: Optional[PathLike] = None,
+              retries: int = 0,
+              fail_labels: Iterable[str] = (),
+              on_outcome: Optional[Callable[[int, object], None]] = None
+              ) -> List[Union[Outcome, JobFailure]]:
+    """Run every spec, in parallel; outcomes come back in spec order.
+
+    Parameters
+    ----------
+    specs
+        The sweep's points, from the ``*_specs`` builders (any mix of
+        kinds); unknown mixes or policies raise before any work starts.
+    jobs
+        Worker processes; ``None`` picks :func:`default_jobs`, ``1``
+        runs everything inline (no pool, no warm phase).
+    cache_dir
+        Root of the on-disk artifact cache shared by all workers
+        (default ``.repro_cache``). ``None`` disables caching — each
+        worker then regenerates its mix's trace and baseline.
+    telemetry_dir
+        When given, each run streams its per-epoch JSONL record file
+        into this directory (see EXPERIMENTS.md for the schema).
+    retries
+        Extra attempts per job before its failure is recorded.
+    fail_labels
+        Labels (``mix/<point>``) whose jobs raise
+        :class:`InjectedFailure` instead of running: the deterministic
+        failure-injection hook of the service tests and smoke.
+    on_outcome
+        ``on_outcome(i, outcome_or_failure)`` fires as job ``i`` settles.
+
+    A job that raises (or whose worker dies) does not abort the sweep:
+    its slot in the returned list holds a :class:`JobFailure` record
+    with the worker-side traceback, and every other job completes.
+    """
+    specs = list(specs)
+    check_specs(specs)
+    config = config if config is not None else scaled_config()
+    settings = settings if settings is not None else RunnerSettings()
+    if jobs is None:
+        jobs = default_jobs()
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    cache_dir = str(cache_dir) if cache_dir is not None else None
+    if telemetry_dir is not None:
+        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
+        telemetry_dir = str(telemetry_dir)
     if jobs > 1:
-        warm_mixes(mixes, config, settings, cache_dir, jobs)
-    return execute_jobs(fn, job_args, jobs_meta, jobs, retries=retries)
+        _warm(specs, config, settings, cache_dir, jobs)
+    fail = frozenset(fail_labels)
+    job_args = [(spec, config, settings, cache_dir, telemetry_dir, fail)
+                for spec in specs]
+    return execute_jobs(_run_spec, job_args, specs, jobs, retries=retries,
+                        on_outcome=on_outcome)
 
 
 def run_sweep(mixes: Sequence[str],
@@ -743,263 +880,14 @@ def run_sweep(mixes: Sequence[str],
               jobs: Optional[int] = None,
               cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR,
               telemetry_dir: Optional[PathLike] = None,
-              retries: int = 0) -> List[SweepOutcome]:
-    """Evaluate every ``mix`` under every ``policy``, in parallel.
-
-    Parameters
-    ----------
-    mixes, policies
-        The cross product to evaluate; outcomes are returned in
-        ``(mix, policy)`` input order regardless of completion order.
-    jobs
-        Worker processes; ``None`` picks :func:`default_jobs`, ``1``
-        runs everything inline (no pool).
-    cache_dir
-        Root of the on-disk artifact cache shared by all workers
-        (default ``.repro_cache``). ``None`` disables caching — each
-        worker then regenerates its mix's trace and baseline.
-    telemetry_dir
-        When given, each policy run streams its per-epoch JSONL record
-        file into this directory (see EXPERIMENTS.md for the schema).
-    retries
-        Extra attempts per job before its failure is recorded.
-
-    A job that raises (or whose worker dies) does not abort the sweep:
-    its slot in the returned list holds a :class:`JobFailure` record
-    with the worker-side traceback, and every other job completes.
-    """
-    mixes = list(mixes)
-    policies = list(policies)
-    _check_inputs(mixes, policies)
-    config = config if config is not None else scaled_config()
-    settings = settings if settings is not None else RunnerSettings()
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    if telemetry_dir is not None:
-        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-        telemetry_dir = str(telemetry_dir)
-
-    sweep_jobs = [SweepJob(mix, policy) for mix in mixes
-                  for policy in policies]
-    job_args = [(config, settings, job, cache_dir, telemetry_dir)
-                for job in sweep_jobs]
-    return _fan_out(_run_job, job_args, sweep_jobs, mixes, config,
-                    settings, cache_dir, jobs, retries)
-
-
-def run_cap_sweep(mixes: Sequence[str],
-                  budget_fractions: Sequence[float],
-                  config: Optional[SystemConfig] = None,
-                  settings: Optional[RunnerSettings] = None,
-                  jobs: Optional[int] = None,
-                  cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR,
-                  telemetry_dir: Optional[PathLike] = None,
-                  include_throttle: bool = True,
-                  retries: int = 0) -> List[CapOutcome]:
-    """Evaluate every ``mix`` under every power budget, in parallel.
-
-    ``budget_fractions`` are caps expressed as fractions of each mix's
-    *own* baseline average memory power (1.0 = uncapped reference
-    power); the conversion to absolute watts happens in the worker from
-    the cache-shared baseline run, so all workers agree bit for bit.
-    With ``include_throttle`` a lowest-static-frequency reference run is
-    added per mix (``budget_fraction=None`` in its outcome) — the
-    fairness floor a capping governor must beat.
-
-    Reuses the sweep's two-phase structure: a warm task per mix builds
-    the shared trace + baseline cache entries, then one task per
-    (mix, budget) point runs the capped simulation.
-    """
-    mixes = list(mixes)
-    if not mixes:
-        raise ValueError("need at least one mix")
-    _check_inputs(mixes, [])
-    fractions = [float(f) for f in budget_fractions]
-    if not fractions:
-        raise ValueError("need at least one budget fraction")
-    if any(f <= 0 for f in fractions):
-        raise ValueError("budget fractions must be positive")
-    config = config if config is not None else scaled_config()
-    settings = settings if settings is not None else RunnerSettings()
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    if telemetry_dir is not None:
-        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-        telemetry_dir = str(telemetry_dir)
-
-    points: List[Optional[float]] = list(fractions)
-    if include_throttle:
-        points.append(None)
-    cap_jobs = [CapJob(mix, frac) for mix in mixes for frac in points]
-    job_args = [(config, settings, job, cache_dir, telemetry_dir)
-                for job in cap_jobs]
-    return _fan_out(_run_cap_job, job_args, cap_jobs, mixes, config,
-                    settings, cache_dir, jobs, retries)
-
-
-def run_multidomain_sweep(mixes: Sequence[str],
-                          budget_fractions: Sequence[float],
-                          config: Optional[SystemConfig] = None,
-                          settings: Optional[RunnerSettings] = None,
-                          jobs: Optional[int] = None,
-                          cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR,
-                          telemetry_dir: Optional[PathLike] = None,
-                          include_memory_only: bool = True,
-                          retries: int = 0) -> List[MultiDomainOutcome]:
-    """Evaluate every ``mix`` under every *global* budget, in parallel.
-
-    ``budget_fractions`` are global (CPU + memory) budgets expressed as
-    fractions of each mix's baseline memory power plus modeled nominal
-    core power (1.0 = uncoordinated reference power). With
-    ``include_memory_only`` each budget point also runs the memory-only
-    reference (``coordinated=False`` in its outcome): a
-    :class:`~repro.cap.governor.CapGovernor` given the budget left after
-    nominal core power — the split a coordinated governor must beat.
-
-    Outcomes are ordered ``(mix, fraction) x (coordinated, memory-only)``
-    in input order, so per-point pairs sit adjacent.
-    """
-    mixes = list(mixes)
-    if not mixes:
-        raise ValueError("need at least one mix")
-    _check_inputs(mixes, [])
-    fractions = [float(f) for f in budget_fractions]
-    if not fractions:
-        raise ValueError("need at least one budget fraction")
-    if any(f <= 0 for f in fractions):
-        raise ValueError("budget fractions must be positive")
-    config = config if config is not None else scaled_config()
-    settings = settings if settings is not None else RunnerSettings()
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    if telemetry_dir is not None:
-        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-        telemetry_dir = str(telemetry_dir)
-
-    legs = [True, False] if include_memory_only else [True]
-    md_jobs = [MultiDomainJob(mix, frac, coordinated)
-               for mix in mixes for frac in fractions
-               for coordinated in legs]
-    job_args = [(config, settings, job, cache_dir, telemetry_dir)
-                for job in md_jobs]
-    return _fan_out(_run_multidomain_job, job_args, md_jobs, mixes,
-                    config, settings, cache_dir, jobs, retries)
-
-
-def run_placement_sweep(mixes: Sequence[str],
-                        config: Optional[SystemConfig] = None,
-                        settings: Optional[RunnerSettings] = None,
-                        jobs: Optional[int] = None,
-                        cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR,
-                        telemetry_dir: Optional[PathLike] = None,
-                        include_reference: bool = True,
-                        retries: int = 0) -> List[PlacementOutcome]:
-    """Evaluate every ``mix`` with and without rank-aware placement.
-
-    The placement leg wraps MemScale in a
-    :class:`~repro.placement.governor.PlacementGovernor` on a
-    placement-enabled copy of ``config`` (hot-page migration onto few
-    rank groups, self-refresh parking of the rest); with
-    ``include_reference`` each mix also runs plain MemScale on
-    ``config`` unchanged. Placement's gain is judged between the two
-    legs' *absolute* memory energies, not their baseline-normalized
-    savings — enabling placement changes the decode of the baseline run
-    too, so the legs do not share a reference.
-
-    Pass a ``config`` with tuned ``config.placement`` knobs (epoch
-    budget, parking threshold, ...) to shape the placed leg; only the
-    ``enabled`` flag is flipped inside the worker.
-
-    Outcomes are ordered ``mix x (placed, reference)`` in input order,
-    so per-mix pairs sit adjacent.
-    """
-    mixes = list(mixes)
-    if not mixes:
-        raise ValueError("need at least one mix")
-    _check_inputs(mixes, [])
-    config = config if config is not None else scaled_config()
-    settings = settings if settings is not None else RunnerSettings()
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    if telemetry_dir is not None:
-        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-        telemetry_dir = str(telemetry_dir)
-
-    legs = [True, False] if include_reference else [True]
-    pl_jobs = [PlacementJob(mix, placed)
-               for mix in mixes for placed in legs]
-    job_args = [(config, settings, job, cache_dir, telemetry_dir)
-                for job in pl_jobs]
-    return _fan_out(_run_placement_job, job_args, pl_jobs, mixes,
-                    config, settings, cache_dir, jobs, retries)
-
-
-def run_scenario_sweep(mixes: Sequence[str],
-                       policies: Sequence[str] = ("MemScale",),
-                       devices: Sequence[str] = ("ddr3-1333",),
-                       config: Optional[SystemConfig] = None,
-                       settings: Optional[RunnerSettings] = None,
-                       jobs: Optional[int] = None,
-                       cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR,
-                       telemetry_dir: Optional[PathLike] = None,
-                       retries: int = 0) -> List[ScenarioOutcome]:
-    """Evaluate ``mixes x policies x devices``, in parallel.
-
-    The third axis names device technology tables
-    (:data:`repro.scenarios.devices.DEVICE_TABLES`); each job runs on a
-    copy of ``config`` with that device's timings/currents swapped in.
-    Mixes may be ladder rungs (``mix1``..``mix7``), Table 1 names, or
-    ``trace:<name>`` imports. The warm phase runs once per (mix,
-    device): baselines are device-specific, so each device's jobs warm
-    their own cache entries.
-
-    Outcomes are ordered ``(mix, policy, device)`` in input order.
-    """
-    from repro.scenarios.devices import lookup_device
-
-    mixes = list(mixes)
-    policies = list(policies)
-    devices = list(devices)
-    if not devices:
-        raise ValueError("need at least one device table")
-    _check_inputs(mixes, policies)
-    for device in devices:
-        lookup_device(device)  # fail fast on unknown names
-    config = config if config is not None else scaled_config()
-    settings = settings if settings is not None else RunnerSettings()
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    if telemetry_dir is not None:
-        Path(telemetry_dir).mkdir(parents=True, exist_ok=True)
-        telemetry_dir = str(telemetry_dir)
-
-    scenario_jobs = [ScenarioJob(mix, policy, device)
-                     for mix in mixes for policy in policies
-                     for device in devices]
-    job_args = [(config, settings, job, cache_dir, telemetry_dir)
-                for job in scenario_jobs]
-    if jobs > 1:
-        from repro.scenarios.devices import apply_device
-        for device in devices:
-            warm_mixes(mixes, apply_device(config, device), settings,
-                       cache_dir, jobs)
-    return execute_jobs(_run_scenario_job, job_args, scenario_jobs, jobs,
-                        retries=retries)
+              retries: int = 0) -> List[Union[Outcome, JobFailure]]:
+    """Evaluate every ``mix`` under every ``policy``, in parallel: the
+    paper's (mix x policy) sweep, :func:`run_specs` over
+    :func:`policy_specs`. Outcomes are in ``(mix, policy)`` input order
+    regardless of completion order."""
+    return run_specs(policy_specs(mixes, policies), config=config,
+                     settings=settings, jobs=jobs, cache_dir=cache_dir,
+                     telemetry_dir=telemetry_dir, retries=retries)
 
 
 def generate_traces(mixes: Sequence[str],
@@ -1009,7 +897,7 @@ def generate_traces(mixes: Sequence[str],
                     ) -> Dict[str, WorkloadTrace]:
     """Build (or load from cache) the traces of ``mixes``, in parallel."""
     mixes = list(mixes)
-    _check_inputs(mixes, [])
+    check_mixes(mixes)
     settings = settings if settings is not None else RunnerSettings()
     if jobs is None:
         jobs = default_jobs()
@@ -1023,8 +911,8 @@ def generate_traces(mixes: Sequence[str],
     return dict(pairs)
 
 
-def sweep_table(outcomes: Sequence[SweepOutcome]) -> List[List[str]]:
-    """Rows (mix, policy, savings, CPI, wall) for a plain-text report.
+def sweep_table(outcomes: Sequence[object]) -> List[List[str]]:
+    """Rows (mix, point, savings, CPI, wall) for a plain-text report.
 
     :class:`JobFailure` entries render as FAILED rows carrying the
     exception class, so a partially failed sweep still prints.
@@ -1038,7 +926,7 @@ def sweep_table(outcomes: Sequence[SweepOutcome]) -> List[List[str]]:
             ])
             continue
         rows.append([
-            o.mix, o.policy,
+            o.mix, o.point,
             f"{o.comparison.memory_energy_savings:+.1%}",
             f"{o.comparison.system_energy_savings:+.1%}",
             f"{o.comparison.worst_cpi_increase:+.1%}",

@@ -28,21 +28,20 @@ so sweeps *compose* — running a superset sweep over an existing service
 directory executes only the new jobs, and ``repro query`` answers from
 everything accumulated so far.
 
-Execution goes through :func:`~repro.sim.parallel.execute_jobs`, so the
-service inherits its per-job fault isolation (a raising job or a killed
-worker becomes a :class:`~repro.sim.parallel.JobFailure` record, the
-rest of the sweep completes) and its byte-identical serial/parallel
-determinism. Outcomes are persisted incrementally as each job settles:
-a crash loses at most the jobs that were in flight.
+Execution goes through :func:`~repro.sim.parallel.run_specs`, the same
+driver the in-memory sweeps use, so the service inherits its warm phase,
+its per-job fault isolation (a raising job or a killed worker becomes a
+:class:`~repro.sim.parallel.JobFailure` record, the rest of the sweep
+completes) and its byte-identical serial/parallel determinism. Outcomes
+are persisted incrementally through the driver's ``on_outcome`` hook as
+each job settles: a crash loses at most the jobs that were in flight.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -54,20 +53,14 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 from repro.config import (ConfigError, SystemConfig, config_from_dict,
                           config_to_dict, scaled_config)
 from repro.sim.cache import config_fingerprint
-from repro.sim.parallel import (CapJob, JobFailure, MultiDomainJob,
-                                PlacementJob, ScenarioJob, SweepJob,
-                                _run_cap_job, _run_job,
-                                _run_multidomain_job, _run_placement_job,
-                                _run_scenario_job, default_jobs,
-                                execute_jobs, job_label, warm_mixes)
+from repro.sim.parallel import (SERVICE_FORMAT, JobFailure, JobSpec,
+                                check_specs, content_digest, default_jobs,
+                                run_specs)
 from repro.sim.runner import RunnerSettings
 from repro.sim.store import (ResultStore, failure_record, ok_record,
                              outcome_from_dict)
 
 PathLike = Union[str, Path]
-
-#: Bumped whenever the ledger or key layout changes incompatibly.
-SERVICE_FORMAT = 1
 
 #: Ledger file name inside the service directory.
 LEDGER_NAME = "queue.jsonl"
@@ -83,163 +76,9 @@ class ServiceError(RuntimeError):
     """A service directory is unusable or was used inconsistently."""
 
 
-class InjectedFailure(RuntimeError):
-    """Raised by the worker for jobs named in ``fail_labels``.
-
-    The failure-injection hook the smoke leg and the crash-resume tests
-    use: deterministic, picklable (plain label strings cross the pool,
-    not closures), and — crucially — *absent on resume*, so a resumed
-    sweep heals the injected failure like a real transient fault.
-    """
-
-
-def content_digest(payload: Dict[str, object]) -> str:
-    """Stable sha256 of a JSON-serializable payload (canonical form)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def settings_fingerprint(settings: RunnerSettings) -> Dict[str, object]:
     """JSON-serializable dict capturing every runner-settings field."""
     return dataclasses.asdict(settings)
-
-
-@dataclass(frozen=True)
-class JobSpec:
-    """One queued unit of work, as stored in the ledger.
-
-    ``kind`` selects the sweep flavour; the point fields mirror the
-    corresponding job dataclass (``policy`` for policy sweeps,
-    ``budget_fraction`` — None meaning the throttle reference — for cap
-    sweeps, ``budget_fraction`` + ``coordinated`` for multi-domain,
-    ``coordinated`` carrying the placed flag for placement sweeps — a
-    boolean leg selector either way, so the key schema is unchanged;
-    ``policy`` + ``device`` for scenario sweeps, which additionally pin
-    a device technology table).
-    """
-
-    kind: str
-    mix: str
-    policy: Optional[str] = None
-    budget_fraction: Optional[float] = None
-    coordinated: Optional[bool] = None
-    device: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("policy", "cap", "multidomain", "placement",
-                             "scenario"):
-            raise ValueError(f"unknown job kind {self.kind!r}")
-        if self.kind == "policy" and not self.policy:
-            raise ValueError("policy jobs need a policy name")
-        if self.kind == "multidomain" and (self.budget_fraction is None
-                                           or self.coordinated is None):
-            raise ValueError("multidomain jobs need budget_fraction "
-                             "and coordinated")
-        if self.kind == "placement" and self.coordinated is None:
-            raise ValueError("placement jobs need the placed flag "
-                             "(carried in the coordinated field)")
-        if self.kind == "scenario" and (not self.policy or not self.device):
-            raise ValueError("scenario jobs need a policy name and a "
-                             "device table name")
-
-    def to_job(self) -> object:
-        """The runnable job dataclass this spec describes."""
-        if self.kind == "policy":
-            return SweepJob(self.mix, self.policy)
-        if self.kind == "cap":
-            return CapJob(self.mix, self.budget_fraction)
-        if self.kind == "placement":
-            return PlacementJob(self.mix, bool(self.coordinated))
-        if self.kind == "scenario":
-            return ScenarioJob(self.mix, self.policy, self.device)
-        return MultiDomainJob(self.mix, self.budget_fraction,
-                              self.coordinated)
-
-    @property
-    def label(self) -> str:
-        """Display label (``mix/<point>``), the injection handle too."""
-        return job_label(self.to_job())
-
-    def key(self, config_hash: str, settings_hash: str) -> str:
-        """Content key: spec + config/settings fingerprints."""
-        payload = {
-            "format": SERVICE_FORMAT, "kind": self.kind, "mix": self.mix,
-            "policy": self.policy, "budget_fraction": self.budget_fraction,
-            "coordinated": self.coordinated, "config": config_hash,
-            "settings": settings_hash,
-        }
-        # Only scenario jobs carry a device; omitting the field otherwise
-        # keeps every pre-existing service directory's keys stable.
-        if self.device is not None:
-            payload["device"] = self.device
-        return content_digest(payload)
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"kind": self.kind, "mix": self.mix, "policy": self.policy,
-                "budget_fraction": self.budget_fraction,
-                "coordinated": self.coordinated, "device": self.device}
-
-    def job_dict(self) -> Dict[str, object]:
-        """The ``job`` section of this spec's store records."""
-        payload = self.to_dict()
-        payload["label"] = self.label
-        return payload
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "JobSpec":
-        return cls(kind=data["kind"], mix=data["mix"],
-                   policy=data.get("policy"),
-                   budget_fraction=data.get("budget_fraction"),
-                   coordinated=data.get("coordinated"),
-                   device=data.get("device"))
-
-
-# -- spec builders ----------------------------------------------------------
-
-def policy_specs(mixes: Sequence[str],
-                 policies: Sequence[str]) -> List[JobSpec]:
-    """Specs for a (mix x policy) sweep, :func:`run_sweep` order."""
-    return [JobSpec("policy", mix, policy=policy)
-            for mix in mixes for policy in policies]
-
-
-def cap_specs(mixes: Sequence[str], budget_fractions: Sequence[float],
-              include_throttle: bool = True) -> List[JobSpec]:
-    """Specs for a cap sweep, :func:`run_cap_sweep` order."""
-    points: List[Optional[float]] = [float(f) for f in budget_fractions]
-    if include_throttle:
-        points.append(None)
-    return [JobSpec("cap", mix, budget_fraction=frac)
-            for mix in mixes for frac in points]
-
-
-def multidomain_specs(mixes: Sequence[str],
-                      budget_fractions: Sequence[float],
-                      include_memory_only: bool = True) -> List[JobSpec]:
-    """Specs for a multi-domain sweep, :func:`run_multidomain_sweep`
-    order."""
-    legs = [True, False] if include_memory_only else [True]
-    return [JobSpec("multidomain", mix, budget_fraction=float(frac),
-                    coordinated=coordinated)
-            for mix in mixes for frac in budget_fractions
-            for coordinated in legs]
-
-
-def placement_specs(mixes: Sequence[str],
-                    include_reference: bool = True) -> List[JobSpec]:
-    """Specs for a placement sweep, :func:`run_placement_sweep` order
-    (the ``coordinated`` field carries the placed flag)."""
-    legs = [True, False] if include_reference else [True]
-    return [JobSpec("placement", mix, coordinated=placed)
-            for mix in mixes for placed in legs]
-
-
-def scenario_specs(mixes: Sequence[str], policies: Sequence[str],
-                   devices: Sequence[str]) -> List[JobSpec]:
-    """Specs for a (mix x policy x device) scenario sweep,
-    :func:`run_scenario_sweep` order."""
-    return [JobSpec("scenario", mix, policy=policy, device=device)
-            for mix in mixes for policy in policies for device in devices]
 
 
 # -- ledger ----------------------------------------------------------------
@@ -327,25 +166,6 @@ class ServiceLock:
 
     def __exit__(self, *exc: object) -> None:
         self.release()
-
-
-# -- worker-side entry point (module level: must be picklable) -------------
-
-#: Dispatch from spec kind to the parallel module's worker function.
-_JOB_FNS = {"policy": _run_job, "cap": _run_cap_job,
-            "multidomain": _run_multidomain_job,
-            "placement": _run_placement_job,
-            "scenario": _run_scenario_job}
-
-
-def _service_job(args: Tuple) -> object:
-    """Run one queued job; raise :class:`InjectedFailure` when its label
-    is in the (picklable) injection set."""
-    kind, config, settings, job, cache_dir, telemetry_dir, fail = args
-    if fail and job_label(job) in fail:
-        raise InjectedFailure(f"injected failure for {job_label(job)}")
-    return _JOB_FNS[kind]((config, settings, job, cache_dir,
-                           telemetry_dir))
 
 
 # -- the service -----------------------------------------------------------
@@ -471,7 +291,9 @@ class SweepService:
     def submit(self, specs: Sequence[JobSpec]) -> List[JobSpec]:
         """Enqueue the specs not already in the ledger; returns the
         newly enqueued ones. Idempotent: submitting a sweep twice (or a
-        superset) only adds what is missing."""
+        superset) only adds what is missing. A spec naming an unknown
+        mix or policy raises before anything reaches the ledger."""
+        check_specs(specs)
         self._ensure_meta()
         known = {key for key, _ in self.enqueued()}
         added = []
@@ -532,19 +354,8 @@ class SweepService:
             pending = list(pending)[:max_jobs]
         if not pending:
             return
-        if self.telemetry_dir is not None:
-            Path(self.telemetry_dir).mkdir(parents=True, exist_ok=True)
-        fail = frozenset(fail_labels) if fail_labels else None
         keys = [key for key, _ in pending]
         specs = [spec for _, spec in pending]
-        jobs_meta = [spec.to_job() for spec in specs]
-        mixes = list(dict.fromkeys(spec.mix for spec in specs))
-        if self.jobs > 1:
-            warm_mixes(mixes, self.config, self.settings, self.cache_dir,
-                       self.jobs)
-        job_args = [(spec.kind, self.config, self.settings, job,
-                     self.cache_dir, self.telemetry_dir, fail)
-                    for spec, job in zip(specs, jobs_meta)]
 
         def persist(i: int, outcome: object) -> None:
             # Store record first, ledger line second: the store is the
@@ -562,14 +373,16 @@ class SweepService:
                 "type": "done", "key": keys[i],
                 "status": record["status"]})
 
-        execute_jobs(_service_job, job_args, jobs_meta, self.jobs,
-                     retries=self.retries, on_outcome=persist)
+        run_specs(specs, config=self.config, settings=self.settings,
+                  jobs=self.jobs, cache_dir=self.cache_dir,
+                  telemetry_dir=self.telemetry_dir, retries=self.retries,
+                  fail_labels=fail_labels or (), on_outcome=persist)
 
     # -- results ------------------------------------------------------------
 
     def results(self) -> List[object]:
-        """Outcome per enqueued job, enqueue order: the outcome
-        dataclass for ok records, a :class:`JobFailure` for failed
+        """Outcome per enqueued job, enqueue order: an
+        :class:`~repro.sim.parallel.Outcome` for ok records, a :class:`JobFailure` for failed
         ones. Jobs still pending are omitted."""
         out: List[object] = []
         for key, spec in self.enqueued():
@@ -581,7 +394,7 @@ class SweepService:
             else:
                 error = record.get("error", {})
                 out.append(JobFailure(
-                    job=spec.to_job(), label=spec.label,
+                    job=spec, label=spec.label,
                     error_type=error.get("error_type", "?"),
                     message=error.get("message", ""),
                     traceback=error.get("traceback", ""),

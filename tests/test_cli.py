@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -234,6 +236,33 @@ class TestMultiDomainCommand:
                   "--instructions", "8000", "--cores", "4"])
 
 
+class TestPlacementCommand:
+    def test_placement_smoke_passes(self, capsys, tmp_path):
+        """The `make placement-smoke` acceptance leg, validator armed:
+        the placed leg beats plain MemScale on memory energy with ranks
+        parked and the copy ledger conserved (wired into tier-1 here)."""
+        code, out = run_cli(capsys, "placement", "--smoke", "--jobs", "1",
+                            "--cache-dir", str(tmp_path / "c"))
+        assert code == 0
+        assert "PLACEMENT SMOKE OK" in out
+        assert "protocol validator: armed on every simulated run" in out
+
+
+class TestScenariosCommand:
+    def test_scenarios_smoke_passes(self, capsys, tmp_path):
+        """The `make scenarios-smoke` acceptance leg: the bundled k6
+        trace replays byte-identically, every ladder rung runs, and
+        MemScale beats Static on each device table (wired into tier-1
+        here)."""
+        trace = Path(__file__).parent / "data" / "sample_k6.trc"
+        code, out = run_cli(capsys, "scenarios", "--smoke", "--jobs", "2",
+                            "--trace", str(trace),
+                            "--dir", str(tmp_path / "smoke"))
+        assert code == 0
+        assert "SCENARIOS SMOKE OK" in out
+        assert (tmp_path / "smoke" / "summary.json").exists()
+
+
 class TestValidateFlag:
     """--validate arms the DDR3 protocol validator (PR-2 tentpole)."""
 
@@ -274,8 +303,7 @@ class TestFastForwardFlag:
         for argv in (["run", "MID1", "--no-fast-forward"],
                      ["sweep", "--no-fast-forward"],
                      ["cap", "--smoke", "--no-fast-forward"],
-                     ["bench", "--smoke", "--no-fast-forward"],
-                     ["perfbench", "--no-fast-forward"]):
+                     ["bench", "--smoke", "--no-fast-forward"]):
             args = parser.parse_args(argv)
             assert args.no_fast_forward is True
 

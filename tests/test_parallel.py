@@ -15,8 +15,8 @@ from repro.cpu.workloads import MIXES
 from repro.sim.cache import ExperimentCache
 from repro.sim.parallel import (
     JobFailure,
-    SweepJob,
-    _run_job,
+    JobSpec,
+    _run_spec,
     default_jobs,
     execute_jobs,
     generate_traces,
@@ -331,8 +331,9 @@ def _fail_until_marker(args):
 
 class TestExecuteJobs:
     def test_inline_failure_is_isolated(self):
-        jobs_meta = [SweepJob("MID1", "Static"), SweepJob("MID1", "MemScale"),
-                     SweepJob("MID2", "Static")]
+        jobs_meta = [JobSpec("policy", "MID1", policy="Static"),
+                     JobSpec("policy", "MID1", policy="MemScale"),
+                     JobSpec("policy", "MID2", policy="Static")]
         results = execute_jobs(_raise_on_poison, ["a", "poison", "c"],
                                jobs_meta, jobs=1)
         assert results[0] == "ran:a"
@@ -394,11 +395,12 @@ class TestExecuteJobs:
         """The acceptance shape: one bad job in an otherwise good sweep
         returns N-1 full outcomes plus one structured failure."""
         config = scaled_config()
-        good_job = SweepJob("MID1", "Static")
-        bad_job = SweepJob("MID1", "NotAPolicy")  # worker-side ValueError
-        job_args = [(config, SETTINGS, job, None, None)
+        good_job = JobSpec("policy", "MID1", policy="Static")
+        # worker-side ValueError
+        bad_job = JobSpec("policy", "MID1", policy="NotAPolicy")
+        job_args = [(job, config, SETTINGS, None, None, frozenset())
                     for job in (good_job, bad_job)]
-        results = execute_jobs(_run_job, job_args, [good_job, bad_job],
+        results = execute_jobs(_run_spec, job_args, [good_job, bad_job],
                                jobs=1)
         good, bad = split_outcomes(results)
         assert len(good) == 1 and len(bad) == 1
@@ -426,7 +428,7 @@ class TestDefaultJobs:
 
 class TestSplitAndTable:
     def _failure(self):
-        return JobFailure(job=SweepJob("MID1", "MemScale"),
+        return JobFailure(job=JobSpec("policy", "MID1", policy="MemScale"),
                           label="MID1/MemScale", error_type="ValueError",
                           message="boom", attempts=2, wall_s=0.5)
 

@@ -23,7 +23,7 @@ from repro.scenarios.ingest import (ImportSummary, TraceFormatError,
                                     import_trace, iter_csv, iter_k6,
                                     read_records, reinterleave)
 from repro.sim.cache import ExperimentCache, check_trace_name
-from repro.sim.parallel import run_scenario_sweep, run_sweep, scenario_label
+from repro.sim.parallel import run_specs, run_sweep, scenario_specs
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, ExperimentRunner,
                               RunnerSettings)
 
@@ -370,19 +370,21 @@ class TestRunnerTraceResolution:
 
 class TestScenarioSweep:
     def test_device_axis_orders_and_accounts(self, tmp_path):
-        outcomes = run_scenario_sweep(
-            ["mix2"], ("MemScale",), ("ddr3-1333", "stt-mram"),
+        outcomes = run_specs(
+            scenario_specs(["mix2"], ("MemScale",),
+                           ("ddr3-1333", "stt-mram")),
             settings=SETTINGS, jobs=1, cache_dir=tmp_path)
-        assert [(o.policy, o.device) for o in outcomes] \
+        assert [(o.policy, o.spec.device) for o in outcomes] \
             == [("MemScale", "ddr3-1333"), ("MemScale", "stt-mram")]
         ddr3, stt = outcomes
-        assert scenario_label(stt.policy, stt.device) == "MemScale@stt-mram"
+        assert stt.point == "MemScale@stt-mram"
         for o in outcomes:
-            assert 0.0 <= o.background_share <= 1.0
+            assert 0.0 <= o.extras["background_share"] <= 1.0
             assert o.wall_s >= 0.0
         # Near-zero standby currents: the STT-MRAM-like table's
         # background share of DIMM energy sits below DDR3's.
-        assert stt.background_share < ddr3.background_share
+        assert stt.extras["background_share"] \
+            < ddr3.extras["background_share"]
 
 
 class TestScenarioCli:

@@ -7,6 +7,7 @@ serial sweep."""
 import hashlib
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -16,16 +17,16 @@ from pathlib import Path
 import pytest
 
 from repro.config import scaled_config
-from repro.sim.parallel import (JobFailure, run_placement_sweep, run_sweep,
-                                split_outcomes)
+from repro.sim.parallel import (KINDS, JobFailure, JobSpec, cap_specs,
+                                multidomain_specs, placement_specs,
+                                policy_specs, run_specs, run_sweep,
+                                scenario_specs, split_outcomes)
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import run_result_to_dict
-from repro.sim.service import (LEDGER_NAME, LOCK_NAME, JobSpec,
-                               ServiceError, ServiceLock, SweepService,
-                               cap_specs, multidomain_specs,
-                               placement_specs, policy_specs, read_ledger,
-                               scenario_specs)
-from repro.sim.store import deterministic_digest
+from repro.sim.service import (LEDGER_NAME, LOCK_NAME, ServiceError,
+                               ServiceLock, SweepService, read_ledger)
+from repro.sim.store import (deterministic_digest, outcome_from_dict,
+                             outcome_to_dict)
 
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=4_000, seed=7)
 
@@ -297,8 +298,8 @@ class TestServiceKinds:
         good, bad = split_outcomes(out)
         assert not bad and len(good) == 2
         budget, throttle = good
-        assert budget.budget_fraction == 0.9
-        assert throttle.budget_fraction is None
+        assert budget.spec.budget_fraction == 0.9
+        assert throttle.spec.budget_fraction is None
         assert svc.store.query(kind="cap", status="ok")
 
     def test_multidomain_jobs_run_through_the_service(self, tmp_path):
@@ -307,7 +308,7 @@ class TestServiceKinds:
                                         include_memory_only=False))
         good, bad = split_outcomes(out)
         assert not bad and len(good) == 1
-        assert good[0].coordinated is True
+        assert good[0].spec.coordinated is True
         assert svc.store.query(kind="multidomain", status="ok")
 
     def test_placement_jobs_run_through_the_service(self, tmp_path):
@@ -316,10 +317,11 @@ class TestServiceKinds:
         good, bad = split_outcomes(out)
         assert not bad and len(good) == 2
         placed, reference = good
-        assert placed.placed is True and reference.placed is False
-        assert placed.placement is not None
-        assert placed.placement["pages_allocated"] > 0
-        assert reference.placement is None
+        assert placed.spec.coordinated is True
+        assert reference.spec.coordinated is False
+        assert placed.extras["placement"] is not None
+        assert placed.extras["placement"]["pages_allocated"] > 0
+        assert reference.extras["placement"] is None
         assert svc.store.query(kind="placement", status="ok")
         assert [s.label for s in placement_specs(["MID1"])] \
             == ["MID1/Placed", "MID1/NoPlacement"]
@@ -361,11 +363,25 @@ class TestScenarioKind:
         good, bad = split_outcomes(out)
         assert not bad and len(good) == 2
         ddr3, stt = good
-        assert (ddr3.device, stt.device) == ("ddr3-1333", "stt-mram")
+        assert (ddr3.spec.device, stt.spec.device) \
+            == ("ddr3-1333", "stt-mram")
         # The STT-MRAM-like table has near-zero standby power, so its
         # background share of DIMM energy must sit well below DDR3's.
-        assert stt.background_share < ddr3.background_share
+        assert stt.extras["background_share"] \
+            < ddr3.extras["background_share"]
         assert svc.store.query(kind="scenario", status="ok")
+
+    def test_parallel_jobs_load_their_device_baseline(self, tmp_path):
+        # The warm phase builds each (mix, device) baseline before the
+        # fan-out, so every job loads its trace *and* its device's
+        # baseline from the cache instead of simulating the baseline
+        # again alongside its siblings.
+        svc = make_service(tmp_path / "s", jobs=2)
+        out = svc.run(scenario_specs(["mix2"], ["MemScale", "Static"],
+                                     ["stt-mram"]))
+        good, bad = split_outcomes(out)
+        assert not bad and len(good) == 2
+        assert [o.cache_hits for o in good] == [2, 2]
 
 
 class TestServiceLock:
@@ -452,10 +468,11 @@ class TestPlacementDifferential:
 
         settings = RunnerSettings(cores=4, instructions_per_core=60_000,
                                   seed=7)
-        reference = run_placement_sweep(mixes, settings=settings, jobs=1,
-                                        cache_dir=None)
+        reference = run_specs(placement_specs(mixes), settings=settings,
+                              jobs=1, cache_dir=None)
         for mine, ref in zip(good, reference):
-            assert (mine.mix, mine.placed) == (ref.mix, ref.placed)
+            assert (mine.mix, mine.spec.coordinated) \
+                == (ref.mix, ref.spec.coordinated)
             assert result_bytes(mine.result) == result_bytes(ref.result)
 
         # digest-level: the resumed store matches an uninterrupted one
@@ -466,3 +483,73 @@ class TestPlacementDifferential:
         b = {r["key"]: deterministic_digest(r)
              for r in uninterrupted.store.records()}
         assert a == b and len(a) == 2 * len(mixes)
+
+
+#: A service directory written by the per-kind sweep code this layer
+#: replaced: 10 jobs over all five kinds at 4 cores x 2 000
+#: instructions per core, seed 2011, no experiment cache.
+LEGACY = Path(__file__).parent / "data" / "legacy_service"
+
+
+def legacy_specs():
+    return (policy_specs(["MID1"], ["Static", "MemScale"])
+            + cap_specs(["MID1"], [0.9])
+            + multidomain_specs(["MID1"], [0.8])
+            + placement_specs(["MID1"])
+            + scenario_specs(["mix2"], ["MemScale"],
+                             ["ddr3-1333", "stt-mram"]))
+
+
+class TestLegacyServiceDirectory:
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        root = tmp_path / "legacy"
+        shutil.copytree(LEGACY, root)
+        return SweepService.open(root)
+
+    def test_resumes_with_nothing_to_execute(self, legacy):
+        status = legacy.status()
+        assert (status["enqueued"], status["ok"], status["pending"]) \
+            == (10, 10, 0)
+        records = list(legacy.root.glob("store/*/*.json"))
+        stamps = {p: p.stat().st_mtime_ns for p in records}
+        ledger = legacy.ledger_path.read_bytes()
+        outcomes = legacy.resume()
+        assert len(outcomes) == 10 and not split_outcomes(outcomes)[1]
+        assert {p: p.stat().st_mtime_ns for p in records} == stamps
+        assert legacy.ledger_path.read_bytes() == ledger
+
+    def test_every_outcome_loads_with_its_extras(self, legacy):
+        outcomes = {o.spec.label: o for o in legacy.results()}
+        assert {o.spec.kind for o in outcomes.values()} == set(KINDS)
+        assert outcomes["MID1/Static"].extras == {}
+        capped = outcomes["MID1/Cap0.90"].extras
+        assert capped["cap"]["budget_min_w"] == capped["budget_w"] > 0
+        assert capped["governor"].startswith("Cap-")
+        throttle = outcomes["MID1/Throttle"].extras
+        assert throttle["cap"] is None and throttle["budget_w"] is None
+        coordinated = outcomes["MID1/MD0.80"].extras
+        memory_only = outcomes["MID1/MemOnly0.80"].extras
+        assert coordinated["governor"].startswith("MultiDomain-")
+        assert "violation_count" in coordinated["summary"]
+        assert coordinated["budget_w"] == memory_only["budget_w"]
+        assert coordinated["system_energy_j"] > 0
+        placed = outcomes["MID1/Placed"].extras["placement"]
+        assert placed["pages_allocated"] > 0
+        assert outcomes["MID1/NoPlacement"].extras["placement"] is None
+        assert outcomes["mix2/MemScale@stt-mram"].extras["background_share"] \
+            < outcomes["mix2/MemScale@ddr3-1333"].extras["background_share"]
+        for record in legacy.store.records():
+            assert outcome_to_dict(outcome_from_dict(record["outcome"])) \
+                == record["outcome"]
+
+    def test_fresh_run_reproduces_keys_and_digests(self, legacy, tmp_path):
+        fresh = make_service(tmp_path / "fresh", config=legacy.config,
+                             settings=legacy.settings, cache_dir=None)
+        specs = legacy_specs()
+        assert [fresh.key_of(spec) for spec in specs] \
+            == [key for key, _ in legacy.enqueued()]
+        fresh.run(specs)
+        digests = fresh.store.digests()
+        assert len(digests) == 10
+        assert digests == legacy.store.digests()

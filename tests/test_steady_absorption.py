@@ -50,13 +50,22 @@ class TestDefaultOff:
         assert sim.engine.events_steady_skipped == 0
 
 
+#: (mix, cores, instructions per core) shapes the surrogate must engage
+#: on: a stationary ladder rung, and MID1 at full width (it does not
+#: engage on MID1 at 4 cores).
+STATIONARY_SHAPES = (("mix2", 4, 8_000), ("MID1", 16, 60_000))
+
+
 class TestEngagement:
     def test_stationary_mix_engages(self):
-        sim = build_sim("mix2", "MemScale", 4, 8_000, approx=True)
-        sim.run()
-        assert sim.engine.events_steady_skipped > 0
-        assert sim._absorber.absorbed_spans > 0
-        assert sim._absorber.absorbed_ns > 0.0
+        for mix, cores, instructions in STATIONARY_SHAPES:
+            sim = build_sim(mix, "MemScale", cores, instructions,
+                            approx=True)
+            sim.run()
+            shape = f"{mix} at {cores} cores x {instructions}"
+            assert sim.engine.events_steady_skipped > 0, shape
+            assert sim._absorber.absorbed_spans > 0, shape
+            assert sim._absorber.absorbed_ns > 0.0, shape
 
     def test_all_cores_still_reach_target(self):
         sim = build_sim("mix2", "MemScale", 4, 8_000, approx=True)

@@ -7,8 +7,7 @@ import json
 
 import pytest
 
-from repro.sim.parallel import (CapOutcome, JobFailure, MultiDomainOutcome,
-                                SweepJob, run_sweep)
+from repro.sim.parallel import JobFailure, JobSpec, Outcome, run_sweep
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import run_result_to_dict
 from repro.sim.store import (STORE_FORMAT, ResultStore, deterministic_digest,
@@ -20,28 +19,32 @@ SETTINGS = RunnerSettings(cores=4, instructions_per_core=4_000, seed=7)
 
 @pytest.fixture(scope="module")
 def sweep_outcome():
-    """One real SweepOutcome (module-scoped: simulate once)."""
+    """One real policy-kind Outcome (module-scoped: simulate once)."""
     return run_sweep(["MID1"], ["Static"], settings=SETTINGS, jobs=1,
                      cache_dir=None)[0]
 
 
 def _cap_outcome(base):
-    return CapOutcome(
-        mix=base.mix, budget_fraction=0.8, budget_w=10.5,
-        governor="Cap-gov", result=base.result, comparison=base.comparison,
-        min_perf=0.93, avg_power_w=9.8,
-        cap={"violation_count": 0, "epochs_accounted": 4},
+    return Outcome(
+        spec=JobSpec("cap", base.mix, budget_fraction=0.8),
+        result=base.result, comparison=base.comparison,
+        extras={"budget_w": 10.5, "governor": "Cap-gov", "min_perf": 0.93,
+                "avg_power_w": 9.8,
+                "cap": {"violation_count": 0, "epochs_accounted": 4}},
         wall_s=base.wall_s, cache_hits=1, telemetry_path=None)
 
 
 def _md_outcome(base):
-    return MultiDomainOutcome(
-        mix=base.mix, budget_fraction=0.7, budget_w=40.0,
-        governor="MultiDomain-gov", coordinated=True,
+    return Outcome(
+        spec=JobSpec("multidomain", base.mix, budget_fraction=0.7,
+                     coordinated=True),
         result=base.result, comparison=base.comparison,
-        min_perf=0.91, avg_power_w=30.0, avg_core_power_w=20.0,
-        core_energy_j=1.5, system_energy_j=4.0,
-        summary={"epochs_decided": 4}, wall_s=base.wall_s)
+        extras={"budget_w": 40.0, "governor": "MultiDomain-gov",
+                "min_perf": 0.91, "avg_power_w": 30.0,
+                "avg_core_power_w": 20.0, "core_energy_j": 1.5,
+                "system_energy_j": 4.0,
+                "summary": {"epochs_decided": 4}},
+        wall_s=base.wall_s)
 
 
 def _job(label="MID1/Static"):
@@ -51,7 +54,8 @@ def _job(label="MID1/Static"):
 
 
 def _failure():
-    return JobFailure(job=SweepJob("MID1", "Static"), label="MID1/Static",
+    return JobFailure(job=JobSpec("policy", "MID1", policy="Static"),
+                      label="MID1/Static",
                       error_type="ValueError", message="boom",
                       traceback="Traceback ...", attempts=2, wall_s=0.1)
 
@@ -70,18 +74,19 @@ class TestOutcomeRoundTrip:
     def test_cap_outcome(self, sweep_outcome):
         outcome = _cap_outcome(sweep_outcome)
         back = outcome_from_dict(outcome_to_dict(outcome))
-        assert isinstance(back, CapOutcome)
-        assert back.budget_fraction == 0.8
-        assert back.cap == outcome.cap
-        assert back.min_perf == outcome.min_perf
+        assert isinstance(back, Outcome) and back.spec.kind == "cap"
+        assert back.spec.budget_fraction == 0.8
+        assert back.extras["cap"] == outcome.extras["cap"]
+        assert back.extras["min_perf"] == outcome.extras["min_perf"]
 
     def test_multidomain_outcome(self, sweep_outcome):
         outcome = _md_outcome(sweep_outcome)
         back = outcome_from_dict(outcome_to_dict(outcome))
-        assert isinstance(back, MultiDomainOutcome)
-        assert back.coordinated is True
-        assert back.system_energy_j == outcome.system_energy_j
-        assert back.summary == outcome.summary
+        assert isinstance(back, Outcome) and back.spec.kind == "multidomain"
+        assert back.spec.coordinated is True
+        assert back.extras["system_energy_j"] \
+            == outcome.extras["system_energy_j"]
+        assert back.extras["summary"] == outcome.extras["summary"]
 
     def test_rejects_unknown_payloads(self, sweep_outcome):
         with pytest.raises(TypeError):
