@@ -9,13 +9,13 @@ to run the experiments at any scale and post-process the results.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.cpu.workloads import MIXES, mix_names
-from repro.sim.parallel import (cap_specs, multidomain_specs, run_specs,
-                                split_outcomes)
+from repro.sim.parallel import (JobSpec, Outcome, cap_specs,
+                                multidomain_specs, run_specs, split_outcomes)
 from repro.sim.results import PolicyComparison
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 
@@ -146,7 +146,7 @@ def sensitivity_proportionality(idle_fracs: Sequence[float] = (0.0, 0.5, 1.0),
 DEFAULT_BUDGET_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.6)
 
 
-def cap_outcome_row(outcome) -> Dict[str, object]:
+def cap_outcome_row(outcome: Outcome) -> Dict[str, object]:
     """Flatten one cap-kind :class:`~repro.sim.parallel.Outcome` to a
     row dict (the shape :func:`repro.analysis.cap_summary_table`
     renders)."""
@@ -192,7 +192,8 @@ def cap_sweep(mixes: Optional[Sequence[str]] = None,
     specs = cap_specs(mixes if mixes is not None else mix_names("MID"),
                       budget_fractions, include_throttle=include_throttle)
     return _spec_experiment("cap_sweep", notes, cap_outcome_row, specs,
-                            config, settings, jobs, cache_dir, telemetry_dir)
+                            config=config, settings=settings, jobs=jobs,
+                            cache_dir=cache_dir, telemetry_dir=telemetry_dir)
 
 
 #: Default multi-domain sweep: global (CPU + memory) budget from the
@@ -200,7 +201,7 @@ def cap_sweep(mixes: Optional[Sequence[str]] = None,
 DEFAULT_MULTIDOMAIN_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.65)
 
 
-def multidomain_outcome_row(outcome) -> Dict[str, object]:
+def multidomain_outcome_row(outcome: Outcome) -> Dict[str, object]:
     """Flatten one multidomain-kind :class:`~repro.sim.parallel.Outcome`
     to a row dict (the shape
     :func:`repro.analysis.multidomain_summary_table` renders)."""
@@ -255,17 +256,18 @@ def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
         mixes if mixes is not None else mix_names("MID"), budget_fractions,
         include_memory_only=include_memory_only)
     return _spec_experiment("multidomain_sweep", notes,
-                            multidomain_outcome_row, specs, config,
-                            settings, jobs, cache_dir, telemetry_dir)
+                            multidomain_outcome_row, specs, config=config,
+                            settings=settings, jobs=jobs,
+                            cache_dir=cache_dir, telemetry_dir=telemetry_dir)
 
 
-def _spec_experiment(name: str, notes: str, row, specs, config, settings,
-                     jobs, cache_dir, telemetry_dir) -> ExperimentResult:
-    """Run ``specs`` and tabulate the good outcomes with ``row``; failed
-    jobs are listed in the notes instead."""
-    good, failed = split_outcomes(run_specs(
-        specs, config=config, settings=settings, jobs=jobs,
-        cache_dir=cache_dir, telemetry_dir=telemetry_dir))
+def _spec_experiment(name: str, notes: str,
+                     row: Callable[[Outcome], Dict[str, object]],
+                     specs: List[JobSpec], **run_args) -> ExperimentResult:
+    """Run ``specs`` (``run_args`` go to :func:`run_specs`) and tabulate
+    the good outcomes with ``row``; failed jobs are listed in the notes
+    instead."""
+    good, failed = split_outcomes(run_specs(specs, **run_args))
     if failed:
         notes += ("\nFAILED JOBS (excluded from the table):\n  "
                   + "\n  ".join(f.summary() for f in failed))

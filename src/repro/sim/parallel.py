@@ -110,7 +110,7 @@ class InjectedFailure(RuntimeError):
     """
 
 
-# -- the job type ------------------------------------------------------------
+# -- the job type ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -137,11 +137,9 @@ class JobSpec:
         if kind is None:
             raise ValueError(f"unknown job kind {self.kind!r}; "
                              f"choose from {sorted(KINDS)}")
-        missing = [name for name, attr in kind.fields
-                   if attr in kind.required and getattr(self, attr) is None]
-        if missing:
-            raise ValueError(f"{self.kind} jobs need "
-                             f"{' and '.join(missing)}")
+        for attr in kind.required:
+            if getattr(self, attr) is None:
+                raise ValueError(f"{self.kind} jobs need {attr}")
 
     @property
     def point(self) -> str:
@@ -245,7 +243,7 @@ class JobFailure:
                 f"{'s' if self.attempts != 1 else ''})")
 
 
-# -- the kinds ---------------------------------------------------------------
+# -- the kinds -------------------------------------------------------------
 
 def _min_perf(comparison: PolicyComparison) -> float:
     """Min-app normalized performance (the fairness metric)."""
@@ -446,7 +444,7 @@ KINDS: Dict[str, Kind] = {
 }
 
 
-# -- spec builders -------------------------------------------------------------
+# -- spec builders ---------------------------------------------------------
 
 def _need(values: Sequence[object], what: str) -> None:
     if not values:
@@ -556,14 +554,14 @@ def check_mixes(mixes: Iterable[str]) -> None:
 
 def check_specs(specs: Sequence[JobSpec]) -> None:
     """Fail fast, before any work, on a mix or policy no worker knows."""
-    check_mixes(spec.mix for spec in specs)
-    for spec in specs:
-        if spec.policy is not None and spec.policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {spec.policy!r}; registered "
+    check_mixes(dict.fromkeys(spec.mix for spec in specs))
+    for policy in dict.fromkeys(spec.policy for spec in specs):
+        if policy is not None and policy not in POLICY_NAMES:
+            raise ValueError(f"unknown policy {policy!r}; registered "
                              f"governors are:\n{governor_listing()}")
 
 
-# -- helpers -------------------------------------------------------------------
+# -- helpers ---------------------------------------------------------------
 
 def default_jobs() -> int:
     """Worker count when the caller does not specify one.
@@ -586,7 +584,7 @@ def telemetry_filename(mix: str, point: str) -> str:
     return f"{mix}__{slug}.jsonl"
 
 
-# -- worker-side entry points (module level: must be picklable) -----------
+# -- worker-side entry points (module level: must be picklable) ------------
 
 def _make_runner(config: SystemConfig, settings: RunnerSettings,
                  cache_dir: Optional[str]) -> ExperimentRunner:
@@ -620,13 +618,27 @@ def _run_spec(args: Tuple[JobSpec, SystemConfig, RunnerSettings,
         raise InjectedFailure(f"injected failure for {spec.label}")
     kind = KINDS[spec.kind]
     runner = _make_runner(kind.overlay(config, spec), settings, cache_dir)
-    governor = kind.governor(runner, spec)
-    telemetry = None
     telemetry_path = None
     if telemetry_dir is not None:
         telemetry_path = str(Path(telemetry_dir)
                              / telemetry_filename(spec.mix, spec.point))
-        telemetry = JsonlTelemetry(telemetry_path)
+    result, comparison, extras = _simulate(kind, runner, spec,
+                                           telemetry_path)
+    hits = runner.cache.hits if runner.cache is not None else 0
+    return Outcome(spec=spec, result=result, comparison=comparison,
+                   extras=extras, wall_s=time.perf_counter() - start,
+                   cache_hits=hits, telemetry_path=telemetry_path)
+
+
+def _simulate(kind: Kind, runner: ExperimentRunner, spec: JobSpec,
+              telemetry_path: Optional[str]
+              ) -> Tuple[RunResult, PolicyComparison, Dict[str, object]]:
+    """The kind's governor on the spec's mix, compared against the
+    baseline, plus the kind's extras. The governor is dropped on return,
+    so its teardown counts in the job's wall time."""
+    governor = kind.governor(runner, spec)
+    telemetry = (JsonlTelemetry(telemetry_path)
+                 if telemetry_path is not None else None)
     try:
         if governor is None:
             result, comparison = runner.run_named_policy(spec.mix,
@@ -637,14 +649,11 @@ def _run_spec(args: Tuple[JobSpec, SystemConfig, RunnerSettings,
     finally:
         if telemetry is not None:
             telemetry.close()
-    extras = kind.extras(runner, spec, governor, result, comparison)
-    hits = runner.cache.hits if runner.cache is not None else 0
-    return Outcome(spec=spec, result=result, comparison=comparison,
-                   extras=extras, wall_s=time.perf_counter() - start,
-                   cache_hits=hits, telemetry_path=telemetry_path)
+    return result, comparison, kind.extras(runner, spec, governor, result,
+                                           comparison)
 
 
-# -- fault-isolated execution ------------------------------------------------------
+# -- fault-isolated execution ----------------------------------------------
 
 def _executor(jobs: int) -> ProcessPoolExecutor:
     try:
@@ -789,7 +798,7 @@ def split_outcomes(outcomes: Sequence[object]
     return good, bad
 
 
-# -- the driver ------------------------------------------------------------------
+# -- the driver ------------------------------------------------------------
 
 def _warm(specs: Sequence[JobSpec], config: SystemConfig,
           settings: RunnerSettings, cache_dir: Optional[str],

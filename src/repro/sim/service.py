@@ -382,8 +382,9 @@ class SweepService:
 
     def results(self) -> List[object]:
         """Outcome per enqueued job, enqueue order: an
-        :class:`~repro.sim.parallel.Outcome` for ok records, a :class:`JobFailure` for failed
-        ones. Jobs still pending are omitted."""
+        :class:`~repro.sim.parallel.Outcome` for ok records, a
+        :class:`JobFailure` for failed ones. Jobs still pending are
+        omitted."""
         out: List[object] = []
         for key, spec in self.enqueued():
             record = self.store.get(key)

@@ -87,7 +87,7 @@ class TestFastForwardEngagement:
 
     def test_event_conservation_across_modes(self):
         # processed + fast-forwarded is the mode-independent simulated
-        # event count (the perfbench metric).
+        # event count.
         on = self.make_sim(fast_forward=True)
         on.run()
         off = self.make_sim(fast_forward=False)
@@ -150,7 +150,7 @@ class TestBusyAbsorptionEngagement:
 
     def test_event_conservation_across_modes(self):
         # processed + fast-forwarded + busy-absorbed is the
-        # mode-independent simulated event count (the perfbench metric).
+        # mode-independent simulated event count.
         on = self.make_sim(busy_absorption=True)
         on.run()
         off = self.make_sim(busy_absorption=False)
