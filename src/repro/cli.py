@@ -337,9 +337,9 @@ def cmd_run(args) -> None:
         print("\nprotocol validator: armed, zero violations")
 
 
-def _device_table(outcomes, **title) -> str:
+def _device_table(outcomes, **table_args) -> str:
     return device_energy_table([_scenario_row(o) for o in
-                                split_outcomes(outcomes)[0]], **title)
+                                split_outcomes(outcomes)[0]], **table_args)
 
 
 def _scenario_row(o) -> dict:
