@@ -153,8 +153,6 @@ def _config_from_args(args,
         config = config.replace(fast_forward=False)
     if getattr(args, "no_busy_absorption", False):
         config = config.replace(busy_absorption=False)
-    if getattr(args, "approx_steady_state", False):
-        config = config.replace(approx_steady_state=True)
     return _device_config(config, getattr(args, "device", None))
 
 
@@ -245,11 +243,6 @@ def _add_ff_arg(parser: argparse.ArgumentParser) -> None:
                         help="disable busy-period chain absorption "
                              "(results are byte-identical either way; "
                              "debugging escape hatch)")
-    parser.add_argument("--approx-steady-state", action="store_true",
-                        help="enable the approximate steady-state "
-                             "surrogate: stationary epoch bodies are "
-                             "extrapolated instead of simulated "
-                             "(bounded-error results, not bit-exact)")
 
 
 def _add_cache_args(parser: argparse.ArgumentParser,
@@ -716,8 +709,6 @@ def cmd_cache(args) -> None:
     stats = cache.stats()
     print(f"cache root       : {stats['root']}")
     print(f"trace entries    : {stats['trace_entries']}")
-    if stats["legacy_trace_entries"]:
-        print(f"  legacy (.npz)  : {stats['legacy_trace_entries']}")
     print(f"run entries      : {stats['run_entries']}")
     if stats["orphan_files"]:
         print(f"orphan files     : {stats['orphan_files']} "

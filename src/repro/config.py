@@ -19,6 +19,7 @@ Unit conventions used throughout the package:
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -356,13 +357,6 @@ class SystemConfig:
     #: request-path successor through the heap. Byte-identical on or
     #: off — same contract and cache treatment as ``fast_forward``.
     busy_absorption: bool = True
-    #: Approximate steady-state absorption (memsim/steady.py): when the
-    #: epoch profile is stationary, simulate only a slice of the epoch
-    #: body event-exactly and extrapolate the rest with batched numpy
-    #: counter kernels. Results are *approximate* (bounded-error
-    #: contract, see docs/performance.md), so this flag IS part of the
-    #: experiment cache fingerprint. Default off.
-    approx_steady_state: bool = False
 
     @property
     def max_bus_freq_mhz(self) -> float:
@@ -377,13 +371,21 @@ class SystemConfig:
         return sorted(self.bus_freqs_mhz, reverse=True)
 
     def validate(self) -> None:
-        self.timings.validate()
-        self.currents.validate()
-        self.org.validate()
-        self.cpu.validate()
-        self.power.validate()
-        self.policy.validate()
-        self.placement.validate()
+        sections = (self.timings, self.currents, self.org, self.cpu,
+                    self.power, self.policy, self.placement)
+        # NaN slips through every ``value <= 0`` test below, so reject
+        # non-finite numbers first, by name.
+        numeric = [(f"{type(section).__name__}.{f.name}",
+                    getattr(section, f.name))
+                   for section in sections
+                   for f in dataclasses.fields(section)]
+        numeric += [("SystemConfig.bus_freqs_mhz", f)
+                    for f in self.bus_freqs_mhz]
+        for name, value in numeric:
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
+        for section in sections:
+            section.validate()
         if self.placement.enabled:
             interleave = self.org.channels * self.org.banks_per_rank
             if self.placement.page_lines % interleave != 0:
@@ -452,8 +454,16 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
 
     Unknown top-level keys are rejected (a payload from a newer code
     version should fail loudly, not silently drop a knob); the result
-    is validated before being returned.
+    is validated before being returned. The retired
+    ``approx_steady_state`` flag is dropped when false; true means the
+    payload describes approximate results this code cannot reproduce.
     """
+    payload = dict(payload)
+    if payload.pop("approx_steady_state", False):
+        raise ConfigError(
+            "approx_steady_state is true, but the approximate steady-state "
+            "surrogate has been removed: this directory holds approximate "
+            "results that cannot be reproduced; start a fresh --dir")
     known = {f.name for f in dataclasses.fields(SystemConfig)}
     unknown = set(payload) - known
     if unknown:
@@ -471,8 +481,7 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
             kwargs[name] = cls(**payload[name])
     if "bus_freqs_mhz" in payload:
         kwargs["bus_freqs_mhz"] = tuple(payload["bus_freqs_mhz"])
-    for flag in ("validate_protocol", "fast_forward", "busy_absorption",
-                 "approx_steady_state"):
+    for flag in ("validate_protocol", "fast_forward", "busy_absorption"):
         if flag in payload:
             kwargs[flag] = bool(payload[flag])
     config = SystemConfig(**kwargs)

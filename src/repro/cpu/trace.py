@@ -10,20 +10,15 @@ trace format: for each core, a sequence of records
 meaning "commit ``gap_instructions`` instructions, then miss the LLC at
 ``read_line_addr``; if ``writeback_line_addr >= 0``, the miss also evicts
 a dirty line that is written back". Traces are stored as parallel numpy
-arrays and support two on-disk formats:
-
-* :meth:`WorkloadTrace.save` / :meth:`WorkloadTrace.load` — a
-  compressed ``.npz`` archive, the portable interchange format;
-* :meth:`WorkloadTrace.save_columnar` /
-  :meth:`WorkloadTrace.load_columnar` — one *uncompressed* flat
-  ``.npy`` (a ``(3, total_records)`` int64 matrix: gaps, read
-  addresses, writeback addresses, with every core's records
-  concatenated) plus a small JSON sidecar mapping cores to column
-  ranges. Compressed archive members cannot be memory-mapped, so this
-  is the format the experiment cache stores: workers of a parallel
-  sweep ``np.load(..., mmap_mode="r")`` the one file and share its
-  pages through the OS page cache instead of each decompressing (or
-  regenerating) a private copy — the zero-copy fan-out path.
+arrays. On disk (:meth:`WorkloadTrace.save_columnar` /
+:meth:`WorkloadTrace.load_columnar`) a trace is one *uncompressed* flat
+``.npy`` (a ``(3, total_records)`` int64 matrix: gaps, read addresses,
+writeback addresses, with every core's records concatenated) plus a
+small JSON sidecar mapping cores to column ranges. Uncompressed arrays
+can be memory-mapped: workers of a parallel sweep
+``np.load(..., mmap_mode="r")`` the one file the experiment cache
+stores and share its pages through the OS page cache instead of each
+regenerating a private copy — the zero-copy fan-out path.
 """
 
 from __future__ import annotations
@@ -125,33 +120,6 @@ class WorkloadTrace:
         return 1000.0 * wbs / instr if instr else 0.0
 
     # -- persistence -----------------------------------------------------
-
-    def save(self, path: "Path | str") -> None:
-        """Serialize to a compressed ``.npz`` file."""
-        payload: Dict[str, np.ndarray] = {
-            "names": np.array([c.app_name for c in self.cores]),
-            "app_ids": np.array([c.app_id for c in self.cores], dtype=np.int64),
-            "mix_name": np.array([self.name]),
-        }
-        for i, core in enumerate(self.cores):
-            payload[f"gaps_{i}"] = core.gaps
-            payload[f"reads_{i}"] = core.read_addrs
-            payload[f"wbs_{i}"] = core.wb_addrs
-        np.savez_compressed(str(path), **payload)
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "WorkloadTrace":
-        with np.load(str(path), allow_pickle=False) as data:
-            names = [str(s) for s in data["names"]]
-            app_ids = data["app_ids"]
-            cores = [
-                CoreTrace(app_name=names[i], app_id=int(app_ids[i]),
-                          gaps=data[f"gaps_{i}"],
-                          read_addrs=data[f"reads_{i}"],
-                          wb_addrs=data[f"wbs_{i}"])
-                for i in range(len(names))
-            ]
-            return cls(name=str(data["mix_name"][0]), cores=cores)
 
     def save_columnar(self, path: "Path | str") -> None:
         """Serialize as one flat uncompressed ``.npy`` + JSON sidecar.

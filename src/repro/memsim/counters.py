@@ -284,50 +284,6 @@ class CounterFile:
             raise ValueError(f"negative refresh batch: {count}")
         self.refreshes[rank] += float(count)
 
-    def apply_scaled_delta(self, start: CounterSnapshot,
-                           end: CounterSnapshot, ratio: float) -> None:
-        """Fold ``ratio`` copies of the ``[start, end]`` activity back in.
-
-        Batched numpy kernel for the steady-state surrogate
-        (:mod:`repro.memsim.steady`): after simulating a slice of a
-        stationary epoch body event-exactly, the remainder of the body
-        is accounted by scaling the slice's counter delta — one
-        vectorized add per register bank instead of replaying millions
-        of per-event updates. Deliberately *not* bit-exact against a
-        full replay (float ordering differs); only the
-        ``approx_steady_state`` path may use it.
-        """
-        if ratio < 0:
-            raise ValueError(f"negative scale ratio: {ratio}")
-        r = ratio
-        self.bto += (end.bto - start.bto) * r
-        self.btc += (end.btc - start.btc) * r
-        self.cto += (end.cto - start.cto) * r
-        self.ctc += (end.ctc - start.ctc) * r
-        self.rbhc += (end.rbhc - start.rbhc) * r
-        self.obmc += (end.obmc - start.obmc) * r
-        self.cbmc += (end.cbmc - start.cbmc) * r
-        self.epdc += (end.epdc - start.epdc) * r
-        self.pocc += (end.pocc - start.pocc) * r
-        self.reads += (end.reads - start.reads) * r
-        self.writes += (end.writes - start.writes) * r
-        self.tic = (np.asarray(self.tic) + (end.tic - start.tic) * r).tolist()
-        self.tlm = (np.asarray(self.tlm) + (end.tlm - start.tlm) * r).tolist()
-        self.rank_state_ns = (
-            np.asarray(self.rank_state_ns)
-            + (end.rank_state_ns - start.rank_state_ns) * r).tolist()
-        self.refreshes = (np.asarray(self.refreshes)
-                          + (end.refreshes - start.refreshes) * r).tolist()
-        self.channel_busy_ns = (
-            np.asarray(self.channel_busy_ns)
-            + (end.channel_busy_ns - start.channel_busy_ns) * r).tolist()
-        self.channel_reads = (
-            np.asarray(self.channel_reads)
-            + (end.channel_reads - start.channel_reads) * r).tolist()
-        self.channel_writes = (
-            np.asarray(self.channel_writes)
-            + (end.channel_writes - start.channel_writes) * r).tolist()
-
     # -- snapshot / delta -------------------------------------------------
 
     def snapshot(self, time_ns: float) -> CounterSnapshot:

@@ -134,7 +134,7 @@ class EventEngine:
     __slots__ = ("_now", "_queue", "_seq", "_events_processed",
                  "_events_fast_forwarded", "_fast_forward", "_tombstones",
                  "_horizon", "_chain", "_chain_armed", "_absorb_chains",
-                 "_chain_absorbed", "_steady_skipped")
+                 "_chain_absorbed")
 
     def __init__(self, start_time_ns: float = 0.0):
         self._now = start_time_ns
@@ -151,7 +151,6 @@ class EventEngine:
         self._chain_armed = False
         self._absorb_chains = False
         self._chain_absorbed = 0
-        self._steady_skipped = 0
         # Cached earliest live workload event time (None = recompute).
         # Invalidated whenever a workload entry is posted, dispatched,
         # or cancelled; going stale-low is safe (it only shortens a
@@ -180,20 +179,6 @@ class EventEngine:
         like :attr:`events_fast_forwarded` they *did* happen in
         simulated time, they just never touched the heap."""
         return self._chain_absorbed
-
-    @property
-    def events_steady_skipped(self) -> int:
-        """Estimated events elided by the steady-state surrogate
-        (:mod:`repro.memsim.steady`): the extrapolated count of events
-        the absorbed stretch *would* have dispatched. Unlike the two
-        counters above this is a statistical estimate, not an exact
-        replay — it is only ever nonzero under ``approx_steady_state``."""
-        return self._steady_skipped
-
-    def note_steady_skip(self, count: int) -> None:
-        """Credit ``count`` events elided by steady-state absorption."""
-        if count > 0:
-            self._steady_skipped += count
 
     @property
     def pending(self) -> int:

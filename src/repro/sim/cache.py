@@ -12,9 +12,7 @@ and stores them under ``.repro_cache/``: traces in the *columnar*
 ``.npy`` + sidecar layout (``WorkloadTrace.save_columnar``), which
 workers of a parallel sweep load with ``mmap_mode="r"`` so one on-disk
 copy feeds every process through the OS page cache; run results as
-:mod:`repro.sim.serialize` JSON. Legacy compressed ``.npz`` trace
-entries from older caches are still read (they simply are not
-memory-mappable); new stores always write the columnar form.
+:mod:`repro.sim.serialize` JSON.
 
 Properties:
 
@@ -65,18 +63,18 @@ def config_fingerprint(config: SystemConfig) -> Dict[str, object]:
     excluded for the same reason — the analytic idle-period batch and
     the inline continuation-chain path both reproduce event-driven
     results bit for bit, so all settings may share entries.
-    ``approx_steady_state`` is deliberately *kept*: it trades accuracy
-    for speed, so its runs must never alias exact-mode entries.
     """
     payload = dataclasses.asdict(config)
     payload.pop("validate_protocol", None)
     payload.pop("fast_forward", None)
     payload.pop("busy_absorption", None)
+    # Retired surrogate flag, pinned false so existing keys stay valid.
+    payload["approx_steady_state"] = False
     return payload
 
 
-def _digest(payload: Dict[str, object]) -> str:
-    """Stable content hash of a JSON-serializable key payload."""
+def content_digest(payload: Dict[str, object]) -> str:
+    """Stable sha256 of a JSON-serializable payload (canonical form)."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -112,7 +110,7 @@ class ExperimentCache:
         configuration, so configuration sweeps (Figures 12-15) share
         one cached trace per mix.
         """
-        return _digest({
+        return content_digest({
             "format": CACHE_FORMAT, "kind": "trace", "mix": mix,
             "cores": cores, "instructions": instructions_per_core,
             "seed": seed,
@@ -121,7 +119,7 @@ class ExperimentCache:
     def baseline_key(self, config: SystemConfig, mix: str, cores: int,
                      instructions_per_core: int, seed: int) -> str:
         """Content key of an all-on baseline run (config-sensitive)."""
-        return _digest({
+        return content_digest({
             "format": CACHE_FORMAT, "kind": "baseline", "mix": mix,
             "cores": cores, "instructions": instructions_per_core,
             "seed": seed, "config": config_fingerprint(config),
@@ -146,15 +144,6 @@ class ExperimentCache:
                 # Corrupted / truncated entry: discard and regenerate.
                 path.unlink(missing_ok=True)
                 sidecar.unlink(missing_ok=True)
-            else:
-                self.hits += 1
-                return trace
-        legacy = self._legacy_trace_path(key)
-        if legacy.exists():
-            try:
-                trace = WorkloadTrace.load(legacy)
-            except Exception:
-                legacy.unlink(missing_ok=True)
             else:
                 self.hits += 1
                 return trace
@@ -314,7 +303,6 @@ class ExperimentCache:
             return 0
         complete, _ = self._scan_traces()
         return (len(complete)
-                + sum(1 for _ in self.root.glob("traces/*.npz"))
                 + sum(1 for _ in self.root.glob("runs/*.json")))
 
     def _scan_traces(self) -> Tuple[List[Path], List[Path]]:
@@ -347,7 +335,7 @@ class ExperimentCache:
 
     def stats(self) -> Dict[str, object]:
         """Entry counts and on-disk footprint (for ``repro cache``)."""
-        trace_entries = legacy_trace_entries = run_entries = 0
+        trace_entries = run_entries = 0
         orphan_files = 0
         total_bytes = 0
         imported_entries = 0
@@ -360,14 +348,11 @@ class ExperimentCache:
                 if not path.is_file():
                     continue
                 total_bytes += path.stat().st_size
-                if path.parent.name == "traces" and path.suffix == ".npz":
-                    legacy_trace_entries += 1
-                elif path.parent.name == "runs" and path.suffix == ".json":
+                if path.parent.name == "runs" and path.suffix == ".json":
                     run_entries += 1
         return {
             "root": str(self.root),
             "trace_entries": trace_entries,
-            "legacy_trace_entries": legacy_trace_entries,
             "imported_entries": imported_entries,
             "run_entries": run_entries,
             "orphan_files": orphan_files,
@@ -414,9 +399,6 @@ class ExperimentCache:
 
     def _trace_path(self, key: str) -> Path:
         return self.root / "traces" / f"{key}.npy"
-
-    def _legacy_trace_path(self, key: str) -> Path:
-        return self.root / "traces" / f"{key}.npz"
 
     def _run_path(self, key: str) -> Path:
         return self.root / "runs" / f"{key}.json"

@@ -60,8 +60,6 @@ The persistent-queue layer on top of this lives in
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
 import time
@@ -80,7 +78,8 @@ from repro.core.baselines import StaticFrequencyGovernor
 from repro.core.governor import Governor
 from repro.cpu.trace import WorkloadTrace
 from repro.cpu.workloads import known_mix_names
-from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
+from repro.sim.cache import (DEFAULT_CACHE_DIR, ExperimentCache,
+                             content_digest)
 from repro.sim.results import PolicyComparison, RunResult
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, POLICY_NAMES,
                               ExperimentRunner, RunnerSettings,
@@ -92,12 +91,6 @@ PathLike = Union[str, Path]
 #: Bumped whenever the job-key layout (or the service ledger built on
 #: it) changes incompatibly.
 SERVICE_FORMAT = 1
-
-
-def content_digest(payload: Dict[str, object]) -> str:
-    """Stable sha256 of a JSON-serializable payload (canonical form)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 class InjectedFailure(RuntimeError):

@@ -52,10 +52,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.config import (ConfigError, SystemConfig, config_from_dict,
                           config_to_dict, scaled_config)
-from repro.sim.cache import config_fingerprint
+from repro.sim.cache import config_fingerprint, content_digest
 from repro.sim.parallel import (SERVICE_FORMAT, JobFailure, JobSpec,
-                                check_specs, content_digest, default_jobs,
-                                run_specs)
+                                check_specs, default_jobs, run_specs)
 from repro.sim.runner import RunnerSettings
 from repro.sim.store import (ResultStore, failure_record, ok_record,
                              outcome_from_dict)
@@ -229,7 +228,11 @@ class SweepService:
             config = config_from_dict(meta["config"])
         except (ConfigError, KeyError, TypeError) as exc:
             raise ServiceError(f"{root}: cannot rebuild config: {exc}")
-        settings = RunnerSettings(**meta["settings"])
+        try:
+            settings = RunnerSettings(**meta["settings"])
+        except (KeyError, TypeError) as exc:
+            raise ServiceError(
+                f"{root}: cannot rebuild runner settings: {exc}")
         return cls(root, config=config, settings=settings,
                    cache_dir=meta.get("cache_dir"),
                    telemetry_dir=meta.get("telemetry_dir"),

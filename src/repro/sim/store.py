@@ -46,13 +46,13 @@ kind.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.sim.cache import content_digest
 from repro.sim.parallel import KINDS, JobFailure, JobSpec, Outcome
 from repro.sim.serialize import (comparison_from_dict, comparison_to_dict,
                                  run_result_from_dict, run_result_to_dict)
@@ -160,8 +160,7 @@ def deterministic_digest(record: Dict[str, object]) -> str:
     error = record.get("error")
     if error is not None:
         payload["error"] = {"error_type": error.get("error_type")}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_digest(payload)
 
 
 # -- the store -------------------------------------------------------------

@@ -73,14 +73,6 @@ class SystemSimulator:
         self.power_model = PowerModel(config)
         self._core_apps = [(core.core_id, core.app_name)
                            for core in self.cluster.cores]
-        # Approximate steady-state absorption (memsim/steady.py):
-        # default-off surrogate that extrapolates stationary epoch
-        # bodies instead of simulating every event.
-        self._absorber = None
-        if config.approx_steady_state:
-            from repro.memsim.steady import SteadyStateAbsorber
-            self._absorber = SteadyStateAbsorber(
-                self.engine, self.controller, self.cluster, governor)
         if target_instructions is None:
             target_instructions = min(c.total_instructions
                                       for c in workload.cores)
@@ -139,11 +131,7 @@ class SystemSimulator:
                 # ---- epoch body at the new frequency ----
                 freq_body = controller.freq
                 channels_body = governor.channel_bus_mhz(controller)
-                if self._absorber is not None:
-                    finished = self._absorber.run_body(
-                        epoch_end, self.cluster.all_reached_probe)
-                else:
-                    finished = self._run_until_or_done(epoch_end)
+                finished = self._run_until_or_done(epoch_end)
                 epoch_end = engine.now
                 snap_end = take_snapshot()
                 delta_body = CounterFile.delta(snap_profile, snap_end)

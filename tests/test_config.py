@@ -16,6 +16,8 @@ from repro.config import (
     PolicyConfig,
     PowerConfig,
     SystemConfig,
+    config_from_dict,
+    config_to_dict,
     default_config,
     scaled_config,
 )
@@ -215,6 +217,48 @@ class TestSystemConfig:
         d = default_config().describe()
         for key in ("cores", "channels", "cpi_bound", "epoch_ns"):
             assert key in d
+
+    @pytest.mark.parametrize("name, config", [
+        ("DramTimings.t_rcd_ns",
+         default_config().replace(timings=DramTimings(t_rcd_ns=float("nan")))),
+        ("DramCurrents.idd0",
+         default_config().replace(currents=DramCurrents(idd0=float("nan")))),
+        ("PolicyConfig.cpi_bound",
+         default_config().with_policy(cpi_bound=float("nan"))),
+        ("PolicyConfig.epoch_ns",
+         default_config().with_policy(epoch_ns=float("nan"))),
+        ("PowerConfig.mc_peak_w",
+         default_config().with_power(mc_peak_w=float("inf"))),
+        ("SystemConfig.bus_freqs_mhz",
+         dataclasses.replace(default_config(),
+                             bus_freqs_mhz=(800.0, float("nan")))),
+        ("SystemConfig.bus_freqs_mhz",
+         dataclasses.replace(default_config(),
+                             bus_freqs_mhz=(float("inf"), 800.0))),
+    ])
+    def test_rejects_non_finite_values_by_name(self, name, config):
+        with pytest.raises(ConfigError, match=f"{name} must be finite"):
+            config.validate()
+
+
+class TestConfigFromDict:
+    def test_drops_the_retired_surrogate_flag_when_false(self):
+        payload = config_to_dict(scaled_config())
+        payload["approx_steady_state"] = False
+        assert config_from_dict(payload) == scaled_config()
+
+    def test_refuses_the_retired_surrogate_flag_when_true(self):
+        payload = config_to_dict(scaled_config())
+        payload["approx_steady_state"] = True
+        with pytest.raises(ConfigError,
+                           match="surrogate has been removed.*fresh --dir"):
+            config_from_dict(payload)
+
+    def test_rejects_unknown_fields(self):
+        payload = config_to_dict(scaled_config())
+        payload["warp_drive"] = True
+        with pytest.raises(ConfigError, match="warp_drive"):
+            config_from_dict(payload)
 
 
 class TestScaledConfig:

@@ -11,18 +11,22 @@ powerdown mode) x static frequencies x validator arming.
 """
 
 import json
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 from repro.config import scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
-from repro.sim.cache import config_fingerprint
+from repro.sim.cache import (ExperimentCache, config_fingerprint,
+                              content_digest)
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 from repro.sim.serialize import run_result_to_dict
 from repro.sim.system import SystemSimulator
 
 CONFIG = scaled_config()
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=2_000, seed=2011)
+LEGACY_LEDGER = (Path(__file__).parent / "data" / "legacy_service"
+                 / "queue.jsonl")
 
 #: Policy dimension: spans no-powerdown, fast-exit, slow-exit, DVFS, and
 #: DVFS+powerdown. "Static-sampled" is replaced by a
@@ -173,10 +177,17 @@ class TestCacheKeyInsensitivity:
         assert (config_fingerprint(CONFIG.replace(busy_absorption=True))
                 == config_fingerprint(CONFIG.replace(busy_absorption=False)))
 
-    def test_fingerprint_keeps_approx_steady_state(self):
-        # The steady-state surrogate is NOT bit-exact, so its flag must
-        # split the cache key.
-        assert (config_fingerprint(
-                    CONFIG.replace(approx_steady_state=True))
-                != config_fingerprint(
-                    CONFIG.replace(approx_steady_state=False)))
+    def test_retired_surrogate_flag_keeps_keys_stable(self):
+        # The removed surrogate's flag stays in the fingerprint as a
+        # false constant, so keys written before its removal still
+        # match: the committed legacy service directory's config hash
+        # and a default-shape cache baseline key.
+        config_hash = content_digest(config_fingerprint(CONFIG))
+        assert config_hash == (
+            "ccb852f1a230ca52a5896328780f552f515430b2983751a4bcee27c051e5584e")
+        meta = json.loads(LEGACY_LEDGER.read_text().splitlines()[0])
+        assert meta["config_hash"] == config_hash
+        key = ExperimentCache("unused").baseline_key(
+            CONFIG, "MID1", 16, 60_000, 2011)
+        assert key == (
+            "9a0d3c3d14f89456615cdc21c41b995c05544e224c7c3917a716e2297f3725a7")

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.config import scaled_config
-from repro.cpu.trace import columnar_sidecar_path
 from repro.cpu.workloads import MIXES
 from repro.sim.cache import ExperimentCache
 from repro.sim.parallel import (
@@ -136,22 +135,6 @@ class TestCache:
         # every core slices the same on-disk map — the zero-copy fan-out
         assert all(c.gaps.base is base for c in trace.cores)
 
-    def test_legacy_npz_entry_is_still_readable(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        runner = ExperimentRunner(settings=SETTINGS, cache=cache)
-        expected = runner.trace("MID1")
-        key = cache.trace_key("MID1", SETTINGS.cores,
-                              SETTINGS.instructions_per_core, SETTINGS.seed)
-        # rewrite the entry as an old-format compressed archive
-        cache._trace_path(key).unlink()
-        columnar_sidecar_path(cache._trace_path(key)).unlink()
-        expected.save(cache._legacy_trace_path(key))
-        cache2 = ExperimentCache(tmp_path)
-        trace = ExperimentRunner(settings=SETTINGS, cache=cache2).trace("MID1")
-        assert cache2.hits == 1
-        assert trace.rpki == expected.rpki
-        assert cache2.entries == 1
-
     def test_stats_reports_counts_and_footprint(self, tmp_path):
         cache = ExperimentCache(tmp_path / "c")
         empty = cache.stats()
@@ -162,7 +145,6 @@ class TestCache:
         runner.baseline("MID1")
         stats = cache.stats()
         assert stats["trace_entries"] == 1
-        assert stats["legacy_trace_entries"] == 0
         assert stats["run_entries"] == 1
         assert stats["total_bytes"] > 0
         assert stats["root"] == str(cache.root)
@@ -170,9 +152,15 @@ class TestCache:
     def test_prune_removes_everything_but_the_root(self, tmp_path):
         cache = ExperimentCache(tmp_path / "c")
         ExperimentRunner(settings=SETTINGS, cache=cache).baseline("MID1")
+        # a stray file of the retired .npz trace format is no entry
+        stray = cache.root / "traces" / "stray.npz"
+        stray.write_bytes(b"PK\x03\x04 retired format")
+        assert cache.entries == 2
+        assert cache.load_trace("stray") is None
         before = cache.stats()["total_bytes"]
         removed = cache.prune()
-        assert removed["files_removed"] >= 3  # trace + sidecar + run
+        assert removed["files_removed"] >= 4  # trace + sidecar + run + stray
+        assert not stray.exists()
         assert removed["bytes_removed"] == before
         assert cache.stats()["total_bytes"] == 0
         assert cache.entries == 0

@@ -553,3 +553,43 @@ class TestLegacyServiceDirectory:
         digests = fresh.store.digests()
         assert len(digests) == 10
         assert digests == legacy.store.digests()
+
+
+class TestUnopenableLedger:
+    """A ledger whose meta record cannot be rebuilt fails at
+    :meth:`SweepService.open` with a :class:`ServiceError` naming the
+    directory, never with a raw traceback."""
+
+    def edited_copy(self, tmp_path, edit):
+        root = tmp_path / "edited"
+        shutil.copytree(LEGACY, root)
+        ledger = root / LEDGER_NAME
+        lines = ledger.read_text().splitlines()
+        meta = json.loads(lines[0])
+        edit(meta)
+        ledger.write_text("\n".join([json.dumps(meta)] + lines[1:]) + "\n")
+        return root
+
+    def test_surrogate_results_are_refused(self, tmp_path):
+        root = self.edited_copy(
+            tmp_path, lambda meta: meta["config"].update(
+                approx_steady_state=True))
+        with pytest.raises(ServiceError) as info:
+            SweepService.open(root)
+        message = str(info.value)
+        assert str(root) in message
+        assert "surrogate has been removed" in message
+        assert "cannot be reproduced" in message
+        assert "fresh --dir" in message
+
+    @pytest.mark.parametrize("edit", [
+        lambda meta: meta["settings"].update(warp=1),
+        lambda meta: meta.pop("settings"),
+        lambda meta: meta.update(settings=None),
+    ], ids=["extra-key", "missing-settings", "null-settings"])
+    def test_bad_settings_name_the_directory(self, tmp_path, edit):
+        root = self.edited_copy(tmp_path, edit)
+        with pytest.raises(ServiceError,
+                           match="cannot rebuild runner settings") as info:
+            SweepService.open(root)
+        assert str(root) in str(info.value)

@@ -71,21 +71,6 @@ class TestWorkloadTrace:
         # 20 reads / 4000 instructions
         assert wt.rpki == pytest.approx(5.0)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        wt = WorkloadTrace("MID1", [make_core_trace(app="ammp", app_id=0),
-                                    make_core_trace(app="gap", app_id=1)])
-        path = tmp_path / "trace.npz"
-        wt.save(path)
-        loaded = WorkloadTrace.load(path)
-        assert loaded.name == "MID1"
-        assert len(loaded) == 2
-        assert loaded.cores[0].app_name == "ammp"
-        assert loaded.cores[1].app_id == 1
-        for orig, new in zip(wt.cores, loaded.cores):
-            np.testing.assert_array_equal(orig.gaps, new.gaps)
-            np.testing.assert_array_equal(orig.read_addrs, new.read_addrs)
-            np.testing.assert_array_equal(orig.wb_addrs, new.wb_addrs)
-
 
 class TestColumnarFormat:
     """The mmap-able flat layout the experiment cache stores."""
