@@ -235,7 +235,8 @@ class TestSystemConfig:
         ("SystemConfig.bus_freqs_mhz",
          dataclasses.replace(default_config(),
                              bus_freqs_mhz=(float("inf"), 800.0))),
-    ])
+    ], ids=["t_rcd_ns-nan", "idd0-nan", "cpi_bound-nan", "epoch_ns-nan",
+            "mc_peak_w-inf", "bus_freq-nan", "bus_freq-inf"])
     def test_rejects_non_finite_values_by_name(self, name, config):
         with pytest.raises(ConfigError, match=f"{name} must be finite"):
             config.validate()
