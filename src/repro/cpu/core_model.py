@@ -20,7 +20,10 @@ from repro.config import CpuConfig
 from repro.cpu.trace import CoreTrace
 from repro.memsim.controller import MemoryController
 from repro.memsim.engine import EventEngine
-from repro.memsim.request import MemRequest
+from repro.memsim.request import MemRequest, RequestKind
+
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
 
 
 class Core:
@@ -133,8 +136,7 @@ class Core:
         self._gap_start_ns = self._engine.now
         self._gap_total = gap
         self._gap_done = 0
-        self._engine.post_chain(gap * self._instr_ns,
-                                lambda: self._issue(gap))
+        self._engine.post_chain(gap * self._instr_ns, self._issue, gap)
 
     def sync_committed(self) -> None:
         """Commit the instructions of the in-progress compute gap.
@@ -158,8 +160,11 @@ class Core:
         """Commit the rest of the compute gap, then issue the LLC miss.
 
         Hot path: the target check is inlined (same guard order-
-        insensitive conjunction as :meth:`_check_target`) and per-event
-        collaborator lookups are hoisted.
+        insensitive conjunction as :meth:`_check_target`), per-event
+        collaborator lookups are hoisted, and the requests are built here
+        and handed to ``controller.submit`` directly. The writeback's
+        address is decoded before the read's: placement's page-table
+        decode is stateful, so the order is part of the result.
         """
         counters = self._counters
         core_id = self.core_id
@@ -182,15 +187,16 @@ class Core:
         read_addr = self._read_addrs[i]
         wb_addr = self._wb_addrs[i]
         controller = self._controller
+        decode = controller._decode
+        app_id = self.app_id
         if wb_addr >= 0:
-            controller.submit_writeback(wb_addr, core_id=core_id,
-                                        app_id=self.app_id)
+            controller.submit(MemRequest(_WRITE, decode(wb_addr), core_id,
+                                         app_id))
         counters.tlm[core_id] += 1.0
         self.misses_issued += 1
         self.blocked = True
-        controller.submit_read(read_addr, core_id=core_id,
-                               app_id=self.app_id,
-                               on_complete=self._on_miss_complete)
+        controller.submit(MemRequest(_READ, decode(read_addr), core_id,
+                                     app_id, self._on_miss_complete))
 
     def _on_miss_complete(self, _request: MemRequest) -> None:
         # The missing instruction itself commits when its data returns.
@@ -216,8 +222,7 @@ class Core:
         self._gap_start_ns = self._engine._now
         self._gap_total = gap
         self._gap_done = 0
-        self._engine.post_chain(gap * self._instr_ns,
-                                lambda: self._issue(gap))
+        self._engine.post_chain(gap * self._instr_ns, self._issue, gap)
 
 
 class CpuCluster:

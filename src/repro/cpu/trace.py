@@ -53,8 +53,24 @@ class CoreTrace:
         n = len(self.gaps)
         if len(self.read_addrs) != n or len(self.wb_addrs) != n:
             raise ValueError("trace arrays must have equal length")
-        if n and self.gaps.min() < 0:
+        if not n:
+            return
+        if self.gaps.min() < 0:
             raise ValueError("instruction gaps must be non-negative")
+        # Addresses are checked here, at the boundary, so a bad record
+        # fails when the trace is built or loaded (a corrupted cache
+        # entry is then an ordinary miss), never mid-run in the MC.
+        for kind, addrs, lowest, rule in (
+                ("read", self.read_addrs, 0, ">= 0"),
+                ("writeback", self.wb_addrs, -1,
+                 ">= 0, or -1 for no writeback")):
+            if addrs.min() < lowest:
+                index = int(np.argmax(addrs < lowest))
+                raise ValueError(
+                    f"trace of app {self.app_name!r}: record {index} has "
+                    f"{kind} line address {int(addrs[index])}, but {kind} "
+                    f"addresses must be {rule}; re-import or regenerate "
+                    "the trace")
 
     def __len__(self) -> int:
         return len(self.gaps)

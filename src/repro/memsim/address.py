@@ -11,11 +11,14 @@ revisits one.
 :class:`MemoryLocation` is a :class:`~typing.NamedTuple` rather than a
 frozen dataclass: it is created once per simulated request on the MC's
 submit path, and tuple construction/field access run at C speed while
-keeping value equality and hashability.
+keeping value equality and hashability. :meth:`AddressMapper.decode`
+builds it through ``tuple.__new__`` directly, skipping the Python-level
+``__new__`` the named tuple generates.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from repro.config import MemoryOrgConfig
@@ -33,6 +36,12 @@ class MemoryLocation(NamedTuple):
     def bank_key(self) -> tuple:
         """Hashable global identity of the target bank."""
         return (self.channel, self.rank, self.bank)
+
+
+#: ``_make_location((channel, rank, bank, row, column))`` is
+#: ``MemoryLocation(channel, rank, bank, row, column)`` without a
+#: Python frame.
+_make_location = partial(tuple.__new__, MemoryLocation)
 
 
 class AddressMapper:
@@ -63,7 +72,7 @@ class AddressMapper:
         addr, rank = divmod(addr, self._ranks_per_channel)
         row_index, column = divmod(addr, self._lines_per_row)
         row = row_index % self._rows_per_bank
-        return MemoryLocation(channel, rank, bank, row, column)
+        return _make_location((channel, rank, bank, row, column))
 
     def encode(self, loc: MemoryLocation) -> int:
         """Inverse of :meth:`decode` (modulo row wrap-around)."""

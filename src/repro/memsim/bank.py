@@ -11,7 +11,10 @@ Hot-path notes: the fixed-in-ns DDR timings are cached as plain floats
 at construction (they never change over a run), the bank maintains its
 rank's ``_active_banks`` / ``_open_rows`` counters at the activity
 transition points so the rank never scans its banks, and service/
-precharge completions go through the engine's handle-free ``post_at``.
+precharge completions are posted closure-free as ``(bound method, arg)``
+continuations through the engine's ``post_chain_at``. Enum members read
+per access are module constants (a class-attribute read of an ``Enum``
+member is a descriptor call).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ from repro.memsim.timing import AccessClass, TimingCalculator
 
 _ACTIVE_STANDBY = RankPowerState.ACTIVE_STANDBY
 _PRECHARGE_STANDBY = RankPowerState.PRECHARGE_STANDBY
+_ROW_HIT = AccessClass.ROW_HIT
+_OPEN_ROW_MISS = AccessClass.OPEN_ROW_MISS
+_CLOSED_BANK_MISS = AccessClass.CLOSED_BANK_MISS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.memsim.channel import Channel
@@ -74,15 +80,6 @@ class Bank:
         self._open_page = controller.row_policy == "open"
 
     # -- queue interface ----------------------------------------------------
-
-    @property
-    def has_pending(self) -> bool:
-        return bool(self.read_q or self.write_q)
-
-    @property
-    def outstanding(self) -> int:
-        """Requests queued or in service (sampled by arrival counters)."""
-        return len(self.read_q) + len(self.write_q) + (1 if self.busy else 0)
 
     def enqueue(self, request: MemRequest) -> None:
         """Add a request; the controller has already stamped its arrival.
@@ -173,20 +170,20 @@ class Bank:
         open_row = self.open_row
         row = request.location.row
         if open_row is None:
-            access = AccessClass.CLOSED_BANK_MISS
+            access = _CLOSED_BANK_MISS
             counters.cbmc += 1.0
         elif open_row == row:
-            access = AccessClass.ROW_HIT
+            access = _ROW_HIT
             request.row_hit = True
             counters.rbhc += 1.0
         else:
-            access = AccessClass.OPEN_ROW_MISS
+            access = _OPEN_ROW_MISS
             request.open_row_miss = True
             counters.obmc += 1.0
 
-        if access is not AccessClass.ROW_HIT:
+        if access is not _ROW_HIT:
             not_before = start
-            if access is AccessClass.OPEN_ROW_MISS:
+            if access is _OPEN_ROW_MISS:
                 not_before += self._t_rp_ns
             # per-bank tRC: a new activate must wait out the row cycle
             row_cycle_ok = self._last_act_ns + self._t_rc_ns
@@ -220,13 +217,14 @@ class Bank:
             v.on_service_start(self._channel_id,
                                rank.global_rank_index, self.bank_id,
                                request, access, start, data_ready)
-        engine.post_chain_at(data_ready, lambda: self._bank_done(request))
+        engine.post_chain_at(data_ready, self._bank_done, request)
 
     def _bank_done(self, request: MemRequest) -> None:
         """Array access complete; hold the bank and wait for the bus.
 
-        The channel's ``request_bus`` dispatch is inlined — one event per
-        access runs through here, and the branch is two attribute reads.
+        The bus request is made here directly — one event per access
+        runs through here: start the burst on an idle bus, otherwise
+        join the channel's wait list.
         """
         request.bank_done_ns = self._engine._now
         channel = self._channel
@@ -250,9 +248,13 @@ class Bank:
         if self._open_page:
             keep_open = True
         else:
-            nxt = self._peek_next()
-            keep_open = (nxt is not None
-                         and nxt.location.row == request.location.row)
+            # peek at the request _select_next would pick next
+            if self._controller._wb_priority[self._channel_id]:
+                queue = self.write_q or self.read_q
+            else:
+                queue = self.read_q or self.write_q
+            keep_open = (len(queue) > 0
+                         and queue[0].location.row == request.location.row)
         if keep_open:
             self._free(burst_end)
         else:
@@ -268,16 +270,7 @@ class Bank:
                 v.on_precharge(self._channel_id,
                                self._rank.global_rank_index, self.bank_id,
                                pre_start, free_at)
-            self._engine.post_chain_at(free_at, lambda: self._free(free_at))
-
-    def _peek_next(self) -> Optional[MemRequest]:
-        if self._controller._wb_priority[self._channel.channel_id]:
-            if self.write_q:
-                return self.write_q[0]
-            return self.read_q[0] if self.read_q else None
-        if self.read_q:
-            return self.read_q[0]
-        return self.write_q[0] if self.write_q else None
+            self._engine.post_chain_at(free_at, self._free, free_at)
 
     def _free(self, _at_ns: float) -> None:
         self.busy = False

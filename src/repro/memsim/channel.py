@@ -42,18 +42,6 @@ class Channel:
         self._bus_busy = False
         self._waiting: Deque[Tuple[MemRequest, "Bank"]] = deque()
 
-    @property
-    def bus_outstanding(self) -> int:
-        """Requests holding or waiting for the bus (CTO sampling basis)."""
-        return len(self._waiting) + (1 if self._bus_busy else 0)
-
-    def request_bus(self, request: MemRequest, bank: "Bank") -> None:
-        """A bank finished array access and asks for the data bus."""
-        if self._bus_busy:
-            self._waiting.append((request, bank))
-        else:
-            self._start_burst(request, bank)
-
     def _start_burst(self, request: MemRequest, bank: "Bank") -> None:
         # Hot path: freeze-window lookup and the counter-file access
         # bookkeeping are inlined (one call per burst otherwise).
@@ -82,14 +70,31 @@ class Channel:
         v = controller.validator
         if v is not None:
             v.on_burst(channel_id, request, start, end)
-        engine.post_chain_at(end, lambda: self._end_burst(request, bank))
+        engine.post_chain_at(end, self._end_burst, bank)
 
-    def _end_burst(self, request: MemRequest, bank: "Bank") -> None:
-        request.complete_ns = self._engine._now
+    def _end_burst(self, bank: "Bank") -> None:
+        """The burst finished: free the bank, complete the request at the
+        controller, and start the next waiting burst.
+
+        The request is the bank's ``_in_service``: a bank holds its
+        request from service start until :meth:`Bank.release_after_burst`.
+        """
+        request = bank._in_service
+        request.complete_ns = now = self._engine._now
         self._bus_busy = False
         # Free the bank first so a same-row follow-up is visible as a hit.
         bank.release_after_burst(request)
-        self._controller.on_request_complete(request)
+        controller = self._controller
+        controller._in_flight -= 1
+        if request.is_read:
+            controller.completed_reads += 1
+            if request.on_complete is not None:
+                request.on_complete(request)
+        else:
+            controller.completed_writes += 1
+        v = controller.validator
+        if v is not None:
+            v.on_complete(request, now)
         if self._waiting:
             next_request, next_bank = self._waiting.popleft()
             self._start_burst(next_request, next_bank)

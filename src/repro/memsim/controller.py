@@ -24,7 +24,8 @@ from repro.memsim.address import AddressMapper, MemoryLocation
 from repro.memsim.bank import Bank
 from repro.memsim.channel import Channel
 from repro.memsim.counters import CounterFile
-from repro.memsim.engine import EventEngine
+from repro.memsim.engine import (CALLBACK, HOUSEKEEPING_LEN, TAG, TIME,
+                                  EventEngine)
 from repro.memsim.rank import Rank
 from repro.memsim.request import MemRequest, RequestKind
 from repro.memsim.states import PowerdownMode
@@ -34,6 +35,10 @@ from repro.memsim.validate import ProtocolValidator
 #: Writeback queue capacity per channel; reads lose priority when the
 #: occupancy reaches half of this (Section 4.1).
 WRITEBACK_QUEUE_CAPACITY = 32
+
+_READ = RequestKind.READ
+_WRITE = RequestKind.WRITE
+
 
 class MemoryController:
     """The simulated memory subsystem (MC + channels + DIMMs)."""
@@ -227,14 +232,13 @@ class MemoryController:
         if freeze_wait < 0.0:
             freeze_wait = 0.0
         mc_delay = freeze_wait + self._mc_latency_ns
-        self._engine.post_chain(mc_delay,
-                                lambda: self._arrive_at_bank(request))
+        self._engine.post_chain(mc_delay, self._arrive_at_bank, request)
 
     def submit_read(self, line_addr: int, core_id: int = 0, app_id: int = 0,
                     on_complete: Optional[Callable[[MemRequest], None]] = None
                     ) -> MemRequest:
         """Convenience wrapper: decode an address and submit an LLC miss."""
-        request = MemRequest(RequestKind.READ, self._decode(line_addr),
+        request = MemRequest(_READ, self._decode(line_addr),
                              core_id=core_id, app_id=app_id,
                              on_complete=on_complete)
         self.submit(request)
@@ -244,7 +248,7 @@ class MemoryController:
                          app_id: int = 0) -> MemRequest:
         """Convenience wrapper: decode an address and submit an LLC
         writeback (deprioritized per Section 4.1's queue rule)."""
-        request = MemRequest(RequestKind.WRITE, self._decode(line_addr),
+        request = MemRequest(_WRITE, self._decode(line_addr),
                              core_id=core_id, app_id=app_id)
         self.submit(request)
         return request
@@ -271,19 +275,6 @@ class MemoryController:
         counters.cto += len(ch._waiting) + (1 if ch._bus_busy else 0)
         counters.ctc += 1.0
         bank.enqueue(request)
-
-    def on_request_complete(self, request: MemRequest) -> None:
-        """Called by the channel when the data burst finishes."""
-        self._in_flight -= 1
-        if request.is_read:
-            self.completed_reads += 1
-            if request.on_complete is not None:
-                request.on_complete(request)
-        else:
-            self.completed_writes += 1
-        v = self.validator
-        if v is not None:
-            v.on_complete(request, self._engine._now)
 
     # -- writeback priority -------------------------------------------------------
 
@@ -414,10 +405,10 @@ class MemoryController:
         absorptions: each re-posted timer surfaces next and is absorbed
         in turn until the horizon, without dispatch overhead.
         """
-        rank = head[3]
+        rank = head[TAG]
         if rank is True or self._in_flight:
             return False  # plain housekeeping (refresh completions etc.)
-        t = head[0]
+        t = head[TIME]
         if (rank._refresh_due or rank._active_banks > 0
                 or rank.refresh_busy_until > t):
             return False  # the tick would defer, not issue
@@ -446,7 +437,7 @@ class MemoryController:
             if v is not None:
                 v.on_fast_forward(t, limit, 0)
             skipped = rank.ff_refresh_tick(t, seq + 2, limit)
-            entry = [t + t_refi, seq + 1, rank._refresh_timer, rank]
+            entry = [t + t_refi, seq + 1, rank._refresh_timer, None, rank]
             rank._timer_entry = entry
             heapreplace(queue, entry)  # drop absorbed head, land re-post
             # same bytes as the event path's record_refresh(rank_index)
@@ -454,15 +445,15 @@ class MemoryController:
             skipped_total += skipped
             ticks += 1
             head = queue[0]
-            if len(head) != 4 or head[2] is None:
-                # plain housekeeping, or a tombstoned timer (a rank
+            if len(head) != HOUSEKEEPING_LEN or head[CALLBACK] is None:
+                # a workload entry, or a tombstoned timer (a rank
                 # parked in self-refresh cancels its entry): let the
                 # run loop pop it instead of replaying a dead tick
                 break
-            rank = head[3]
+            rank = head[TAG]
             if rank is True:
                 break
-            t = head[0]
+            t = head[TIME]
             if (t >= limit or rank._refresh_due or rank._active_banks > 0
                     or rank.refresh_busy_until > t):
                 break

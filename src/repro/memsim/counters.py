@@ -24,7 +24,6 @@ Counter inventory (names follow the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
 
 import numpy as np
 
@@ -118,15 +117,15 @@ class CounterDelta:
         """Fraction of the interval rank ``rank`` spent in ``state``."""
         if self.interval_ns <= 0:
             return 0.0
-        return float(self.rank_state_ns[rank, _STATE_INDEX[state]]) / self.interval_ns
+        return float(self.rank_state_ns[rank, state.column]) / self.interval_ns
 
     @property
     def ptc(self) -> float:
         """Fraction of time all banks were precharged, averaged over ranks."""
         if self.interval_ns <= 0 or self.rank_state_ns.shape[0] == 0:
             return 0.0
-        pre = self.rank_state_ns[:, _STATE_INDEX[RankPowerState.PRECHARGE_STANDBY]] \
-            + self.rank_state_ns[:, _STATE_INDEX[RankPowerState.PRECHARGE_POWERDOWN]]
+        pre = self.rank_state_ns[:, RankPowerState.PRECHARGE_STANDBY.column] \
+            + self.rank_state_ns[:, RankPowerState.PRECHARGE_POWERDOWN.column]
         return float(pre.mean()) / self.interval_ns
 
     @property
@@ -134,7 +133,7 @@ class CounterDelta:
         """Fraction of time all banks precharged with CKE low (avg over ranks)."""
         if self.interval_ns <= 0 or self.rank_state_ns.shape[0] == 0:
             return 0.0
-        col = self.rank_state_ns[:, _STATE_INDEX[RankPowerState.PRECHARGE_POWERDOWN]]
+        col = self.rank_state_ns[:, RankPowerState.PRECHARGE_POWERDOWN.column]
         return float(col.mean()) / self.interval_ns
 
     @property
@@ -142,7 +141,7 @@ class CounterDelta:
         """Fraction of time some bank active with CKE low (avg over ranks)."""
         if self.interval_ns <= 0 or self.rank_state_ns.shape[0] == 0:
             return 0.0
-        col = self.rank_state_ns[:, _STATE_INDEX[RankPowerState.ACTIVE_POWERDOWN]]
+        col = self.rank_state_ns[:, RankPowerState.ACTIVE_POWERDOWN.column]
         return float(col.mean()) / self.interval_ns
 
     def channel_utilization(self, channel: int) -> float:
@@ -158,18 +157,10 @@ class CounterDelta:
         return float(self.channel_busy_ns.mean()) / self.interval_ns
 
 
-#: Column order of the per-rank state-time integrals. SELF_REFRESH is
-#: appended *last* so every pre-existing column keeps its index (and the
-#: power model's row unpacking stays bit-identical when the column is
-#: all zeros — i.e. whenever placement/self-refresh is disabled).
-_STATE_ORDER = (
-    RankPowerState.ACTIVE_STANDBY,
-    RankPowerState.PRECHARGE_STANDBY,
-    RankPowerState.ACTIVE_POWERDOWN,
-    RankPowerState.PRECHARGE_POWERDOWN,
-    RankPowerState.SELF_REFRESH,
-)
-_STATE_INDEX: Dict[RankPowerState, int] = {s: i for i, s in enumerate(_STATE_ORDER)}
+#: Column order of the per-rank state-time integrals: the members in
+#: definition order, which is ``RankPowerState.column`` order (the one
+#: state-to-column mapping; SELF_REFRESH is last, see its docstring).
+_STATE_ORDER = tuple(RankPowerState)
 
 
 class CounterFile:
@@ -217,15 +208,6 @@ class CounterFile:
     def record_llc_miss(self, core: int) -> None:
         self.tlm[core] += 1
 
-    def record_request_arrival(self, bank_ahead: float,
-                               channel_ahead: float) -> None:
-        """Batched form of the two arrival samples every request takes
-        (one bank, one channel) — a single call on the MC's hot path."""
-        self.bto += bank_ahead
-        self.btc += 1.0
-        self.cto += channel_ahead
-        self.ctc += 1.0
-
     def record_bank_arrival(self, outstanding_ahead: float) -> None:
         """A request arrived at a bank queue seeing ``outstanding_ahead`` work."""
         self.bto += outstanding_ahead
@@ -262,27 +244,17 @@ class CounterFile:
 
     def account_rank_state(self, rank: int, state: RankPowerState,
                            duration_ns: float) -> None:
+        """Add ``duration_ns`` to rank ``rank``'s time in ``state``.
+
+        The simulator's ranks add to their row at ``state.column``
+        directly (same float, same order); this is the checked form.
+        """
         if duration_ns < 0:
             raise ValueError(f"negative duration: {duration_ns}")
-        self.rank_state_ns[rank][_STATE_INDEX[state]] += duration_ns
+        self.rank_state_ns[rank][state.column] += duration_ns
 
     def record_refresh(self, rank: int) -> None:
         self.refreshes[rank] += 1.0
-
-    def record_refresh_batch(self, rank: int, count: int) -> None:
-        """Account ``count`` refreshes skipped by the fast-forward path.
-
-        A single add of the (integer-valued) batch size is bit-identical
-        to ``count`` unit adds — integers this small are exact in float64
-        — so the analytic path may lump the REF commands of one idle
-        period. Per-state *residency* is deliberately NOT batched this
-        way: those additions are non-integer and order-sensitive, so the
-        fast-forward path replays them slice by slice through
-        :meth:`account_rank_state`.
-        """
-        if count < 0:
-            raise ValueError(f"negative refresh batch: {count}")
-        self.refreshes[rank] += float(count)
 
     # -- snapshot / delta -------------------------------------------------
 
@@ -330,4 +302,4 @@ class CounterFile:
 
 def state_index(state: RankPowerState) -> int:
     """Column index of ``state`` in ``rank_state_ns`` arrays."""
-    return _STATE_INDEX[state]
+    return state.column

@@ -10,38 +10,45 @@ nanoseconds.
 
 Hot-path design
 ---------------
-The heap stores plain ``[time, seq, callback]`` lists, so ``heapq``
-orders entries with C-level list comparison: ``seq`` is unique, which
-means comparisons never reach the callback element and no Python
-``__lt__`` is ever invoked. Two scheduling interfaces share the heap:
+The heap stores plain lists whose first two slots are ``time`` and a
+unique ``seq``, so ``heapq`` orders entries with C-level list
+comparison: comparisons never reach the callback slot and no Python
+``__lt__`` is ever invoked. A workload entry is ``[time, seq, callback,
+arg]`` and is dispatched as ``callback(arg)``: the simulator's request
+path posts a bound method and its one argument (a bank completion posts
+``(bank._bank_done, request)``), so no per-event closure is built and
+no second Python frame runs. The public zero-argument interfaces share
+that one form by storing the module-level :func:`_call` shim as the
+callback and the user's callable as ``arg``:
 
 * :meth:`schedule` / :meth:`schedule_at` return an :class:`Event`
   handle supporting :meth:`Event.cancel`;
 * :meth:`post` / :meth:`post_at` allocate *no* handle at all — the
-  per-event cost is one list and one heap push. The simulator's
-  internal call sites (bank service completions, bus bursts, MC
-  arrivals, core issue timers) never cancel, so they all use this path.
+  per-event cost is one list and one heap push.
 
 Cancellation is a tombstone: :meth:`Event.cancel` clears the entry's
 callback slot in place (a decrease-key-free lazy deletion), and every
-queue consumer skips dead entries as they surface at the head — so a
-cancelled head with an otherwise-empty queue behaves exactly like an
+queue consumer (:meth:`run_until_stopped`, :meth:`step`,
+:meth:`peek_time`) drops dead entries as they surface at the head — so
+a cancelled head with an otherwise-empty queue behaves exactly like an
 empty queue, the case ``tests/test_engine.py::TestCancelledHead`` pins
 down. Tombstones are counted, and when they outnumber the live entries
-the heap is compacted in place (the queue list's identity is preserved
-because the run loops hold a local reference to it).
+:meth:`note_tombstone` compacts the heap in place (the queue list's
+identity is preserved because the run loops hold a local reference to
+it). The slot indices are named once, below (``TIME`` … ``TAG``).
 
 Fast-forward
 ------------
 Periodic *housekeeping* events (the rank refresh timers and their
-completions) are tagged by length: they are pushed as 4-element
-``[time, seq, callback, True]`` lists, while workload-driven entries
-stay 3 elements long. When a housekeeping entry surfaces at the head of
-the queue inside :meth:`run_until` / :meth:`run_until_stopped` and a
-fast-forward delegate is installed (see :meth:`set_fast_forward`), the
-delegate gets a chance to batch the idle period analytically — replaying
-the skipped events' exact counter and sequence-number effects — instead
-of grinding through them one heap pop at a time. The delegate returns
+completions) are tagged by length: they are pushed as 5-element
+``[time, seq, callback, None, tag]`` lists and dispatched as
+``callback()``, while workload entries stay 4 elements long. When a
+housekeeping entry surfaces at the head of the queue inside
+:meth:`run_until` / :meth:`run_until_stopped` and a fast-forward
+delegate is installed (see :meth:`set_fast_forward`), the delegate gets
+a chance to batch the idle period analytically — replaying the skipped
+events' exact counter and sequence-number effects — instead of
+grinding through them one heap pop at a time. The delegate returns
 True when it consumed work (the loop then re-examines the head) and
 False to fall back to normal execution. Skipped events are tallied in
 :attr:`events_fast_forwarded`; ``events_processed +
@@ -57,24 +64,32 @@ the bank precharge release — each the sole successor of the previous
 one. :meth:`post_chain_at` lets those sites declare the continuation
 relationship: the sequence number is allocated immediately (preserving
 global tie ordering), but while a run loop is active and chain
-absorption is armed (:meth:`set_chain_absorption`) the entry is parked
-in a one-deep marker instead of the heap. After the posting callback
-fully unwinds back to the run loop, the marker is executed inline —
-skipping the heap push/pop pair — *only* when doing so is
-indistinguishable from dispatch: the continuation is due within the
-loop bound and strictly earlier than the heap head (ties fall back to a
-normal push so seq ordering decides, exactly as dispatch would). A
-second chain post while the marker is occupied, a stop-predicate hit,
-or loop exit all flush the marker to the heap with its already-correct
-sequence number, so results are byte-identical with the feature on or
-off. Absorbed continuations are tallied in
-:attr:`events_busy_absorbed`.
+absorption is armed (:meth:`set_chain_absorption`) the
+``[time, seq, callback, arg]`` entry is parked in a one-deep marker
+instead of the heap. After the posting callback fully unwinds back to
+the run loop, the marker is executed inline — skipping the heap
+push/pop pair — *only* when doing so is indistinguishable from
+dispatch: the continuation is due within the loop bound and strictly
+earlier than the heap head (ties fall back to a normal push so seq
+ordering decides, exactly as dispatch would). A second chain post while
+the marker is occupied, a stop-predicate hit, or loop exit all flush
+the marker to the heap with its already-correct sequence number, so
+results are byte-identical with the feature on or off. Absorbed
+continuations are tallied in :attr:`events_busy_absorbed`.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
+
+#: Slot indices of a heap entry. A workload entry is
+#: ``[time, seq, callback, arg]``; a housekeeping entry is
+#: ``[time, seq, callback, None, tag]``. The two kinds are told apart
+#: by length (:data:`WORKLOAD_LEN` versus :data:`HOUSEKEEPING_LEN`).
+TIME, SEQ, CALLBACK, ARG, TAG = 0, 1, 2, 3, 4
+WORKLOAD_LEN = 4
+HOUSEKEEPING_LEN = 5
 
 #: Entries below this queue length are never worth compacting.
 _COMPACT_MIN = 8
@@ -85,6 +100,14 @@ def _never() -> bool:
     return False
 
 
+def _call(callback: Callable[[], None]) -> None:
+    """Dispatch shim of the zero-argument interfaces (``post``,
+    ``schedule`` and their ``_at`` forms): their entries hold this as
+    the callback and the caller's callable as the argument, so every
+    workload entry dispatches as ``callback(arg)``."""
+    callback()
+
+
 class SimulationError(RuntimeError):
     """Raised on misuse of the engine (e.g. scheduling in the past)."""
 
@@ -92,10 +115,11 @@ class SimulationError(RuntimeError):
 class Event:
     """Handle for a scheduled callback; supports cancellation.
 
-    Wraps the engine's internal ``[time, seq, callback]`` heap entry;
-    cancelling tombstones the entry in place (index 2 becomes None), so
-    the heap never needs a scan or re-sift. The owning engine is kept so
-    cancellation feeds the tombstone-compaction accounting.
+    Wraps the engine's internal ``[time, seq, _call, callback]`` heap
+    entry; cancelling tombstones the entry in place (its callback slot
+    becomes None), so the heap never needs a scan or re-sift. The owning
+    engine is kept so cancellation feeds the tombstone-compaction
+    accounting.
     """
 
     __slots__ = ("_entry", "_engine")
@@ -107,22 +131,22 @@ class Event:
     @property
     def time(self) -> float:
         """Absolute fire time in nanoseconds."""
-        return self._entry[0]
+        return self._entry[TIME]
 
     @property
     def seq(self) -> int:
         """Insertion sequence number (the time tiebreaker)."""
-        return self._entry[1]
+        return self._entry[SEQ]
 
     @property
     def cancelled(self) -> bool:
-        return self._entry[2] is None
+        return self._entry[CALLBACK] is None
 
     def cancel(self) -> None:
         """Prevent the callback from running. Safe to call repeatedly."""
-        if self._entry[2] is None:
+        if self._entry[CALLBACK] is None:
             return
-        self._entry[2] = None
+        self._entry[CALLBACK] = None
         if self._engine is not None:
             self._engine.note_tombstone()
             self._engine._horizon = None
@@ -145,8 +169,8 @@ class EventEngine:
         self._fast_forward: Optional[Callable[[list, float], bool]] = None
         self._tombstones = 0
         # One-deep deferred-continuation marker (see module docstring):
-        # a [time, seq, callback] entry parked instead of heap-pushed.
-        # Only ever non-None while a run loop is active.
+        # a [time, seq, callback, arg] entry parked instead of
+        # heap-pushed. Only ever non-None while a run loop is active.
         self._chain: Optional[list] = None
         self._chain_armed = False
         self._absorb_chains = False
@@ -184,32 +208,33 @@ class EventEngine:
     def pending(self) -> int:
         """Number of queued *live* events; tombstoned (cancelled) entries
         still sitting in the heap are not counted."""
-        return sum(1 for e in self._queue if e[2] is not None)
+        return sum(1 for e in self._queue if e[CALLBACK] is not None)
 
     # -- scheduling ----------------------------------------------------------
 
     def post_at(self, time_ns: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` at ``time_ns`` with no cancel handle.
+        """Schedule ``callback()`` at ``time_ns`` with no cancel handle.
 
-        The allocation-free hot path: one heap entry, no :class:`Event`.
+        The allocation-free public path: one heap entry, no
+        :class:`Event`.
         """
         if time_ns < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_ns} ns: current time is {self._now} ns"
             )
         self._seq = seq = self._seq + 1
-        heappush(self._queue, [time_ns, seq, callback])
+        heappush(self._queue, [time_ns, seq, _call, callback])
         self._horizon = None
 
     def post(self, delay_ns: float, callback: Callable[[], None]) -> None:
-        """Schedule ``callback`` after ``delay_ns`` ns, handle-free."""
+        """Schedule ``callback()`` after ``delay_ns`` ns, handle-free."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
         self.post_at(self._now + delay_ns, callback)
 
-    def post_chain_at(self, time_ns: float,
-                      callback: Callable[[], None]) -> None:
-        """Like :meth:`post_at`, but declare ``callback`` the sole
+    def post_chain_at(self, time_ns: float, callback: Callable[[Any], None],
+                      arg: Any) -> None:
+        """Schedule ``callback(arg)`` at ``time_ns``, declaring it the sole
         continuation of the currently-executing event.
 
         The sequence number is allocated here, exactly as :meth:`post_at`
@@ -225,13 +250,13 @@ class EventEngine:
             )
         self._seq = seq = self._seq + 1
         if self._chain_armed and self._chain is None:
-            self._chain = [time_ns, seq, callback]
+            self._chain = [time_ns, seq, callback, arg]
             return
-        heappush(self._queue, [time_ns, seq, callback])
+        heappush(self._queue, [time_ns, seq, callback, arg])
         self._horizon = None
 
-    def post_chain(self, delay_ns: float,
-                   callback: Callable[[], None]) -> None:
+    def post_chain(self, delay_ns: float, callback: Callable[[Any], None],
+                   arg: Any) -> None:
         """Continuation-declaring :meth:`post` (relative delay).
 
         The body of :meth:`post_chain_at` is duplicated rather than
@@ -242,15 +267,15 @@ class EventEngine:
         time_ns = self._now + delay_ns
         self._seq = seq = self._seq + 1
         if self._chain_armed and self._chain is None:
-            self._chain = [time_ns, seq, callback]
+            self._chain = [time_ns, seq, callback, arg]
             return
-        heappush(self._queue, [time_ns, seq, callback])
+        heappush(self._queue, [time_ns, seq, callback, arg])
         self._horizon = None
 
     def set_chain_absorption(self, enabled: bool) -> None:
         """Arm (or disarm) busy-period chain absorption for subsequent
-        run loops. Disarmed, :meth:`post_chain_at` degenerates to
-        :meth:`post_at` — the off-switch the equivalence tests flip."""
+        run loops. Disarmed, :meth:`post_chain_at` degenerates to a plain
+        heap push — the off-switch the equivalence tests flip."""
         self._absorb_chains = bool(enabled)
 
     def post_housekeeping_at(self, time_ns: float,
@@ -260,18 +285,19 @@ class EventEngine:
         housekeeping and return the raw heap entry so the scheduler of
         the event can tombstone it later.
 
-        ``tag`` fills the entry's fourth slot (what run loops detect by
-        ``len``): ``True`` for plain housekeeping, or any scheduler-
-        chosen object the fast-forward delegate can use to recognize an
-        absorbable head without introspecting the callback (the memory
-        controller passes the owning rank of each refresh timer).
+        The entry is ``[time, seq, callback, None, tag]`` and dispatches
+        as ``callback()``. ``tag`` fills the fifth slot: ``True`` for
+        plain housekeeping, or any scheduler-chosen object the
+        fast-forward delegate can use to recognize an absorbable head
+        without introspecting the callback (the memory controller passes
+        the owning rank of each refresh timer).
         """
         if time_ns < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_ns} ns: current time is {self._now} ns"
             )
         self._seq = seq = self._seq + 1
-        entry = [time_ns, seq, callback, tag]
+        entry = [time_ns, seq, callback, None, tag]
         heappush(self._queue, entry)
         return entry
 
@@ -284,19 +310,19 @@ class EventEngine:
         return self.post_housekeeping_at(self._now + delay_ns, callback, tag)
 
     def schedule_at(self, time_ns: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute time ``time_ns``."""
+        """Schedule ``callback()`` at absolute time ``time_ns``."""
         if time_ns < self._now:
             raise SimulationError(
                 f"cannot schedule at {time_ns} ns: current time is {self._now} ns"
             )
         self._seq = seq = self._seq + 1
-        entry = [time_ns, seq, callback]
+        entry = [time_ns, seq, _call, callback]
         heappush(self._queue, entry)
         self._horizon = None
         return Event(entry, self)
 
     def schedule(self, delay_ns: float, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` after ``delay_ns`` nanoseconds."""
+        """Schedule ``callback()`` after ``delay_ns`` nanoseconds."""
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
         return self.schedule_at(self._now + delay_ns, callback)
@@ -347,15 +373,15 @@ class EventEngine:
         heap entries (timer re-posts, a refresh completion that crosses
         the jump target) the skipped events would have pushed, with the
         sequence numbers they would have carried. ``tag`` is the same
-        fourth-slot marker :meth:`post_housekeeping_at` takes.
+        fifth-slot marker :meth:`post_housekeeping_at` takes.
         """
-        entry = [time_ns, seq, callback, tag]
+        entry = [time_ns, seq, callback, None, tag]
         heappush(self._queue, entry)
         return entry
 
     def workload_horizon(self, bound_ns: float) -> float:
-        """Earliest live non-housekeeping event time, capped at
-        ``bound_ns`` — how far a fast-forward batch may reach.
+        """Earliest live workload (non-housekeeping) event time, capped
+        at ``bound_ns`` — how far a fast-forward batch may reach.
 
         The uncapped minimum is cached between workload-set changes, so
         the per-tick fast-forward path pays a queue scan only once per
@@ -365,9 +391,10 @@ class EventEngine:
         if horizon is None:
             horizon = float("inf")
             for entry in self._queue:
-                if (len(entry) == 3 and entry[2] is not None
-                        and entry[0] < horizon):
-                    horizon = entry[0]
+                if (len(entry) == WORKLOAD_LEN
+                        and entry[CALLBACK] is not None
+                        and entry[TIME] < horizon):
+                    horizon = entry[TIME]
             self._horizon = horizon
         return horizon if horizon < bound_ns else bound_ns
 
@@ -384,9 +411,9 @@ class EventEngine:
 
     def tombstone(self, entry: list) -> None:
         """Cancel a raw heap entry (fast-forward timer replacement)."""
-        if entry[2] is None:
+        if entry[CALLBACK] is None:
             return
-        entry[2] = None
+        entry[CALLBACK] = None
         self.note_tombstone()
 
     def note_tombstone(self) -> None:
@@ -399,7 +426,7 @@ class EventEngine:
         self._tombstones += 1
         queue = self._queue
         if len(queue) >= _COMPACT_MIN and self._tombstones * 2 > len(queue):
-            queue[:] = [e for e in queue if e[2] is not None]
+            queue[:] = [e for e in queue if e[CALLBACK] is not None]
             heapify(queue)
             self._tombstones = 0
 
@@ -410,8 +437,8 @@ class EventEngine:
         queue = self._queue
         while queue:
             head = queue[0]
-            if head[2] is not None:
-                return head[0]
+            if head[CALLBACK] is not None:
+                return head[TIME]
             heappop(queue)
             if self._tombstones:
                 self._tombstones -= 1
@@ -424,16 +451,18 @@ class EventEngine:
         queue = self._queue
         while queue:
             entry = heappop(queue)
-            callback = entry[2]
+            callback = entry[CALLBACK]
             if callback is None:
                 if self._tombstones:
                     self._tombstones -= 1
                 continue
-            if len(entry) == 3:
-                self._horizon = None
-            self._now = entry[0]
+            self._now = entry[TIME]
             self._events_processed += 1
-            callback()
+            if len(entry) == WORKLOAD_LEN:
+                self._horizon = None
+                callback(entry[ARG])
+            else:
+                callback()
             return True
         return False
 
@@ -457,7 +486,8 @@ class EventEngine:
 
         This is the simulation main loop fused into the engine: one
         Python loop per event instead of the peek/step/check triple the
-        system layer would otherwise pay.
+        system layer would otherwise pay. Workload entries dispatch as
+        ``callback(arg)``, housekeeping entries as ``callback()``.
         """
         if time_ns < self._now:
             raise SimulationError(
@@ -474,11 +504,11 @@ class EventEngine:
                 chain = self._chain
                 if chain is not None:
                     self._chain = None
-                    if chain[0] <= time_ns and (
-                            not queue or chain[0] < queue[0][0]):
-                        self._now = chain[0]
+                    if chain[TIME] <= time_ns and (
+                            not queue or chain[TIME] < queue[0][TIME]):
+                        self._now = chain[TIME]
                         self._chain_absorbed += 1
-                        chain[2]()
+                        chain[CALLBACK](chain[ARG])
                         if should_stop():
                             return True
                         continue
@@ -487,22 +517,27 @@ class EventEngine:
                 if not queue:
                     break
                 head = queue[0]
-                callback = head[2]
+                callback = head[CALLBACK]
                 if callback is None:
                     heappop(queue)
                     if self._tombstones:
                         self._tombstones -= 1
                     continue
-                if head[0] > time_ns:
+                if head[TIME] > time_ns:
                     break
-                if len(head) == 3:
+                if len(head) == WORKLOAD_LEN:
                     self._horizon = None
-                elif ff is not None and ff(head, time_ns):
-                    continue
-                heappop(queue)
-                self._now = head[0]
-                self._events_processed += 1
-                callback()
+                    heappop(queue)
+                    self._now = head[TIME]
+                    self._events_processed += 1
+                    callback(head[ARG])
+                else:
+                    if ff is not None and ff(head, time_ns):
+                        continue
+                    heappop(queue)
+                    self._now = head[TIME]
+                    self._events_processed += 1
+                    callback()
                 if should_stop():
                     return True
         finally:

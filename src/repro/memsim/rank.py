@@ -6,12 +6,17 @@ very property that makes idle low-power states hard to exploit and
 motivates MemScale. The rank also enforces the cross-bank activation
 constraints tRRD and tFAW and periodically refreshes itself.
 
-Hot-path notes: instead of scanning every bank (``any(bank.busy or
-bank.has_pending ...)``) on each idle/refresh decision, the rank keeps
-``_active_banks`` and ``_open_rows`` counters that its banks maintain at
-the exact transition points (a bank becomes active when a request lands
-in an empty idle bank; inactive when it frees with nothing queued). The
+Hot-path notes: instead of scanning every bank (busy, or with requests
+queued) on each idle/refresh decision, the rank keeps ``_active_banks``
+and ``_open_rows`` counters that its banks maintain at the exact
+transition points (a bank becomes active when a request lands in an
+empty idle bank; inactive when it frees with nothing queued). The
 fixed-in-ns timing constants are cached as plain floats at construction.
+State residency is added straight into this rank's row of
+``CounterFile.rank_state_ns`` at the column each :class:`RankPowerState`
+carries, and the enum members are read from module constants: hashing
+an ``Enum`` key and reading an ``Enum`` class attribute both run Python
+code.
 """
 
 from __future__ import annotations
@@ -24,6 +29,13 @@ from repro.memsim.engine import EventEngine
 from repro.memsim.states import PowerdownMode, RankPowerState
 from repro.memsim.timing import TimingCalculator
 
+_ACTIVE_STANDBY = RankPowerState.ACTIVE_STANDBY
+_PRECHARGE_STANDBY = RankPowerState.PRECHARGE_STANDBY
+_ACTIVE_POWERDOWN = RankPowerState.ACTIVE_POWERDOWN
+_PRECHARGE_POWERDOWN = RankPowerState.PRECHARGE_POWERDOWN
+_SELF_REFRESH = RankPowerState.SELF_REFRESH
+_NO_POWERDOWN = PowerdownMode.NONE
+
 
 class Rank:
     """One rank of DRAM chips plus its power/refresh state machine."""
@@ -35,6 +47,7 @@ class Rank:
         "_refresh_enabled", "_t_rrd_ns", "_t_faw_ns", "_t_refi_ns",
         "_t_rfc_ns", "_active_banks", "_open_rows", "_timer_entry",
         "_t_ckesr_ns", "_t_xs_ns", "_sr_enter_ns", "sr_ready_until",
+        "_residency",
     )
 
     def __init__(self, engine: EventEngine, timing: TimingCalculator,
@@ -50,9 +63,11 @@ class Rank:
         self._banks: List[object] = []  # populated by the controller wiring
         #: protocol validator, installed by MemoryController.attach_validator
         self.validator = None
-        # power state accounting
-        self._state = RankPowerState.PRECHARGE_STANDBY
+        # power state accounting: this rank's row of the counter file's
+        # state-time integrals, indexed by ``RankPowerState.column``
+        self._state = _PRECHARGE_STANDBY
         self._state_since = engine.now
+        self._residency = counters.rank_state_ns[global_rank_index]
         # activation window: times of the most recent activates (for tFAW)
         self._recent_activates: Deque[float] = deque(maxlen=4)
         # fixed-in-ns constants, cached out of the per-command path
@@ -104,15 +119,17 @@ class Rank:
 
     @property
     def cke_low(self) -> bool:
-        return self._state.cke_low
+        """True in the powerdown and self-refresh states (only the two
+        standby states keep the clock enabled)."""
+        state = self._state
+        return state is not _ACTIVE_STANDBY and state is not _PRECHARGE_STANDBY
 
     def sync_accounting(self) -> None:
         """Flush elapsed time in the current state into the counter file."""
         now = self._engine.now
         elapsed = now - self._state_since
         if elapsed > 0:
-            self._counters.account_rank_state(self.global_rank_index,
-                                              self._state, elapsed)
+            self._residency[self._state.column] += elapsed
         self._state_since = now
 
     def _transition(self, new_state: RankPowerState) -> None:
@@ -136,32 +153,27 @@ class Rank:
                             now_ns, self._active_banks > 0)
         elapsed = now_ns - self._state_since
         if elapsed > 0:
-            self._counters.account_rank_state(self.global_rank_index,
-                                              self._state, elapsed)
+            self._residency[self._state.column] += elapsed
         self._state_since = now_ns
         self._state = new_state
-
-    def notify_bank_activity(self) -> None:
-        """A bank opened a row or started service: rank must be in standby."""
-        self._transition(RankPowerState.ACTIVE_STANDBY)
 
     def notify_all_banks_idle(self) -> None:
         """All banks precharged & queues empty — maybe enter powerdown."""
         if self._active_banks > 0:
             return
-        if self._state is RankPowerState.SELF_REFRESH:
+        if self._state is _SELF_REFRESH:
             # parked by policy; only an explicit exit (or a demand access
             # through wake_for_access) takes the rank out of self-refresh
             return
-        if self.powerdown_mode is PowerdownMode.NONE:
-            self._transition(RankPowerState.PRECHARGE_STANDBY)
+        if self.powerdown_mode is _NO_POWERDOWN:
+            self._transition(_PRECHARGE_STANDBY)
         else:
             # Aggressive MC: immediate transition to precharge powerdown
             # when the last bank of the rank closes (Section 4.2.3).
             if self._open_rows == 0:
-                self._transition(RankPowerState.PRECHARGE_POWERDOWN)
+                self._transition(_PRECHARGE_POWERDOWN)
             else:
-                self._transition(RankPowerState.ACTIVE_STANDBY)
+                self._transition(_ACTIVE_STANDBY)
         self._maybe_start_refresh()
 
     def wake_for_access(self) -> float:
@@ -171,15 +183,17 @@ class Rank:
         """
         if not self.cke_low:
             return 0.0
-        if self._state is RankPowerState.SELF_REFRESH:
+        state = self._state
+        if state is _SELF_REFRESH:
             return self.exit_self_refresh(for_access=True)
         self._counters.record_powerdown_exit()
         v = self.validator
         if v is not None:
             v.on_powerdown_exit(self.global_rank_index, self._engine.now)
-        self._transition(RankPowerState.PRECHARGE_STANDBY
-                         if self._state.all_precharged
-                         else RankPowerState.ACTIVE_STANDBY)
+        # a powerdown exit lands in the matching standby state
+        self._transition(_PRECHARGE_STANDBY
+                         if state is _PRECHARGE_POWERDOWN
+                         else _ACTIVE_STANDBY)
         return self._timing.powerdown_exit_ns(self.powerdown_mode)
 
     # -- self-refresh parking ------------------------------------------------
@@ -188,7 +202,7 @@ class Rank:
         """Entry legality: every bank idle and precharged, no refresh in
         progress or pending, and any previous exit window fully elapsed."""
         now = self._engine.now
-        return (self._state is not RankPowerState.SELF_REFRESH
+        return (self._state is not _SELF_REFRESH
                 and self._active_banks == 0
                 and self._open_rows == 0
                 and not self._refresh_due
@@ -212,7 +226,7 @@ class Rank:
             self._engine.tombstone(self._timer_entry)
             self._timer_entry = None
         self._sr_enter_ns = now
-        self._transition(RankPowerState.SELF_REFRESH)
+        self._transition(_SELF_REFRESH)
         return True
 
     def exit_self_refresh(self, for_access: bool = False) -> float:
@@ -226,7 +240,7 @@ class Rank:
         refresh resumes with a fresh tREFI interval (the device kept
         every row alive internally while parked).
         """
-        if self._state is not RankPowerState.SELF_REFRESH:
+        if self._state is not _SELF_REFRESH:
             return 0.0
         now = self._engine.now
         residual = self._sr_enter_ns + self._t_ckesr_ns - now
@@ -245,7 +259,7 @@ class Rank:
         v = self.validator
         if v is not None:
             v.on_sr_exit(self.global_rank_index, now, ready, for_access)
-        self._transition(RankPowerState.PRECHARGE_STANDBY)
+        self._transition(_PRECHARGE_STANDBY)
         if self._refresh_enabled:
             self._timer_entry = self._engine.post_housekeeping(
                 self._t_refi_ns, self._refresh_timer, self)
@@ -269,10 +283,6 @@ class Rank:
             t = self.refresh_busy_until
         return t
 
-    def record_activate(self, time_ns: float) -> None:
-        self._recent_activates.append(time_ns)
-        self._counters.record_activate()
-
     # -- refresh ------------------------------------------------------------
 
     def _refresh_timer(self) -> None:
@@ -295,7 +305,7 @@ class Rank:
         # refresh executes from standby: wake the rank without an access
         was_powered_down = self.cke_low
         if was_powered_down:
-            self._transition(RankPowerState.PRECHARGE_STANDBY)
+            self._transition(_PRECHARGE_STANDBY)
         self.refresh_busy_until = now + self._t_rfc_ns
         self._counters.record_refresh(self.global_rank_index)
         v = self.validator
@@ -340,25 +350,24 @@ class Rank:
         powerdown states need waking.
         """
         v = self.validator
-        counters = self._counters
+        residency = self._residency
         rank_index = self.global_rank_index
         state = self._state
         since = self._state_since
         if v is not None:
             v.on_refresh_due(rank_index, t_ns)
         # refresh executes from standby: wake the rank without an access
-        was_powered_down = (state is RankPowerState.ACTIVE_POWERDOWN
-                            or state is RankPowerState.PRECHARGE_POWERDOWN)
+        was_powered_down = (state is _ACTIVE_POWERDOWN
+                            or state is _PRECHARGE_POWERDOWN)
         if was_powered_down:
             if v is not None:
-                v.on_rank_state(rank_index, state,
-                                RankPowerState.PRECHARGE_STANDBY, t_ns,
+                v.on_rank_state(rank_index, state, _PRECHARGE_STANDBY, t_ns,
                                 self._active_banks > 0)
             elapsed = t_ns - since
             if elapsed > 0:
-                counters.account_rank_state(rank_index, state, elapsed)
+                residency[state.column] += elapsed
             since = t_ns
-            state = RankPowerState.PRECHARGE_STANDBY
+            state = _PRECHARGE_STANDBY
         done_ns = t_ns + self._t_rfc_ns
         self.refresh_busy_until = done_ns
         if v is not None:
@@ -370,34 +379,21 @@ class Rank:
             return 1
         # completion absorbed too: settle back into the idle power state
         # (the `notify_all_banks_idle` outcome for an idle rank)
-        if self.powerdown_mode is PowerdownMode.NONE:
-            target = RankPowerState.PRECHARGE_STANDBY
+        if self.powerdown_mode is _NO_POWERDOWN:
+            target = _PRECHARGE_STANDBY
         elif self._open_rows == 0:
-            target = RankPowerState.PRECHARGE_POWERDOWN
+            target = _PRECHARGE_POWERDOWN
         else:
-            target = RankPowerState.ACTIVE_STANDBY
+            target = _ACTIVE_STANDBY
         if target is not state:
             if v is not None:
                 v.on_rank_state(rank_index, state, target, done_ns,
                                 self._active_banks > 0)
             elapsed = done_ns - since
             if elapsed > 0:
-                counters.account_rank_state(rank_index, state, elapsed)
+                residency[state.column] += elapsed
             since = done_ns
             state = target
         self._state = state
         self._state_since = since
         return 2
-
-    # -- helpers -------------------------------------------------------------
-
-    def _any_bank_busy(self) -> bool:
-        """Some bank of this rank is serving or has work queued.
-
-        Kept as a method for tests/validator readability; backed by the
-        counter the banks maintain rather than a per-call scan.
-        """
-        return self._active_banks > 0
-
-    def _all_rows_closed(self) -> bool:
-        return self._open_rows == 0

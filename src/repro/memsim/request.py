@@ -18,6 +18,9 @@ class RequestKind(enum.Enum):
     WRITE = "write"
 
 
+_READ = RequestKind.READ
+
+
 class MemRequest:
     """One cache-line transfer request.
 
@@ -41,7 +44,7 @@ class MemRequest:
         self.kind = kind
         #: plain attribute (not a property): read on every scheduling
         #: decision, so the enum comparison is paid once at construction
-        self.is_read = kind is RequestKind.READ
+        self.is_read = kind is _READ
         self.core_id = core_id
         self.app_id = app_id
         self.location = location

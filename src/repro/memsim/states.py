@@ -20,13 +20,27 @@ class RankPowerState(enum.Enum):
                             exit pays tXS before any command. Entered
                             only by explicit policy (rank parking), never
                             by the reactive powerdown modes.
+
+    Each member carries ``column``, its index in the per-rank
+    state-time integrals (``CounterFile.rank_state_ns``); members are
+    defined in column order. ``SELF_REFRESH`` is last, so every older
+    column keeps its index and the power model's row unpacking stays
+    bit-identical when that column is all zeros. ``column`` is a plain
+    attribute: the simulator indexes residency with it on every state
+    change instead of hashing the member.
     """
 
-    ACTIVE_STANDBY = "act_stby"
-    PRECHARGE_STANDBY = "pre_stby"
-    ACTIVE_POWERDOWN = "act_pd"
-    PRECHARGE_POWERDOWN = "pre_pd"
-    SELF_REFRESH = "self_ref"
+    def __new__(cls, value: str, column: int) -> "RankPowerState":
+        member = object.__new__(cls)
+        member._value_ = value
+        member.column = column
+        return member
+
+    ACTIVE_STANDBY = ("act_stby", 0)
+    PRECHARGE_STANDBY = ("pre_stby", 1)
+    ACTIVE_POWERDOWN = ("act_pd", 2)
+    PRECHARGE_POWERDOWN = ("pre_pd", 3)
+    SELF_REFRESH = ("self_ref", 4)
 
     @property
     def cke_low(self) -> bool:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.memsim.counters import CounterFile
+from repro.memsim.counters import _STATE_ORDER, CounterFile, state_index
 from repro.memsim.states import RankPowerState
 
 
@@ -191,3 +191,24 @@ class TestDerivedMetrics:
         delta = CounterFile.delta(s0, counters.snapshot(5.0))
         assert delta.ptc == 0.0
         assert delta.mean_channel_utilization == 0.0
+
+
+class TestStateColumns:
+    """``RankPowerState.column`` is the one state-to-column mapping of
+    ``rank_state_ns``; the power model unpacks the columns in this order
+    (IDD3N, IDD2N, IDD3P, IDD2P, IDD6)."""
+
+    def test_column_is_the_state_index(self):
+        for state in RankPowerState:
+            assert state.column == state_index(state)
+            assert _STATE_ORDER[state.column] is state
+
+    def test_columns_are_pinned_with_self_refresh_last(self):
+        assert {s: s.column for s in RankPowerState} == {
+            RankPowerState.ACTIVE_STANDBY: 0,
+            RankPowerState.PRECHARGE_STANDBY: 1,
+            RankPowerState.ACTIVE_POWERDOWN: 2,
+            RankPowerState.PRECHARGE_POWERDOWN: 3,
+            RankPowerState.SELF_REFRESH: 4,
+        }
+        assert RankPowerState.SELF_REFRESH.column == len(_STATE_ORDER) - 1

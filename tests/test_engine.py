@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memsim.engine import EventEngine, SimulationError
+from repro.memsim.engine import (ARG, HOUSEKEEPING_LEN, TAG, WORKLOAD_LEN,
+                                  EventEngine, SimulationError)
 
 
 class TestScheduling:
@@ -92,7 +93,8 @@ class TestCancellation:
 class TestCancelledHead:
     """Regression: a cancelled head event with an otherwise-empty queue
     must behave exactly like an empty queue in every engine entry point
-    (lazy deletion, see ``EventEngine._drop_cancelled``)."""
+    (lazy deletion: ``run_until_stopped``, ``step`` and ``peek_time``
+    drop tombstones as they surface; ``note_tombstone`` compacts)."""
 
     def make_engine_with_cancelled_only_event(self):
         engine = EventEngine()
@@ -292,9 +294,12 @@ class TestHousekeeping:
     def test_workload_horizon_ignores_housekeeping_and_tombstones(self):
         engine = EventEngine()
         engine.post_housekeeping(5.0, lambda: None)
+        engine.post_housekeeping(1.0, lambda: None, tag=object())
+        engine.push_reserved(2.0, engine.reserve_seq(), lambda: None)
         dead = engine.schedule(7.0, lambda: None)
         dead.cancel()
-        engine.post_at(9.0, lambda: None)
+        engine.post_chain_at(9.0, print, None)
+        engine.post_at(11.0, lambda: None)
         assert engine.workload_horizon(100.0) == 9.0
 
     def test_workload_horizon_caps_at_bound(self):
@@ -342,6 +347,91 @@ class TestHousekeeping:
         engine.push_reserved(3.0, first, lambda: fired.append("first"))
         engine.run()
         assert fired == ["first", "second"]
+
+
+class TestEntryLayout:
+    """Workload entries are ``[time, seq, callback, arg]`` dispatched as
+    ``callback(arg)``; housekeeping entries are ``[time, seq, callback,
+    None, tag]`` dispatched as ``callback()``. The zero-argument
+    interfaces store a shim callback and the caller's callable as arg."""
+
+    def test_entry_lengths_and_slots(self):
+        engine = EventEngine()
+        engine.post_chain_at(1.0, print, "x")  # no run loop: heap push
+        hk = engine.post_housekeeping(2.0, lambda: None, tag="rank")
+        workload = [e for e in engine._queue if e is not hk]
+        assert len(workload) == 1 and len(workload[0]) == WORKLOAD_LEN
+        assert workload[0][ARG] == "x"
+        assert len(hk) == HOUSEKEEPING_LEN
+        assert hk[ARG] is None and hk[TAG] == "rank"
+
+    @pytest.mark.parametrize("drive", ["run", "run_until"])
+    def test_zero_argument_interfaces_dispatch_and_cancel(self, drive):
+        engine = EventEngine()
+        fired = []
+        engine.post(1.0, lambda: fired.append("post"))
+        engine.post_at(2.0, lambda: fired.append("post_at"))
+        engine.schedule(3.0, lambda: fired.append("schedule"))
+        engine.schedule_at(4.0, lambda: fired.append("schedule_at"))
+        dead = engine.schedule(5.0, lambda: fired.append("dead"))
+        dead_at = engine.schedule_at(6.0, lambda: fired.append("dead_at"))
+        dead.cancel()
+        dead_at.cancel()
+        assert dead.cancelled and dead_at.cancelled
+        if drive == "run":
+            engine.run()
+        else:
+            engine.run_until(10.0)
+        assert fired == ["post", "post_at", "schedule", "schedule_at"]
+        assert engine.events_processed == 4
+
+    def test_post_chain_at_absorbed_inline_calls_fn_with_arg(self):
+        engine = EventEngine()
+        engine.set_chain_absorption(True)
+        fired = []
+        engine.post_at(1.0, lambda: engine.post_chain_at(
+            4.0, fired.append, "chained"))
+        engine.run_until(10.0)
+        assert fired == ["chained"]
+        assert engine.events_busy_absorbed == 1
+        assert engine.events_processed == 1
+
+    @pytest.mark.parametrize("absorb", [True, False])
+    def test_post_chain_at_tie_with_head_falls_back_in_seq_order(
+            self, absorb):
+        # The tied workload entry was posted first, so it carries the
+        # lower seq: the continuation must go through the heap and fire
+        # after it, exactly as with absorption off.
+        engine = EventEngine()
+        engine.set_chain_absorption(absorb)
+        fired = []
+
+        def first():
+            fired.append("first")
+            engine.post_chain_at(5.0, fired.append, "chained")
+
+        engine.post_at(1.0, first)
+        engine.post_at(5.0, lambda: fired.append("tied"))
+        engine.run_until(10.0)
+        assert fired == ["first", "tied", "chained"]
+        assert engine.events_busy_absorbed == 0
+        assert engine.events_processed == 3
+
+    @pytest.mark.parametrize("absorb", [True, False])
+    def test_chain_seq_is_allocated_at_post_time(self, absorb):
+        # A continuation posted before a same-time plain post keeps the
+        # lower seq wherever it ends up (marker or heap).
+        engine = EventEngine()
+        engine.set_chain_absorption(absorb)
+        fired = []
+
+        def first():
+            engine.post_chain(4.0, fired.append, "chained")  # due at 5.0
+            engine.post_at(5.0, lambda: fired.append("later"))
+
+        engine.post_at(1.0, first)
+        engine.run_until(10.0)
+        assert fired == ["chained", "later"]
 
 
 class TestFastForwardDelegate:

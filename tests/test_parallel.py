@@ -7,6 +7,7 @@ import os
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.config import scaled_config
@@ -102,6 +103,27 @@ class TestCache:
         assert cache2.hits == 0 and cache2.misses == 1
         assert not path.exists() or path.stat().st_size > 20
         assert regenerated.rpki == expected.rpki
+
+    def test_trace_entry_with_bad_address_is_a_miss(self, tmp_path):
+        # a well-formed entry whose records are corrupt: discarded and
+        # regenerated, not replayed into a mid-run address error
+        cache = ExperimentCache(tmp_path)
+        runner = ExperimentRunner(settings=SETTINGS, cache=cache)
+        expected = runner.trace("MID1")
+        key = cache.trace_key("MID1", SETTINGS.cores,
+                              SETTINGS.instructions_per_core, SETTINGS.seed)
+        path = cache._trace_path(key)
+        data = np.load(str(path), mmap_mode="r+")
+        data[2, 0] = -7  # writeback column, first record
+        data.flush()
+        del data
+        cache2 = ExperimentCache(tmp_path)
+        assert cache2.load_trace(key) is None
+        assert cache2.misses == 1 and not path.exists()
+        regenerated = ExperimentRunner(settings=SETTINGS,
+                                       cache=cache2).trace("MID1")
+        np.testing.assert_array_equal(regenerated.cores[0].wb_addrs,
+                                      expected.cores[0].wb_addrs)
 
     def test_corrupted_baseline_falls_back_to_rerun(self, tmp_path):
         cache = ExperimentCache(tmp_path)

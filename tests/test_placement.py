@@ -19,11 +19,13 @@ Four layers:
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.config import scaled_config
+from repro.cpu import core_model
 from repro.memsim.controller import (
     WRITEBACK_QUEUE_CAPACITY,
     MemoryController,
@@ -287,27 +289,21 @@ class TestMigrationTrafficAccounting:
             cache=None)
         governor = make_governor(runner)
         sim = SystemSimulator(cfg, runner.trace("MID1"), governor)
-        # count demand-path submissions (the CPU side uses submit_read /
-        # submit_writeback; the migration pump submits MemRequests
-        # directly), so the accounting identity below is exact even
-        # though cores that finish early keep issuing timing-dependent
-        # traffic until the last core reaches its target
-        mc = sim.controller
+        # count demand requests where the cores create them (each one
+        # is submitted at once; the migration pump builds its own), so
+        # the accounting identity below is exact even though cores that
+        # finish early keep issuing timing-dependent traffic until the
+        # last core reaches its target
         demand = {"n": 0}
-        orig_read, orig_wb = mc.submit_read, mc.submit_writeback
+        real_request = core_model.MemRequest
 
-        def counting_read(*args, **kwargs):
+        def counting_request(*args, **kwargs):
             demand["n"] += 1
-            return orig_read(*args, **kwargs)
+            return real_request(*args, **kwargs)
 
-        def counting_wb(*args, **kwargs):
-            demand["n"] += 1
-            return orig_wb(*args, **kwargs)
-
-        mc.submit_read = counting_read
-        mc.submit_writeback = counting_wb
-        sim.run()
-        return mc, governor, demand["n"]
+        with mock.patch.object(core_model, "MemRequest", counting_request):
+            sim.run()
+        return sim.controller, governor, demand["n"]
 
     def test_extra_traffic_equals_pump_submissions(self):
         base = scaled_config().with_policy(epoch_ns=4_000.0,

@@ -30,6 +30,22 @@ class TestCoreTrace:
             CoreTrace("x", 0, np.array([-1], np.int64),
                       np.zeros(1, np.int64), np.full(1, -1, np.int64))
 
+    def test_negative_read_address_rejected_naming_app_and_record(self):
+        reads = np.array([4, -3, 9], np.int64)
+        with pytest.raises(ValueError, match=r"app 'swim': record 1 has "
+                                             r"read line address -3"):
+            CoreTrace("swim", 0, np.ones(3, np.int64), reads,
+                      np.full(3, -1, np.int64))
+
+    def test_writeback_below_minus_one_rejected(self):
+        # -1 means "no writeback"; anything lower is a corrupt record,
+        # not a silently dropped writeback
+        wbs = np.array([-1, 12, -7, -9], np.int64)
+        with pytest.raises(ValueError, match=r"app 'gap': record 2 has "
+                                             r"writeback line address -7"):
+            CoreTrace("gap", 1, np.ones(4, np.int64),
+                      np.arange(4, dtype=np.int64), wbs)
+
     def test_totals(self):
         t = make_core_trace(n=10, gap=100, wb_every=2)
         assert t.total_instructions == 1000
@@ -163,6 +179,17 @@ class TestColumnarFormat:
         meta["cores"][-1]["count"] += 1
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError):
+            WorkloadTrace.load_columnar(path)
+
+    def test_negative_address_fails_at_load(self, tmp_path):
+        path = tmp_path / "trace.npy"
+        self.make_mix().save_columnar(path)
+        data = np.load(str(path), mmap_mode="r+")
+        data[1, 10 + 3] = -3  # the second core's fourth read
+        data.flush()
+        del data
+        with pytest.raises(ValueError, match=r"app 'gap': record 3 has "
+                                             r"read line address -3"):
             WorkloadTrace.load_columnar(path)
 
     def test_bad_shape_rejected(self, tmp_path):
