@@ -151,8 +151,6 @@ def _config_from_args(args,
         config = config.replace(validate_protocol=True)
     if getattr(args, "no_fast_forward", False):
         config = config.replace(fast_forward=False)
-    if getattr(args, "no_busy_absorption", False):
-        config = config.replace(busy_absorption=False)
     return _device_config(config, getattr(args, "device", None))
 
 
@@ -238,10 +236,6 @@ def _add_ff_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--no-fast-forward", action="store_true",
                         help="disable idle-period fast-forward (results are "
                              "byte-identical either way; this is the "
-                             "debugging escape hatch)")
-    parser.add_argument("--no-busy-absorption", action="store_true",
-                        help="disable busy-period chain absorption "
-                             "(results are byte-identical either way; "
                              "debugging escape hatch)")
 
 

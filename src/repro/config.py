@@ -352,11 +352,6 @@ class SystemConfig:
     #: experiment cache ignores this flag too; it exists as an escape
     #: hatch and for measuring the speedup itself.
     fast_forward: bool = True
-    #: Absorb busy-period continuation chains inline (the deferred-
-    #: marker path in memsim/engine.py) instead of round-tripping each
-    #: request-path successor through the heap. Byte-identical on or
-    #: off — same contract and cache treatment as ``fast_forward``.
-    busy_absorption: bool = True
 
     @property
     def max_bus_freq_mhz(self) -> float:
@@ -457,8 +452,11 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
     is validated before being returned. The retired
     ``approx_steady_state`` flag is dropped when false; true means the
     payload describes approximate results this code cannot reproduce.
+    The retired ``busy_absorption`` flag is dropped whatever its value:
+    that path was exact, so results written either way reproduce.
     """
     payload = dict(payload)
+    payload.pop("busy_absorption", None)
     if payload.pop("approx_steady_state", False):
         raise ConfigError(
             "approx_steady_state is true, but the approximate steady-state "
@@ -481,7 +479,7 @@ def config_from_dict(payload: Dict[str, object]) -> SystemConfig:
             kwargs[name] = cls(**payload[name])
     if "bus_freqs_mhz" in payload:
         kwargs["bus_freqs_mhz"] = tuple(payload["bus_freqs_mhz"])
-    for flag in ("validate_protocol", "fast_forward", "busy_absorption"):
+    for flag in ("validate_protocol", "fast_forward"):
         if flag in payload:
             kwargs[flag] = bool(payload[flag])
     config = SystemConfig(**kwargs)

@@ -136,7 +136,7 @@ class Core:
         self._gap_start_ns = self._engine.now
         self._gap_total = gap
         self._gap_done = 0
-        self._engine.post_chain(gap * self._instr_ns, self._issue, gap)
+        self._engine.post(gap * self._instr_ns, self._issue, gap)
 
     def sync_committed(self) -> None:
         """Commit the instructions of the in-progress compute gap.
@@ -222,7 +222,7 @@ class Core:
         self._gap_start_ns = self._engine._now
         self._gap_total = gap
         self._gap_done = 0
-        self._engine.post_chain(gap * self._instr_ns, self._issue, gap)
+        self._engine.post(gap * self._instr_ns, self._issue, gap)
 
 
 class CpuCluster:

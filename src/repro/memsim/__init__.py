@@ -8,7 +8,7 @@ the hardware performance-counter file of Section 3.1.
 from repro.memsim.address import AddressMapper, MemoryLocation
 from repro.memsim.controller import MemoryController, WRITEBACK_QUEUE_CAPACITY
 from repro.memsim.counters import CounterDelta, CounterFile, CounterSnapshot
-from repro.memsim.engine import Event, EventEngine, SimulationError
+from repro.memsim.engine import EventEngine, SimulationError
 from repro.memsim.request import MemRequest, RequestKind
 from repro.memsim.states import PowerdownMode, RankPowerState
 from repro.memsim.timing import AccessClass, TimingCalculator
@@ -24,7 +24,6 @@ __all__ = [
     "CounterDelta",
     "CounterFile",
     "CounterSnapshot",
-    "Event",
     "EventEngine",
     "MemoryController",
     "MemoryLocation",

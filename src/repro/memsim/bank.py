@@ -12,7 +12,7 @@ at construction (they never change over a run), the bank maintains its
 rank's ``_active_banks`` / ``_open_rows`` counters at the activity
 transition points so the rank never scans its banks, and service/
 precharge completions are posted closure-free as ``(bound method, arg)``
-continuations through the engine's ``post_chain_at``. Enum members read
+continuations through the engine's ``post_at``. Enum members read
 per access are module constants (a class-attribute read of an ``Enum``
 member is a descriptor call).
 """
@@ -217,7 +217,7 @@ class Bank:
             v.on_service_start(self._channel_id,
                                rank.global_rank_index, self.bank_id,
                                request, access, start, data_ready)
-        engine.post_chain_at(data_ready, self._bank_done, request)
+        engine.post_at(data_ready, self._bank_done, request)
 
     def _bank_done(self, request: MemRequest) -> None:
         """Array access complete; hold the bank and wait for the bus.
@@ -270,7 +270,7 @@ class Bank:
                 v.on_precharge(self._channel_id,
                                self._rank.global_rank_index, self.bank_id,
                                pre_start, free_at)
-            self._engine.post_chain_at(free_at, self._free, free_at)
+            self._engine.post_at(free_at, self._free, free_at)
 
     def _free(self, _at_ns: float) -> None:
         self.busy = False

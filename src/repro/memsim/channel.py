@@ -70,7 +70,7 @@ class Channel:
         v = controller.validator
         if v is not None:
             v.on_burst(channel_id, request, start, end)
-        engine.post_chain_at(end, self._end_burst, bank)
+        engine.post_at(end, self._end_burst, bank)
 
     def _end_burst(self, bank: "Bank") -> None:
         """The burst finished: free the bank, complete the request at the

@@ -122,7 +122,6 @@ class MemoryController:
         self._t_refi_ns = self._timing.table.t_refi_ns
         if config.fast_forward:
             engine.set_fast_forward(self._fast_forward_idle)
-        engine.set_chain_absorption(config.busy_absorption)
 
         if config.validate_protocol:
             self.attach_validator(ProtocolValidator(config))
@@ -215,7 +214,6 @@ class MemoryController:
         """
         now = self._engine._now
         request.issue_ns = now
-        request.arrive_mc_ns = now
         self._in_flight += 1
         v = self.validator
         if v is not None:
@@ -232,7 +230,7 @@ class MemoryController:
         if freeze_wait < 0.0:
             freeze_wait = 0.0
         mc_delay = freeze_wait + self._mc_latency_ns
-        self._engine.post_chain(mc_delay, self._arrive_at_bank, request)
+        self._engine.post(mc_delay, self._arrive_at_bank, request)
 
     def submit_read(self, line_addr: int, core_id: int = 0, app_id: int = 0,
                     on_complete: Optional[Callable[[MemRequest], None]] = None

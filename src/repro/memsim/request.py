@@ -32,7 +32,7 @@ class MemRequest:
 
     __slots__ = (
         "request_id", "kind", "is_read", "core_id", "app_id", "location",
-        "issue_ns", "arrive_mc_ns", "arrive_bank_ns", "bank_start_ns",
+        "issue_ns", "arrive_bank_ns", "bank_start_ns",
         "act_ns", "bank_done_ns", "bus_start_ns", "complete_ns",
         "on_complete", "row_hit", "open_row_miss", "powerdown_exit",
     )
@@ -50,7 +50,6 @@ class MemRequest:
         self.location = location
         self.on_complete = on_complete
         self.issue_ns: float = -1.0
-        self.arrive_mc_ns: float = -1.0
         self.arrive_bank_ns: float = -1.0
         self.bank_start_ns: float = -1.0
         self.act_ns: float = -1.0  #: activate command time (-1 for row hits)

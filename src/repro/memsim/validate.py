@@ -291,7 +291,6 @@ class ProtocolValidator:
         else:
             self.completed += 1
         stamps = [("issue", request.issue_ns),
-                  ("arrive_mc", request.arrive_mc_ns),
                   ("arrive_bank", request.arrive_bank_ns),
                   ("bank_start", request.bank_start_ns),
                   ("bank_done", request.bank_done_ns),

@@ -97,8 +97,7 @@ class MigrationPump:
         occupancy = controller.wb_queue_occupancy(new_loc.channel)
         if occupancy >= WRITEBACK_QUEUE_CAPACITY - WB_HEADROOM:
             # queue near capacity: retry shortly instead of overflowing
-            self._engine.post(WB_RETRY_NS,
-                              lambda: self._submit_write(new_loc))
+            self._engine.post(WB_RETRY_NS, self._submit_write, new_loc)
             return
         self.writes_submitted += 1
         self.lines_copied += 1

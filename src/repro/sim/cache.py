@@ -59,15 +59,13 @@ def config_fingerprint(config: SystemConfig) -> Dict[str, object]:
 
     ``validate_protocol`` is excluded: the validator only observes, so a
     run produces byte-identical results armed or not and the two may
-    share cache entries. ``fast_forward`` and ``busy_absorption`` are
-    excluded for the same reason — the analytic idle-period batch and
-    the inline continuation-chain path both reproduce event-driven
-    results bit for bit, so all settings may share entries.
+    share cache entries. ``fast_forward`` is excluded for the same
+    reason — the analytic idle-period batch reproduces event-driven
+    results bit for bit, so both settings may share entries.
     """
     payload = dataclasses.asdict(config)
     payload.pop("validate_protocol", None)
     payload.pop("fast_forward", None)
-    payload.pop("busy_absorption", None)
     # Retired surrogate flag, pinned false so existing keys stay valid.
     payload["approx_steady_state"] = False
     return payload

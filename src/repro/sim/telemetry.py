@@ -23,51 +23,45 @@ from __future__ import annotations
 
 import abc
 import json
+from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 PathLike = Union[str, Path]
 
-#: Version written into every record; bump on schema changes.
-#: v1: the original epoch record. v2: appends the nullable power-cap
-#: fields (``budget_w``, ``predicted_power_w``, ``cap_feasible``,
-#: ``min_perf_norm``). v3: appends the nullable per-domain fields
-#: (``core_freq_mhz``, ``core_power_w``, ``domain_budget_split``)
-#: contributed by the multi-domain governor. v4: appends the nullable
-#: placement fields (``migrations_per_epoch``,
-#: ``rank_state_residency``) contributed by the placement governor.
-#: v1/v2/v3 files remain loadable.
-TELEMETRY_SCHEMA_VERSION = 4
+#: The fields each schema version appended to the record, in emission
+#: order — the one table of the JSONL schema (documented field by field
+#: in EXPERIMENTS.md). Every later version only appends nullable
+#: fields, so files of every listed version remain loadable. A schema
+#: bump is one new entry here.
+_FIELDS_ADDED_BY_VERSION: Dict[int, Tuple[str, ...]] = {
+    # v1: the original epoch record
+    1: ("schema", "kind", "workload", "governor", "epoch",
+        "t_start_ns", "t_end_ns", "bus_mhz",
+        "predicted_cpi", "actual_cpi", "slack_ns",
+        "feasible_bus_mhz", "limited_by_slack",
+        "energy_j", "memory_power_w", "channel_util"),
+    # v2: power-cap fields, null for every governor without a budget
+    2: ("budget_w", "predicted_power_w", "cap_feasible", "min_perf_norm"),
+    # v3: per-domain fields, null except for
+    # :class:`~repro.cap.multidomain.MultiDomainGovernor`
+    3: ("core_freq_mhz", "core_power_w", "domain_budget_split"),
+    # v4: placement fields, null except for
+    # :class:`~repro.placement.governor.PlacementGovernor`
+    4: ("migrations_per_epoch", "rank_state_residency"),
+}
 
-#: Field names of a v1 epoch record, in emission order.
-EPOCH_RECORD_FIELDS_V1 = (
-    "schema", "kind", "workload", "governor", "epoch",
-    "t_start_ns", "t_end_ns", "bus_mhz",
-    "predicted_cpi", "actual_cpi", "slack_ns",
-    "feasible_bus_mhz", "limited_by_slack",
-    "energy_j", "memory_power_w", "channel_util",
-)
+#: Field names of an epoch record of each schema version, in emission
+#: order: the fields its version and every earlier one appended.
+EPOCH_RECORD_FIELDS_BY_VERSION: Dict[int, Tuple[str, ...]] = dict(zip(
+    _FIELDS_ADDED_BY_VERSION, accumulate(_FIELDS_ADDED_BY_VERSION.values())))
 
-#: Field names of a v2 epoch record: v1 plus the power-cap fields,
-#: null for every governor without a budget.
-EPOCH_RECORD_FIELDS_V2 = EPOCH_RECORD_FIELDS_V1 + (
-    "budget_w", "predicted_power_w", "cap_feasible", "min_perf_norm",
-)
+#: Version written into every record: the newest in the table.
+TELEMETRY_SCHEMA_VERSION = max(EPOCH_RECORD_FIELDS_BY_VERSION)
 
-#: Field names of a v3 epoch record: v2 plus the per-domain fields,
-#: null for every governor except
-#: :class:`~repro.cap.multidomain.MultiDomainGovernor`.
-EPOCH_RECORD_FIELDS_V3 = EPOCH_RECORD_FIELDS_V2 + (
-    "core_freq_mhz", "core_power_w", "domain_budget_split",
-)
-
-#: Field names of an epoch record, in emission order (the JSONL schema
-#: contract checked by tests and documented in EXPERIMENTS.md). The
-#: placement fields are null for every governor except
-#: :class:`~repro.placement.governor.PlacementGovernor`.
-EPOCH_RECORD_FIELDS = EPOCH_RECORD_FIELDS_V3 + (
-    "migrations_per_epoch", "rank_state_residency",
-)
+#: Field names of a current epoch record, in emission order (the JSONL
+#: schema contract checked by tests and documented in EXPERIMENTS.md).
+EPOCH_RECORD_FIELDS = EPOCH_RECORD_FIELDS_BY_VERSION[TELEMETRY_SCHEMA_VERSION]
 
 
 class TelemetrySink(abc.ABC):
@@ -168,17 +162,17 @@ def validate_epoch_record(record: Dict[str, object]) -> None:
 
     Used by tests and by consumers replaying telemetry files from
     other runs; checks field presence, types, and the schema version.
-    The current (v4) and every historical version are accepted — v1
-    files lack the cap fields, v2 files lack the per-domain fields,
-    v3 files lack the placement fields.
+    Every version in :data:`EPOCH_RECORD_FIELDS_BY_VERSION` is accepted
+    and must carry that version's fields — v1 files lack the cap
+    fields, v2 files lack the per-domain fields, v3 files lack the
+    placement fields. The version must be a plain ``int``: ``true`` or
+    ``1.0`` are rejected, not read as v1.
     """
     version = record.get("schema")
-    if version not in (1, 2, 3, TELEMETRY_SCHEMA_VERSION):
+    if (type(version) is not int
+            or version not in EPOCH_RECORD_FIELDS_BY_VERSION):
         raise ValueError(f"unsupported telemetry schema {version!r}")
-    required = {1: EPOCH_RECORD_FIELDS_V1,
-                2: EPOCH_RECORD_FIELDS_V2,
-                3: EPOCH_RECORD_FIELDS_V3}.get(version,
-                                               EPOCH_RECORD_FIELDS)
+    required = EPOCH_RECORD_FIELDS_BY_VERSION[version]
     missing = [f for f in required if f not in record]
     if missing:
         raise ValueError(f"epoch record missing fields: {missing}")

@@ -255,6 +255,14 @@ class TestConfigFromDict:
                            match="surrogate has been removed.*fresh --dir"):
             config_from_dict(payload)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_drops_the_retired_busy_absorption_flag(self, value):
+        # The removed chain-absorption path was exact either way, so a
+        # ledger written with it on or off still describes this config.
+        payload = config_to_dict(scaled_config())
+        payload["busy_absorption"] = value
+        assert config_from_dict(payload) == scaled_config()
+
     def test_rejects_unknown_fields(self):
         payload = config_to_dict(scaled_config())
         payload["warp_drive"] = True

@@ -18,8 +18,7 @@ from pathlib import Path
 
 import repro
 from repro.config import scaled_config
-from repro.memsim import engine as engine_module
-from repro.memsim.engine import ARG, CALLBACK
+from repro.memsim.engine import CALLBACK
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 from repro.sim.system import SystemSimulator
 
@@ -34,11 +33,8 @@ REQUEST_PATH = {"Core._issue", "MemoryController._arrive_at_bank",
 
 def dispatched_function(entry):
     """The Python function a live heap entry ends up calling, or None
-    for a builtin. Zero-argument posts carry the engine's shim as the
-    callback and the caller's callable as the argument."""
+    for a builtin."""
     target = entry[CALLBACK]
-    if target is engine_module._call:
-        target = entry[ARG]
     if isinstance(target, types.MethodType):
         target = target.__func__
     return target if isinstance(target, types.FunctionType) else None

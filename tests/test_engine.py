@@ -1,10 +1,16 @@
 """Unit and property tests for the discrete-event engine."""
 
+from heapq import heappop
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.memsim.engine import (ARG, HOUSEKEEPING_LEN, TAG, WORKLOAD_LEN,
-                                  EventEngine, SimulationError)
+from repro.memsim.engine import (ARG, CALLBACK, HOUSEKEEPING_LEN, SEQ, TAG,
+                                  WORKLOAD_LEN, EventEngine, SimulationError)
+
+
+def noop(*_args):
+    """A callback that does nothing, for either entry kind."""
 
 
 class TestScheduling:
@@ -17,7 +23,7 @@ class TestScheduling:
     def test_schedule_and_step(self):
         engine = EventEngine()
         fired = []
-        engine.schedule(5.0, lambda: fired.append(engine.now))
+        engine.post(5.0, lambda _: fired.append(engine.now), None)
         assert engine.step() is True
         assert fired == [5.0]
         assert engine.now == 5.0
@@ -28,9 +34,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         engine = EventEngine()
         order = []
-        engine.schedule(10.0, lambda: order.append("late"))
-        engine.schedule(1.0, lambda: order.append("early"))
-        engine.schedule(5.0, lambda: order.append("middle"))
+        engine.post(10.0, order.append, "late")
+        engine.post(1.0, order.append, "early")
+        engine.post(5.0, order.append, "middle")
         engine.run()
         assert order == ["early", "middle", "late"]
 
@@ -38,74 +44,76 @@ class TestScheduling:
         engine = EventEngine()
         order = []
         for i in range(5):
-            engine.schedule(3.0, lambda i=i: order.append(i))
+            engine.post(3.0, order.append, i)
         engine.run()
         assert order == [0, 1, 2, 3, 4]
 
     def test_schedule_in_past_raises(self):
         engine = EventEngine()
-        engine.schedule(10.0, lambda: None)
+        engine.post(10.0, noop, None)
         engine.step()
         with pytest.raises(SimulationError):
-            engine.schedule_at(5.0, lambda: None)
+            engine.post_at(5.0, noop, None)
 
     def test_negative_delay_raises(self):
         with pytest.raises(SimulationError):
-            EventEngine().schedule(-1.0, lambda: None)
+            EventEngine().post(-1.0, noop, None)
 
     def test_nested_scheduling(self):
         engine = EventEngine()
         fired = []
 
-        def outer():
-            fired.append(("outer", engine.now))
-            engine.schedule(2.0, lambda: fired.append(("inner", engine.now)))
+        def outer(name):
+            fired.append((name, engine.now))
+            engine.post(2.0, lambda name: fired.append((name, engine.now)),
+                        "inner")
 
-        engine.schedule(1.0, outer)
+        engine.post(1.0, outer, "outer")
         engine.run()
         assert fired == [("outer", 1.0), ("inner", 3.0)]
 
 
 class TestCancellation:
+    """Housekeeping entries are the cancellable kind: ``post_housekeeping``
+    returns the raw entry and ``tombstone`` cancels it."""
+
     def test_cancelled_event_does_not_fire(self):
         engine = EventEngine()
         fired = []
-        handle = engine.schedule(1.0, lambda: fired.append(1))
-        handle.cancel()
+        entry = engine.post_housekeeping(1.0, lambda: fired.append(1))
+        engine.tombstone(entry)
         engine.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
         engine = EventEngine()
-        handle = engine.schedule(1.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
+        entry = engine.post_housekeeping(1.0, noop)
+        engine.tombstone(entry)
+        engine.tombstone(entry)
+        assert entry[CALLBACK] is None
         engine.run()
+        assert engine.events_processed == 0
 
     def test_pending_excludes_cancelled(self):
         engine = EventEngine()
-        engine.schedule(1.0, lambda: None)
-        handle = engine.schedule(2.0, lambda: None)
-        handle.cancel()
+        engine.post(1.0, noop, None)
+        entry = engine.post_housekeeping(2.0, noop)
+        engine.tombstone(entry)
         assert engine.pending == 1
 
 
 class TestCancelledHead:
     """Regression: a cancelled head event with an otherwise-empty queue
     must behave exactly like an empty queue in every engine entry point
-    (lazy deletion: ``run_until_stopped``, ``step`` and ``peek_time``
-    drop tombstones as they surface; ``note_tombstone`` compacts)."""
+    (lazy deletion: ``run_until_stopped`` and ``step`` drop tombstones
+    as they surface; ``tombstone`` compacts)."""
 
     def make_engine_with_cancelled_only_event(self):
         engine = EventEngine()
         fired = []
-        handle = engine.schedule(5.0, lambda: fired.append(5))
-        handle.cancel()
+        entry = engine.post_housekeeping(5.0, lambda: fired.append(5))
+        engine.tombstone(entry)
         return engine, fired
-
-    def test_peek_time_reports_empty(self):
-        engine, _ = self.make_engine_with_cancelled_only_event()
-        assert engine.peek_time() is None
 
     def test_step_reports_no_events_and_keeps_clock(self):
         engine, fired = self.make_engine_with_cancelled_only_event()
@@ -135,8 +143,8 @@ class TestCancelledHead:
         # fire it, and must leave the clock at the cutoff.
         engine = EventEngine()
         fired = []
-        handle = engine.schedule(50.0, lambda: fired.append(50))
-        handle.cancel()
+        entry = engine.post_housekeeping(50.0, lambda: fired.append(50))
+        engine.tombstone(entry)
         engine.run_until(10.0)
         assert engine.now == 10.0
         assert fired == []
@@ -146,17 +154,18 @@ class TestCancelledHead:
         # queue with a cancelled head; the engine must then be empty.
         engine = EventEngine()
         fired = []
-        later = engine.schedule(5.0, lambda: fired.append("later"))
-        engine.schedule_at(0.0, later.cancel)
-        engine.schedule_at(5.0, lambda: fired.append("first"))
+        later = engine.post_housekeeping(5.0, lambda: fired.append("later"))
+        engine.post_at(0.0, engine.tombstone, later)
+        engine.post_at(5.0, fired.append, "first")
         engine.run()
         assert fired == ["first"]
-        assert engine.peek_time() is None
+        assert engine.pending == 0
+        assert engine.step() is False
 
     def test_scheduling_after_cancelled_only_queue(self):
         engine, fired = self.make_engine_with_cancelled_only_event()
-        assert engine.peek_time() is None
-        engine.schedule(2.0, lambda: fired.append(2))
+        assert engine.pending == 0
+        engine.post(2.0, fired.append, 2)
         engine.run()
         assert fired == [2]
 
@@ -170,9 +179,9 @@ class TestRunUntil:
     def test_runs_events_up_to_and_including_boundary(self):
         engine = EventEngine()
         fired = []
-        engine.schedule(5.0, lambda: fired.append(5))
-        engine.schedule(10.0, lambda: fired.append(10))
-        engine.schedule(10.5, lambda: fired.append(10.5))
+        engine.post(5.0, fired.append, 5)
+        engine.post(10.0, fired.append, 10)
+        engine.post(10.5, fired.append, 10.5)
         engine.run_until(10.0)
         assert fired == [5, 10]
         assert engine.now == 10.0
@@ -185,30 +194,12 @@ class TestRunUntil:
         with pytest.raises(SimulationError):
             engine.run_until(5.0)
 
-    def test_peek_time(self):
-        engine = EventEngine()
-        assert engine.peek_time() is None
-        engine.schedule(7.0, lambda: None)
-        assert engine.peek_time() == 7.0
-
 
 class TestRun:
-    def test_max_events_limit(self):
-        engine = EventEngine()
-        fired = []
-
-        def recur():
-            fired.append(engine.now)
-            engine.schedule(1.0, recur)
-
-        engine.schedule(0.0, recur)
-        engine.run(max_events=10)
-        assert len(fired) == 10
-
     def test_events_processed_counter(self):
         engine = EventEngine()
         for i in range(4):
-            engine.schedule(float(i), lambda: None)
+            engine.post(float(i), noop, None)
         engine.run()
         assert engine.events_processed == 4
 
@@ -220,20 +211,20 @@ class TestTombstoneCompaction:
 
     def test_queue_shrinks_when_tombstones_dominate(self):
         engine = EventEngine()
-        handles = [engine.schedule(float(i + 1), lambda: None)
+        entries = [engine.post_housekeeping(float(i + 1), noop)
                    for i in range(20)]
         assert len(engine._queue) == 20
-        for handle in handles[:11]:  # 11 * 2 > 20 triggers compaction
-            handle.cancel()
+        for entry in entries[:11]:  # 11 * 2 > 20 triggers compaction
+            engine.tombstone(entry)
         assert len(engine._queue) == 9
         assert engine.pending == 9
 
     def test_small_queues_are_never_compacted(self):
         engine = EventEngine()
-        handles = [engine.schedule(float(i + 1), lambda: None)
+        entries = [engine.post_housekeeping(float(i + 1), noop)
                    for i in range(4)]
-        for handle in handles:
-            handle.cancel()
+        for entry in entries:
+            engine.tombstone(entry)
         # below _COMPACT_MIN: lazy deletion only, no compaction pass
         assert len(engine._queue) == 4
         assert engine.pending == 0
@@ -243,12 +234,12 @@ class TestTombstoneCompaction:
         fired = []
         keep = []
         for i in range(24):
-            handle = engine.schedule(float(i + 1),
-                                     lambda i=i: fired.append(i))
+            entry = engine.post_housekeeping(float(i + 1),
+                                             lambda i=i: fired.append(i))
             if i % 2:
                 keep.append(i)
             else:
-                handle.cancel()
+                engine.tombstone(entry)
         assert len(engine._queue) < 24
         engine.run()
         assert fired == keep
@@ -260,15 +251,16 @@ class TestTombstoneCompaction:
         # threshold mid-loop.
         engine = EventEngine()
         fired = []
-        doomed = [engine.schedule(50.0 + i, lambda: fired.append("doomed"))
+        doomed = [engine.post_housekeeping(
+                      50.0 + i, lambda: fired.append("doomed"))
                   for i in range(16)]
 
-        def cancel_all():
-            for handle in doomed:
-                handle.cancel()
+        def cancel_all(entries):
+            for entry in entries:
+                engine.tombstone(entry)
 
-        engine.schedule(1.0, cancel_all)
-        engine.schedule(2.0, lambda: fired.append("after"))
+        engine.post(1.0, cancel_all, doomed)
+        engine.post(2.0, fired.append, "after")
         engine.run_until(100.0)
         assert fired == ["after"]
 
@@ -287,62 +279,60 @@ class TestHousekeeping:
         engine = EventEngine()
         fired = []
         engine.post_housekeeping(2.0, lambda: fired.append("hk"))
-        engine.post(1.0, lambda: fired.append("workload"))
+        engine.post(1.0, fired.append, "workload")
         engine.run()
         assert fired == ["workload", "hk"]
 
     def test_workload_horizon_ignores_housekeeping_and_tombstones(self):
         engine = EventEngine()
-        engine.post_housekeeping(5.0, lambda: None)
-        engine.post_housekeeping(1.0, lambda: None, tag=object())
-        engine.push_reserved(2.0, engine.reserve_seq(), lambda: None)
-        dead = engine.schedule(7.0, lambda: None)
-        dead.cancel()
-        engine.post_chain_at(9.0, print, None)
-        engine.post_at(11.0, lambda: None)
+        engine.post_housekeeping(5.0, noop)
+        engine.post_housekeeping(1.0, noop, tag=object())
+        engine.push_reserved(2.0, 0, noop)
+        dead = engine.post_housekeeping(7.0, noop)
+        engine.tombstone(dead)
+        engine.post_at(9.0, noop, None)
+        engine.post_at(11.0, noop, None)
         assert engine.workload_horizon(100.0) == 9.0
 
     def test_workload_horizon_caps_at_bound(self):
         engine = EventEngine()
-        engine.post_at(50.0, lambda: None)
+        engine.post_at(50.0, noop, None)
         assert engine.workload_horizon(20.0) == 20.0
 
     def test_workload_horizon_cache_sees_new_posts(self):
         engine = EventEngine()
-        engine.post_at(50.0, lambda: None)
+        engine.post_at(50.0, noop, None)
         assert engine.workload_horizon(100.0) == 50.0  # primes the cache
-        engine.post_at(30.0, lambda: None)
+        engine.post_at(30.0, noop, None)
         assert engine.workload_horizon(100.0) == 30.0
 
     def test_workload_horizon_cache_advances_past_dispatch(self):
         engine = EventEngine()
-        engine.post_at(10.0, lambda: None)
-        engine.post_at(40.0, lambda: None)
+        engine.post_at(10.0, noop, None)
+        engine.post_at(40.0, noop, None)
         assert engine.workload_horizon(100.0) == 10.0
         engine.run_until(20.0)  # dispatches the 10 ns event
         assert engine.workload_horizon(100.0) == 40.0
 
     def test_reserved_seq_matches_normal_allocation(self):
+        # The fast-forward delegate reserves sequence numbers by
+        # advancing ``_seq`` (as the memory controller does); the next
+        # post then takes the number right after the reserved block.
         engine = EventEngine()
-        a = engine.reserve_seq()
-        b = engine.reserve_seq()
-        assert b == a + 1
-        event = engine.schedule(1.0, lambda: None)
-        assert event.seq == b + 1
-
-    def test_reserve_seq_block_matches_serial_reservation(self):
-        engine = EventEngine()
-        base = engine.reserve_seq_block(2)
-        # the block covers base+1 .. base+2, like two reserve_seq calls
-        assert engine.reserve_seq() == base + 3
+        engine.post(1.0, noop, None)
+        base = engine._seq
+        engine._seq = base + 2
+        engine.post(1.0, noop, None)
+        assert [entry[SEQ] for entry in sorted(engine._queue)] \
+            == [base, base + 3]
 
     def test_push_reserved_orders_by_reserved_seq(self):
         # Two entries at the same timestamp: the one carrying the earlier
         # reserved seq must fire first, regardless of push order.
         engine = EventEngine()
         fired = []
-        first = engine.reserve_seq()
-        second = engine.reserve_seq()
+        first = engine._seq + 1
+        second = engine._seq = first + 1
         engine.push_reserved(3.0, second, lambda: fired.append("second"))
         engine.push_reserved(3.0, first, lambda: fired.append("first"))
         engine.run()
@@ -352,13 +342,13 @@ class TestHousekeeping:
 class TestEntryLayout:
     """Workload entries are ``[time, seq, callback, arg]`` dispatched as
     ``callback(arg)``; housekeeping entries are ``[time, seq, callback,
-    None, tag]`` dispatched as ``callback()``. The zero-argument
-    interfaces store a shim callback and the caller's callable as arg."""
+    None, tag]`` dispatched as ``callback()`` and are the only kind that
+    can be cancelled."""
 
     def test_entry_lengths_and_slots(self):
         engine = EventEngine()
-        engine.post_chain_at(1.0, print, "x")  # no run loop: heap push
-        hk = engine.post_housekeeping(2.0, lambda: None, tag="rank")
+        engine.post_at(1.0, noop, "x")
+        hk = engine.post_housekeeping(2.0, noop, tag="rank")
         workload = [e for e in engine._queue if e is not hk]
         assert len(workload) == 1 and len(workload[0]) == WORKLOAD_LEN
         assert workload[0][ARG] == "x"
@@ -369,69 +359,23 @@ class TestEntryLayout:
     def test_zero_argument_interfaces_dispatch_and_cancel(self, drive):
         engine = EventEngine()
         fired = []
-        engine.post(1.0, lambda: fired.append("post"))
-        engine.post_at(2.0, lambda: fired.append("post_at"))
-        engine.schedule(3.0, lambda: fired.append("schedule"))
-        engine.schedule_at(4.0, lambda: fired.append("schedule_at"))
-        dead = engine.schedule(5.0, lambda: fired.append("dead"))
-        dead_at = engine.schedule_at(6.0, lambda: fired.append("dead_at"))
-        dead.cancel()
-        dead_at.cancel()
-        assert dead.cancelled and dead_at.cancelled
+        engine.post(1.0, fired.append, "post")
+        engine.post_at(2.0, fired.append, "post_at")
+        engine.post_housekeeping(3.0, lambda: fired.append("housekeeping"))
+        engine.post_housekeeping_at(
+            4.0, lambda: fired.append("housekeeping_at"))
+        dead = engine.post_housekeeping(5.0, lambda: fired.append("dead"))
+        dead_at = engine.post_housekeeping_at(
+            6.0, lambda: fired.append("dead_at"))
+        engine.tombstone(dead)
+        engine.tombstone(dead_at)
+        assert dead[CALLBACK] is None and dead_at[CALLBACK] is None
         if drive == "run":
             engine.run()
         else:
             engine.run_until(10.0)
-        assert fired == ["post", "post_at", "schedule", "schedule_at"]
+        assert fired == ["post", "post_at", "housekeeping", "housekeeping_at"]
         assert engine.events_processed == 4
-
-    def test_post_chain_at_absorbed_inline_calls_fn_with_arg(self):
-        engine = EventEngine()
-        engine.set_chain_absorption(True)
-        fired = []
-        engine.post_at(1.0, lambda: engine.post_chain_at(
-            4.0, fired.append, "chained"))
-        engine.run_until(10.0)
-        assert fired == ["chained"]
-        assert engine.events_busy_absorbed == 1
-        assert engine.events_processed == 1
-
-    @pytest.mark.parametrize("absorb", [True, False])
-    def test_post_chain_at_tie_with_head_falls_back_in_seq_order(
-            self, absorb):
-        # The tied workload entry was posted first, so it carries the
-        # lower seq: the continuation must go through the heap and fire
-        # after it, exactly as with absorption off.
-        engine = EventEngine()
-        engine.set_chain_absorption(absorb)
-        fired = []
-
-        def first():
-            fired.append("first")
-            engine.post_chain_at(5.0, fired.append, "chained")
-
-        engine.post_at(1.0, first)
-        engine.post_at(5.0, lambda: fired.append("tied"))
-        engine.run_until(10.0)
-        assert fired == ["first", "tied", "chained"]
-        assert engine.events_busy_absorbed == 0
-        assert engine.events_processed == 3
-
-    @pytest.mark.parametrize("absorb", [True, False])
-    def test_chain_seq_is_allocated_at_post_time(self, absorb):
-        # A continuation posted before a same-time plain post keeps the
-        # lower seq wherever it ends up (marker or heap).
-        engine = EventEngine()
-        engine.set_chain_absorption(absorb)
-        fired = []
-
-        def first():
-            engine.post_chain(4.0, fired.append, "chained")  # due at 5.0
-            engine.post_at(5.0, lambda: fired.append("later"))
-
-        engine.post_at(1.0, first)
-        engine.run_until(10.0)
-        assert fired == ["chained", "later"]
 
 
 class TestFastForwardDelegate:
@@ -444,20 +388,22 @@ class TestFastForwardDelegate:
             return False  # decline: normal execution proceeds
 
         engine.set_fast_forward(delegate)
-        engine.post(1.0, lambda: None)
-        engine.post_housekeeping(2.0, lambda: None)
+        engine.post(1.0, noop, None)
+        engine.post_housekeeping(2.0, noop)
         engine.run_until(10.0)
         assert seen == [(2.0, 10.0)]
         assert engine.events_processed == 2
 
     def test_delegate_absorbing_the_head_skips_dispatch(self):
+        # The delegate absorbs its head the way the memory controller
+        # does: pop it off the queue and count it as fast-forwarded.
         engine = EventEngine()
         fired = []
         engine.post_housekeeping(2.0, lambda: fired.append("hk"))
 
         def delegate(head, bound_ns):
-            engine.pop_absorbed_head()
-            engine.count_fast_forwarded(1)
+            assert heappop(engine._queue) is head
+            engine._events_fast_forwarded += 1
             return True
 
         engine.set_fast_forward(delegate)
@@ -474,7 +420,7 @@ class TestFastForwardDelegate:
 
         def delegate(head, bound_ns):
             engine.tombstone(entry)
-            engine.count_fast_forwarded(1)
+            engine._events_fast_forwarded += 1
             return True
 
         engine.set_fast_forward(delegate)
@@ -486,9 +432,16 @@ class TestFastForwardDelegate:
 
     def test_counts_are_disjoint(self):
         engine = EventEngine()
-        engine.post(1.0, lambda: None)
+        engine.post(1.0, noop, None)
+        engine.post_housekeeping(2.0, noop)
+
+        def delegate(head, bound_ns):
+            heappop(engine._queue)
+            engine._events_fast_forwarded += 7
+            return True
+
+        engine.set_fast_forward(delegate)
         engine.run_until(5.0)
-        engine.count_fast_forwarded(7)
         assert engine.events_processed == 1
         assert engine.events_fast_forwarded == 7
 
@@ -501,7 +454,7 @@ class TestOrderingProperty:
         engine = EventEngine()
         fire_times = []
         for d in delays:
-            engine.schedule(d, lambda: fire_times.append(engine.now))
+            engine.post(d, lambda _: fire_times.append(engine.now), None)
         engine.run()
         assert fire_times == sorted(fire_times)
         assert len(fire_times) == len(delays)
@@ -514,7 +467,7 @@ class TestOrderingProperty:
         engine = EventEngine()
         fired = []
         for d in delays:
-            engine.schedule(d, lambda d=d: fired.append(d))
+            engine.post(d, fired.append, d)
         engine.run_until(cutoff)
         assert all(d <= cutoff for d in fired)
         assert sorted(fired) == sorted(d for d in delays if d <= cutoff)

@@ -39,11 +39,9 @@ def result_bytes(result):
     return json.dumps(run_result_to_dict(result), sort_keys=True).encode()
 
 
-def run_once(mix, policy, bus_mhz, validate, fast_forward=True,
-             busy_absorption=True):
+def run_once(mix, policy, bus_mhz, validate, fast_forward=True):
     config = CONFIG.replace(validate_protocol=validate,
-                            fast_forward=fast_forward,
-                            busy_absorption=busy_absorption)
+                            fast_forward=fast_forward)
     runner = ExperimentRunner(config=config, settings=SETTINGS)
     if policy == "Static-sampled":
         return runner.run_governor(mix, StaticFrequencyGovernor(bus_mhz))
@@ -61,6 +59,32 @@ class TestFastForwardEquivalence:
                                         validate):
         on = run_once(mix, policy, bus_mhz, validate, fast_forward=True)
         off = run_once(mix, policy, bus_mhz, validate, fast_forward=False)
+        assert result_bytes(on) == result_bytes(off)
+
+    def test_placement_run_byte_identical(self):
+        # Placement adds self-refresh parking and migration traffic —
+        # the busiest housekeeping mix in the repo, and the bug class
+        # (a refresh timer tombstoned while its rank is parked) that
+        # motivates extra coverage. ILP1 at 4 x 200k is idle enough for
+        # fast-forward to engage, which the "on" leg asserts so the
+        # identity cannot pass vacuously.
+        def placement_run(fast_forward):
+            config = CONFIG.with_policy(
+                epoch_ns=4_000.0, profile_ns=400.0).with_placement(
+                enabled=True).replace(fast_forward=fast_forward)
+            runner = ExperimentRunner(
+                config=config,
+                settings=RunnerSettings(cores=4,
+                                        instructions_per_core=200_000,
+                                        seed=2011),
+                cache=None)
+            sim = SystemSimulator(config, runner.trace("ILP1"),
+                                  runner.make_placement_governor("ILP1"))
+            return sim.run(), sim.engine.events_fast_forwarded
+
+        on, on_skipped = placement_run(True)
+        off, off_skipped = placement_run(False)
+        assert on_skipped > 0 and off_skipped == 0
         assert result_bytes(on) == result_bytes(off)
 
 
@@ -101,81 +125,12 @@ class TestFastForwardEngagement:
         assert on.engine.events_processed < off.engine.events_processed
 
 
-class TestBusyAbsorptionEquivalence:
-    """Chain absorption (``SystemConfig.busy_absorption``, default on)
-    batches deferred-marker event chains on the *busy* path; like idle
-    fast-forward it must be byte-invisible in serialized results."""
-
-    @given(mix=st.sampled_from(["MID1", "ILP1", "ILP2", "MEM1"]),
-           policy=st.sampled_from(POLICIES),
-           bus_mhz=st.sampled_from(list(CONFIG.sorted_bus_freqs())),
-           validate=st.booleans())
-    @settings(max_examples=10, deadline=None)
-    def test_run_results_byte_identical(self, mix, policy, bus_mhz,
-                                        validate):
-        on = run_once(mix, policy, bus_mhz, validate, busy_absorption=True)
-        off = run_once(mix, policy, bus_mhz, validate,
-                       busy_absorption=False)
-        assert result_bytes(on) == result_bytes(off)
-
-    def test_placement_run_byte_identical(self):
-        # Placement adds self-refresh parking and migration traffic —
-        # the busiest housekeeping mix in the repo, and the bug class
-        # (PR 8's tombstoned refresh) that motivates extra coverage.
-        def placement_run(busy_absorption):
-            config = CONFIG.with_policy(
-                epoch_ns=4_000.0, profile_ns=400.0).with_placement(
-                enabled=True).replace(busy_absorption=busy_absorption)
-            runner = ExperimentRunner(
-                config=config, settings=SETTINGS, cache=None)
-            governor = runner.make_placement_governor("MID1")
-            return runner.run_governor("MID1", governor)
-
-        assert (result_bytes(placement_run(True))
-                == result_bytes(placement_run(False)))
-
-
-class TestBusyAbsorptionEngagement:
-    def make_sim(self, busy_absorption):
-        config = CONFIG.replace(busy_absorption=busy_absorption)
-        runner = ExperimentRunner(config=config, settings=SETTINGS)
-        governor = runner.make_named_governor("MID1", "MemScale")
-        return SystemSimulator(config, runner.trace("MID1"), governor)
-
-    def test_busy_run_absorbs_chains(self):
-        sim = self.make_sim(busy_absorption=True)
-        sim.run()
-        assert sim.engine.events_busy_absorbed > 0
-
-    def test_disabled_config_never_absorbs(self):
-        sim = self.make_sim(busy_absorption=False)
-        sim.run()
-        assert sim.engine.events_busy_absorbed == 0
-
-    def test_event_conservation_across_modes(self):
-        # processed + fast-forwarded + busy-absorbed is the
-        # mode-independent simulated event count.
-        on = self.make_sim(busy_absorption=True)
-        on.run()
-        off = self.make_sim(busy_absorption=False)
-        off.run()
-        total = lambda sim: (sim.engine.events_processed
-                             + sim.engine.events_fast_forwarded
-                             + sim.engine.events_busy_absorbed)
-        assert total(on) == total(off)
-        assert on.engine.events_processed < off.engine.events_processed
-
-
 class TestCacheKeyInsensitivity:
     def test_fingerprint_ignores_fast_forward(self):
         # Byte-identical results may share cache entries, exactly like
         # the observe-only validator flag.
         assert (config_fingerprint(CONFIG.replace(fast_forward=True))
                 == config_fingerprint(CONFIG.replace(fast_forward=False)))
-
-    def test_fingerprint_ignores_busy_absorption(self):
-        assert (config_fingerprint(CONFIG.replace(busy_absorption=True))
-                == config_fingerprint(CONFIG.replace(busy_absorption=False)))
 
     def test_retired_surrogate_flag_keeps_keys_stable(self):
         # The removed surrogate's flag stays in the fingerprint as a

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from repro.config import MemoryOrgConfig, scaled_config
 from repro.memsim.address import AddressMapper, MemoryLocation
 from repro.memsim.controller import MemoryController
-from repro.memsim.engine import EventEngine
+from repro.memsim.engine import CALLBACK, EventEngine
 from repro.memsim.request import MemRequest, RequestKind
 from repro.memsim.states import PowerdownMode
 
@@ -31,18 +31,28 @@ request_specs = st.lists(
 )
 
 
+def post_requests(engine, mc, specs):
+    """Post each spec's submission at its delay; returns the list the
+    completed reads land in."""
+    completed = []
+
+    def submit(spec):
+        _, addr, is_read = spec
+        if is_read:
+            mc.submit_read(addr, on_complete=completed.append)
+        else:
+            mc.submit_writeback(addr)
+
+    for spec in specs:
+        engine.post(spec[0], submit, spec)
+    return completed
+
+
 def drive(specs, powerdown=PowerdownMode.NONE):
     engine = EventEngine()
     mc = MemoryController(engine, CFG, powerdown_mode=powerdown,
                           refresh_enabled=False, n_cores=2)
-    completed = []
-    for delay, addr, is_read in specs:
-        def submit(addr=addr, is_read=is_read):
-            if is_read:
-                mc.submit_read(addr, on_complete=completed.append)
-            else:
-                mc.submit_writeback(addr)
-        engine.schedule(delay, submit)
+    completed = post_requests(engine, mc, specs)
     engine.run()
     return engine, mc, completed
 
@@ -144,14 +154,7 @@ class TestFrequencyInvariance:
         engine = EventEngine()
         mc = MemoryController(engine, CFG, refresh_enabled=False, n_cores=2)
         mc.set_frequency_by_bus_mhz(bus_mhz)
-        completed = []
-        for delay, addr, is_read in specs:
-            def submit(addr=addr, is_read=is_read):
-                if is_read:
-                    mc.submit_read(addr, on_complete=completed.append)
-                else:
-                    mc.submit_writeback(addr)
-            engine.schedule(delay, submit)
+        completed = post_requests(engine, mc, specs)
         engine.run()
         reads = sum(1 for _, _, r in specs if r)
         assert len(completed) == reads
@@ -262,7 +265,11 @@ event_plans = st.lists(
 
 
 class TestEngineOrderingUnderCancellation:
-    """The event loop's contract survives arbitrary cancellation."""
+    """The event loop's contract survives arbitrary cancellation.
+
+    Housekeeping entries are the cancellable kind, so the events here
+    are posted with ``post_housekeeping`` and cancelled with
+    ``tombstone``."""
 
     @given(event_plans)
     @settings(max_examples=100, deadline=None)
@@ -271,11 +278,11 @@ class TestEngineOrderingUnderCancellation:
         fired = []
         events = []
         for i, (delay, _) in enumerate(plan):
-            events.append(engine.schedule(
+            events.append(engine.post_housekeeping(
                 delay, lambda i=i: fired.append((engine.now, i))))
         for event, (_, cancel_me) in zip(events, plan):
             if cancel_me:
-                event.cancel()
+                engine.tombstone(event)
         engine.run()
         expected = [i for i, (_, c) in enumerate(plan) if not c]
         assert sorted(f[1] for f in fired) == expected
@@ -302,8 +309,8 @@ class TestEngineOrderingUnderCancellation:
                 fired.append(i)
                 victim = victims.get(i)
                 if victim is not None:
-                    victim.cancel()
-            events.append(engine.schedule(delay, callback))
+                    engine.tombstone(victim)
+            events.append(engine.post_housekeeping(delay, callback))
         # Each cancelling event picks a victim that fires strictly later.
         order = sorted(range(len(plan)), key=lambda i: (plan[i][0], i))
         for pos, i in enumerate(order):
@@ -315,7 +322,7 @@ class TestEngineOrderingUnderCancellation:
         # Exactly the never-cancelled events fired, once each, in
         # (time, seq) order; victims sort strictly after their canceller,
         # so every cancel lands before its victim would have popped.
-        expected = [i for i in order if not events[i].cancelled]
+        expected = [i for i in order if events[i][CALLBACK] is not None]
         assert fired == expected
         assert engine.pending == 0
         assert engine.events_processed >= len(fired)

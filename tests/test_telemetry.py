@@ -9,9 +9,7 @@ from repro.sim.runner import ExperimentRunner, RunnerSettings
 from repro.sim.system import SystemSimulator
 from repro.sim.telemetry import (
     EPOCH_RECORD_FIELDS,
-    EPOCH_RECORD_FIELDS_V1,
-    EPOCH_RECORD_FIELDS_V2,
-    EPOCH_RECORD_FIELDS_V3,
+    EPOCH_RECORD_FIELDS_BY_VERSION,
     TELEMETRY_SCHEMA_VERSION,
     JsonlTelemetry,
     ListTelemetry,
@@ -23,15 +21,21 @@ from repro.sim.telemetry import (
 
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=20_000, seed=7)
 
+_V1 = ("schema", "kind", "workload", "governor", "epoch",
+       "t_start_ns", "t_end_ns", "bus_mhz",
+       "predicted_cpi", "actual_cpi", "slack_ns",
+       "feasible_bus_mhz", "limited_by_slack",
+       "energy_j", "memory_power_w", "channel_util")
+_V2 = _V1 + ("budget_w", "predicted_power_w", "cap_feasible",
+             "min_perf_norm")
+_V3 = _V2 + ("core_freq_mhz", "core_power_w", "domain_budget_split")
+_V4 = _V3 + ("migrations_per_epoch", "rank_state_residency")
+
 #: Every schema version ever written, with the exact field tuple a
-#: writer of that version emitted. New schema bumps add one entry here
-#: and the forward-compat matrix below covers them automatically.
-VERSION_FIELDS = {
-    1: EPOCH_RECORD_FIELDS_V1,
-    2: EPOCH_RECORD_FIELDS_V2,
-    3: EPOCH_RECORD_FIELDS_V3,
-    4: EPOCH_RECORD_FIELDS,
-}
+#: writer of that version emitted — spelled out here, independently of
+#: the module's table. New schema bumps add one entry here and the
+#: forward-compat matrix below covers them automatically.
+VERSION_FIELDS = {1: _V1, 2: _V2, 3: _V3, 4: _V4}
 
 
 def _record_for_version(version):
@@ -90,9 +94,11 @@ class TestSchema:
             t_start_ns=0.0, t_end_ns=1.0, bus_mhz=800.0,
             actual_cpi={}, energy_j={}, memory_power_w=0.0,
             channel_util=[])
-        record["schema"] = TELEMETRY_SCHEMA_VERSION + 1
-        with pytest.raises(ValueError, match="schema"):
-            validate_epoch_record(record)
+        # a future version, and non-int look-alikes of a valid one
+        for bad in (TELEMETRY_SCHEMA_VERSION + 1, True, 1.0):
+            record["schema"] = bad
+            with pytest.raises(ValueError, match="schema"):
+                validate_epoch_record(record)
 
     def test_cap_fields_default_to_null(self):
         record = epoch_record(
@@ -233,6 +239,7 @@ class TestForwardCompatMatrix:
         assert TELEMETRY_SCHEMA_VERSION == max(VERSION_FIELDS)
         assert VERSION_FIELDS[TELEMETRY_SCHEMA_VERSION] \
             == EPOCH_RECORD_FIELDS
+        assert EPOCH_RECORD_FIELDS_BY_VERSION == VERSION_FIELDS
 
 
 class TestSimulatorEmission:

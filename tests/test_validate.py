@@ -550,7 +550,6 @@ class TestConservation:
         v = make_validator()
         request = make_request()
         request.issue_ns = 0.0
-        request.arrive_mc_ns = 0.0
         request.arrive_bank_ns = 5.0
         request.bank_start_ns = 5.0
         request.bank_done_ns = 40.0
