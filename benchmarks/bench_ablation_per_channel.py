@@ -8,7 +8,6 @@ saves additional energy at no extra CPI cost.
 """
 
 import numpy as np
-import pytest
 
 from benchmarks.conftest import run_once
 from repro.analysis import format_table
@@ -68,7 +67,7 @@ def run_policy(config, workload, per_channel):
     return cmp, drops
 
 
-def test_ablation_per_channel_frequency(benchmark, ctx):
+def test_ablation_per_channel_frequency(benchmark):
     config = scaled_config().with_cpu(cores=8)
     workload = skewed_workload(config)
 

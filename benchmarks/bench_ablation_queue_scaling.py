@@ -9,9 +9,7 @@ corrected model should keep the worst-case CPI increase no worse than
 the plain model's.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import bench_runner, run_once
 from repro.analysis import format_table
 from repro.core.energy_model import EnergyModel
 from repro.core.governor import MemScaleGovernor
@@ -20,8 +18,7 @@ from repro.core.policy import MemScalePolicy
 from repro.cpu.workloads import mix_names
 
 
-def run_variant(ctx, scale_queues):
-    runner = ctx.runner()
+def run_variant(runner, scale_queues):
     savings, worst = [], []
     for mix in mix_names("MID"):
         perf = PerformanceModel(runner.config, scale_queues=scale_queues)
@@ -35,11 +32,13 @@ def run_variant(ctx, scale_queues):
     return sum(savings) / len(savings), max(worst)
 
 
-def test_ablation_queue_scaling(benchmark, ctx):
+def test_ablation_queue_scaling(benchmark):
+    runner = bench_runner()
+
     def run_all():
         return {
-            "constant-xi (paper)": run_variant(ctx, False),
-            "scaled-xi (refined)": run_variant(ctx, True),
+            "constant-xi (paper)": run_variant(runner, False),
+            "scaled-xi (refined)": run_variant(runner, True),
         }
 
     stats = run_once(benchmark, run_all)

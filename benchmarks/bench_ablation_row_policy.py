@@ -8,36 +8,37 @@ latency. This ablation verifies that design choice inside our
 simulator and shows MemScale's savings hold under either policy.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import (bench_runner, experiment, mid_average,
+                                 run_once)
 from repro.analysis import format_table
 from repro.config import scaled_config
 from repro.cpu.workloads import mix_names
+from repro.sim import experiments
+
+#: Bench label -> row policy.
+ROW_POLICIES = {"closed-page (paper)": "closed", "open-page": "open"}
+
+#: (row policy, config) sensitivity points.
+POINTS = tuple((policy, scaled_config().with_org(row_policy=policy))
+               for policy in ROW_POLICIES.values())
 
 
-def run_policy_variant(ctx, row_policy):
-    cfg = scaled_config().with_org(row_policy=row_policy)
-    runner = ctx.runner(config=cfg, key=("rowpol", row_policy))
-    base_cpi, savings, worst = [], [], []
-    for mix in mix_names("MID"):
-        base = runner.baseline(mix)
-        cpis = base.core_cpi(cfg.cpu.cycle_ns)
-        base_cpi.append(float(cpis.mean()))
-        cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                             key=("rowpol", row_policy))
-        savings.append(cmp.system_energy_savings)
-        worst.append(cmp.worst_cpi_increase)
-    n = len(base_cpi)
-    return sum(base_cpi) / n, sum(savings) / n, max(worst)
+def baseline_mean_cpi(config):
+    """MID-average baseline CPI (loaded from the disk cache the MemScale
+    sweep filled, when the cache is on)."""
+    runner = bench_runner(config=config)
+    cpis = [float(runner.baseline(mix).core_cpi(config.cpu.cycle_ns).mean())
+            for mix in mix_names("MID")]
+    return sum(cpis) / len(cpis)
 
 
-def test_ablation_row_policy(benchmark, ctx):
+def test_ablation_row_policy(benchmark):
     def run_all():
-        return {
-            "closed-page (paper)": run_policy_variant(ctx, "closed"),
-            "open-page": run_policy_variant(ctx, "open"),
-        }
+        memscale = mid_average(experiment(
+            experiments.sensitivity, name="ablation_row_policy",
+            param="row_policy", points=POINTS), "row_policy")
+        return {name: (baseline_mean_cpi(config), *memscale[policy])
+                for name, (policy, config) in zip(ROW_POLICIES, POINTS)}
 
     stats = run_once(benchmark, run_all)
 

@@ -7,11 +7,9 @@ Paper: MemScale reduces DRAM, PLL/Reg, and MC energy more than the
 alternatives; Decoupled only reduces DRAM energy.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, run_once
 from repro.analysis import format_table
-from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 POLICIES = ["Fast-PD", "Decoupled", "Static", "MemScale"]
 DRAM_KEYS = ("background", "refresh", "actpre", "rdwr", "termination")
@@ -26,13 +24,14 @@ def grouped_energy(cmp):
     return group(pol), group(base)
 
 
-def test_fig10_energy_breakdown(benchmark, ctx):
+def test_fig10_energy_breakdown(benchmark):
     def run_all():
+        outcomes = experiment(experiments.policy_comparison).outcomes
         out = {}
         for policy in POLICIES:
             dram_p = reg_p = mc_p = dram_b = reg_b = mc_b = 0.0
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, policy)
+            for cmp in (o.comparison for o in outcomes
+                        if o.policy == policy):
                 (dp, rp, mp), (db, rb, mb) = grouped_energy(cmp)
                 dram_p += dp; reg_p += rp; mc_p += mp
                 dram_b += db; reg_b += rb; mc_b += mb

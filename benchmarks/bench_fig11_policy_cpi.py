@@ -5,23 +5,20 @@ MemScale (MemEnergy) slightly exceeds it; Slow-PD hurts one app by 15%;
 Fast-PD/Decoupled/Static cost only a few percent.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, run_once
 from repro.analysis import format_table
-from repro.cpu.workloads import mix_names
-
-POLICIES = ["Fast-PD", "Slow-PD", "Decoupled", "Static",
-            "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"]
+from repro.sim import experiments
+from repro.sim.experiments import FIG9_POLICIES as POLICIES
 
 
-def test_fig11_policy_cpi(benchmark, ctx):
+def test_fig11_policy_cpi(benchmark):
     def run_all():
+        outcomes = experiment(experiments.policy_comparison).outcomes
         out = {}
         for policy in POLICIES:
             avgs, worsts = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, policy)
+            for cmp in (o.comparison for o in outcomes
+                        if o.policy == policy):
                 avgs.append(cmp.avg_cpi_increase)
                 worsts.append(cmp.worst_cpi_increase)
             out[policy] = (sum(avgs) / len(avgs), max(worsts))

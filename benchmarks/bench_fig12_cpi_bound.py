@@ -8,30 +8,17 @@ because lengthening execution costs the rest of the system more energy
 than memory saves.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, mid_average, run_once
 from repro.analysis import format_table
-from repro.config import scaled_config
-from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 BOUNDS = (0.01, 0.05, 0.10, 0.15)
 
 
-def test_fig12_cpi_bound(benchmark, ctx):
+def test_fig12_cpi_bound(benchmark):
     def run_all():
-        out = {}
-        for bound in BOUNDS:
-            cfg = scaled_config().with_policy(cpi_bound=bound)
-            runner = ctx.runner(config=cfg, key=("bound", bound))
-            savings, worst = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                                     key=("bound", bound))
-                savings.append(cmp.system_energy_savings)
-                worst.append(cmp.worst_cpi_increase)
-            out[bound] = (sum(savings) / len(savings), max(worst))
-        return out
+        return mid_average(experiment(experiments.sensitivity_cpi_bound,
+                                      bounds=BOUNDS), "cpi_bound")
 
     stats = run_once(benchmark, run_all)
 

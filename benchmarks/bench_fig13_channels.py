@@ -8,34 +8,19 @@ Paper: more channels -> larger savings; even at 2 channels MemScale
 still saves roughly 14% system energy within the bound.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, mid_average, run_once
 from repro.analysis import format_table
-from repro.config import scaled_config
-from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 CHANNELS = (2, 3, 4)
 
 
-def test_fig13_channels(benchmark, ctx):
+def test_fig13_channels(benchmark):
     def run_all():
-        out = {}
-        for channels in CHANNELS:
-            # The ~same 8 DIMMs are redistributed over fewer channels
-            # (the paper varies channel count, not memory capacity).
-            per_channel = max(1, round(8 / channels))
-            cfg = scaled_config().with_org(channels=channels,
-                                           dimms_per_channel=per_channel)
-            runner = ctx.runner(config=cfg, key=("channels", channels))
-            savings, worst = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                                     key=("channels", channels))
-                savings.append(cmp.system_energy_savings)
-                worst.append(cmp.worst_cpi_increase)
-            out[channels] = (sum(savings) / len(savings), max(worst))
-        return out
+        # The ~same 8 DIMMs are redistributed over fewer channels (the
+        # paper varies channel count, not memory capacity).
+        return mid_average(experiment(experiments.sensitivity_channels,
+                                      channels=CHANNELS), "channels")
 
     stats = run_once(benchmark, run_all)
 

@@ -7,30 +7,18 @@ Paper: raising the fraction from 30% to 50% more than doubles system
 savings (11% vs 24%); worst-case CPI stays within the bound.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, mid_average, run_once
 from repro.analysis import format_table
-from repro.config import scaled_config
-from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 FRACTIONS = (0.30, 0.40, 0.50)
 
 
-def test_fig14_memory_fraction(benchmark, ctx):
+def test_fig14_memory_fraction(benchmark):
     def run_all():
-        out = {}
-        for frac in FRACTIONS:
-            cfg = scaled_config().with_power(memory_power_fraction=frac)
-            runner = ctx.runner(config=cfg, key=("memfrac", frac))
-            savings, worst = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                                     key=("memfrac", frac))
-                savings.append(cmp.system_energy_savings)
-                worst.append(cmp.worst_cpi_increase)
-            out[frac] = (sum(savings) / len(savings), max(worst))
-        return out
+        return mid_average(
+            experiment(experiments.sensitivity_memory_fraction,
+                       fractions=FRACTIONS), "memory_fraction")
 
     stats = run_once(benchmark, run_all)
 

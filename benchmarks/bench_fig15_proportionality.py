@@ -8,30 +8,18 @@ power), the more MemScale saves — up to ~23% — because frequency
 scaling is then the only way to cut their draw.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, mid_average, run_once
 from repro.analysis import format_table
-from repro.config import scaled_config
-from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 IDLE_FRACTIONS = (0.0, 0.5, 1.0)
 
 
-def test_fig15_proportionality(benchmark, ctx):
+def test_fig15_proportionality(benchmark):
     def run_all():
-        out = {}
-        for idle in IDLE_FRACTIONS:
-            cfg = scaled_config().with_power(proportionality_idle_frac=idle)
-            runner = ctx.runner(config=cfg, key=("prop", idle))
-            savings, worst = [], []
-            for mix in mix_names("MID"):
-                cmp = ctx.comparison(mix, "MemScale", runner=runner,
-                                     key=("prop", idle))
-                savings.append(cmp.system_energy_savings)
-                worst.append(cmp.worst_cpi_increase)
-            out[idle] = (sum(savings) / len(savings), max(worst))
-        return out
+        return mid_average(
+            experiment(experiments.sensitivity_proportionality,
+                       idle_fracs=IDLE_FRACTIONS), "idle_frac")
 
     stats = run_once(benchmark, run_all)
 

@@ -11,9 +11,8 @@ Paper's qualitative claims to match:
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import bench_runner, run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import mix_names
 
@@ -28,8 +27,8 @@ COMPONENT_LABELS = [
 ]
 
 
-def test_fig2_power_breakdown(benchmark, ctx):
-    runner = ctx.runner()
+def test_fig2_power_breakdown(benchmark):
+    runner = bench_runner()
 
     def run_baselines():
         return {cat: [runner.baseline(m) for m in mix_names(cat)]

@@ -1,24 +1,22 @@
 """Figure 5 — memory and full-system energy savings per workload.
 
 MemScale vs the all-on baseline at a 10% CPI bound, for all 12 mixes.
-The twelve runs fan out across worker processes via the parallel sweep
-layer (``repro.sim.parallel``); Figure 6 then reuses the same runs from
-the session cache.
+The twelve runs are ``repro figure 5``'s
+(:func:`repro.sim.experiments.energy_savings`); Figure 6 reuses them.
 
 Paper: memory savings 17%-71%, system savings 6%-31%; ILP mixes save
 the most (system >= 30%), MID at least 15%, MEM at least 6%.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, run_once
 from repro.analysis import format_bar_chart, format_table
 from repro.cpu.workloads import MIXES, mix_names
+from repro.sim import experiments
 
 
-def test_fig5_energy_savings(benchmark, ctx):
+def test_fig5_energy_savings(benchmark):
     def run_all():
-        outcomes = ctx.sweep(list(MIXES), ["MemScale"])
+        outcomes = experiment(experiments.energy_savings).outcomes
         return {o.mix: o.comparison for o in outcomes}
 
     comparisons = run_once(benchmark, run_all)

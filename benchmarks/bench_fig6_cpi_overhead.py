@@ -7,20 +7,20 @@ Paper: no application slowed more than 9.2%; per-mix averages never
 above 7.2%; degradations smallest for ILP, then MID, then MEM.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import MIXES, mix_names
+from repro.sim import experiments
 
 #: Tolerance over the strict bound for the scaled-down simulation (the
 #: paper's own MemEnergy variant exceeds the bound by 0.8%).
 BOUND_SLOP = 0.02
 
 
-def test_fig6_cpi_overhead(benchmark, ctx):
+def test_fig6_cpi_overhead(benchmark):
     def run_all():
-        return {mix: ctx.memscale_run(mix)[1] for mix in MIXES}
+        outcomes = experiment(experiments.energy_savings).outcomes
+        return {o.mix: o.comparison for o in outcomes}
 
     comparisons = run_once(benchmark, run_all)
 

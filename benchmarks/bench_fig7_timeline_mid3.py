@@ -7,17 +7,15 @@ boundary, and raises the frequency; apsi stays within the bound.
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import bench_runner, run_once
 from repro.analysis import format_table
 
 
-def test_fig7_timeline_mid3(benchmark, ctx):
-    def run():
-        return ctx.memscale_run("MID3")
-
-    result, comparison = run_once(benchmark, run)
+def test_fig7_timeline_mid3(benchmark):
+    runner = bench_runner()
+    result, comparison = run_once(benchmark,
+                                  lambda: runner.run_memscale("MID3"))
 
     rows = []
     for sample in result.timeline:

@@ -6,19 +6,15 @@ virtual frequency (the paper runs this mix on an 8-core system).
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import bench_runner, run_once
 from repro.analysis import format_series
 
 
-def test_fig8_timeline_mem4(benchmark, ctx):
-    runner = ctx.runner(cores=8, key=("fig8", 8))
-
-    def run():
-        return ctx.memscale_run("MEM4", runner=runner, key=("fig8",))
-
-    result, comparison = run_once(benchmark, run)
+def test_fig8_timeline_mem4(benchmark):
+    runner = bench_runner(cores=8)
+    result, comparison = run_once(benchmark,
+                                  lambda: runner.run_memscale("MEM4"))
 
     times = [s.time_ns / 1000.0 for s in result.timeline]
     freqs = [s.bus_mhz for s in result.timeline]

@@ -2,40 +2,33 @@
 
 Average memory/system energy savings across the MID workloads for:
 Fast-PD, Slow-PD, Decoupled DIMMs, Static, MemScale (MemEnergy),
-MemScale, and MemScale + Fast-PD. The 4 x 7 (mix, policy) grid fans out
-across worker processes via the parallel sweep layer; Figures 10/11
-reuse the same runs from the session cache.
+MemScale, and MemScale + Fast-PD. The 4 x 7 (mix, policy) grid is
+``repro figure 9``'s (:func:`repro.sim.experiments.policy_comparison`);
+Figures 10/11 reuse the same runs.
 
 Paper: Fast-PD saves little; Slow-PD *loses* system energy; Decoupled
 beats Fast-PD; Static beats Decoupled; MemScale beats Static and saves
 ~3x more than Decoupled.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, run_once
 from repro.analysis import format_table
-from repro.cpu.workloads import mix_names
-
-POLICIES = ["Fast-PD", "Slow-PD", "Decoupled", "Static",
-            "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"]
+from repro.sim import experiments
+from repro.sim.experiments import FIG9_POLICIES as POLICIES
 
 
-def mid_average(ctx, policy):
+def policy_average(outcomes, policy):
     mems, syss = [], []
-    for mix in mix_names("MID"):
-        cmp = ctx.comparison(mix, policy)
+    for cmp in (o.comparison for o in outcomes if o.policy == policy):
         mems.append(cmp.memory_energy_savings)
         syss.append(cmp.system_energy_savings)
     return sum(mems) / len(mems), sum(syss) / len(syss)
 
 
-def test_fig9_policy_comparison(benchmark, ctx):
+def test_fig9_policy_comparison(benchmark):
     def run_all():
-        # One parallel sweep fills the session cache; the averages then
-        # read back the per-(mix, policy) comparisons.
-        ctx.sweep(mix_names("MID"), POLICIES)
-        return {p: mid_average(ctx, p) for p in POLICIES}
+        outcomes = experiment(experiments.policy_comparison).outcomes
+        return {p: policy_average(outcomes, p) for p in POLICIES}
 
     averages = run_once(benchmark, run_all)
 

@@ -10,16 +10,14 @@ corrected through the slack mechanism".
 """
 
 import numpy as np
-import pytest
 
-from benchmarks.conftest import run_once
+from benchmarks.conftest import bench_runner, run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import mix_names
 
 
-def epoch_errors(ctx, mix):
+def epoch_errors(runner, mix):
     """Per-epoch |predicted - achieved| / achieved for each app."""
-    runner = ctx.runner()
     governor = runner.make_memscale_governor(mix)
     result = runner.run_governor(mix, governor)
     trace = runner.trace(mix)
@@ -42,9 +40,11 @@ def epoch_errors(ctx, mix):
     return errors
 
 
-def test_model_prediction_accuracy(benchmark, ctx):
+def test_model_prediction_accuracy(benchmark):
+    runner = bench_runner()
+
     def run_all():
-        return {mix: epoch_errors(ctx, mix) for mix in mix_names("MID")}
+        return {mix: epoch_errors(runner, mix) for mix in mix_names("MID")}
 
     per_mix = run_once(benchmark, run_all)
 

@@ -6,40 +6,31 @@ We sweep the same ratios at the scaled epoch size (epoch x0.5/x1/x2,
 profile 5%/10%/25% of the epoch).
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import experiment, mid_average, run_once
 from repro.analysis import format_table
 from repro.config import NS_PER_US, scaled_config
-from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 EPOCHS_US = (10.0, 20.0, 40.0)
 PROFILE_FRACS = (0.05, 0.10, 0.25)
 
+#: (("epoch" | "profile", value), config) sensitivity points.
+POINTS = tuple(
+    [(("epoch", epoch_us),
+      scaled_config(epoch_ns=epoch_us * NS_PER_US,
+                    profile_ns=0.10 * epoch_us * NS_PER_US))
+     for epoch_us in EPOCHS_US]
+    + [(("profile", frac),
+        scaled_config(epoch_ns=20.0 * NS_PER_US,
+                      profile_ns=frac * 20.0 * NS_PER_US))
+       for frac in PROFILE_FRACS])
 
-def mid_stats(ctx, cfg, key):
-    runner = ctx.runner(config=cfg, key=key)
-    savings, worst = [], []
-    for mix in mix_names("MID"):
-        cmp = ctx.comparison(mix, "MemScale", runner=runner, key=key)
-        savings.append(cmp.system_energy_savings)
-        worst.append(cmp.worst_cpi_increase)
-    return sum(savings) / len(savings), max(worst)
 
-
-def test_sec424_epoch_and_profile_length(benchmark, ctx):
+def test_sec424_epoch_and_profile_length(benchmark):
     def run_all():
-        out = {}
-        for epoch_us in EPOCHS_US:
-            cfg = scaled_config(epoch_ns=epoch_us * NS_PER_US,
-                                profile_ns=0.10 * epoch_us * NS_PER_US)
-            out[("epoch", epoch_us)] = mid_stats(ctx, cfg,
-                                                 ("epoch", epoch_us))
-        for frac in PROFILE_FRACS:
-            cfg = scaled_config(epoch_ns=20.0 * NS_PER_US,
-                                profile_ns=frac * 20.0 * NS_PER_US)
-            out[("profile", frac)] = mid_stats(ctx, cfg, ("profile", frac))
-        return out
+        return mid_average(
+            experiment(experiments.sensitivity, name="sec424_epoch_profile",
+                       param="setting", points=POINTS), "setting")
 
     stats = run_once(benchmark, run_all)
 

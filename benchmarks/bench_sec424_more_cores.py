@@ -5,30 +5,22 @@ multiplying memory traffic 2-4x; system savings drop to 7.6%-10.4% but
 the bound still holds.
 """
 
-import pytest
-
-from benchmarks.conftest import run_once
+from benchmarks.conftest import (bench_settings, experiment, mid_average,
+                                 run_once)
 from repro.analysis import format_table
 from repro.config import scaled_config
 from repro.cpu.workloads import mix_names
+from repro.sim import experiments
 
 
-def mid_stats(ctx, runner, key):
-    savings, worst = [], []
-    for mix in mix_names("MID"):
-        cmp = ctx.comparison(mix, "MemScale", runner=runner, key=key)
-        savings.append(cmp.system_energy_savings)
-        worst.append(cmp.worst_cpi_increase)
-    return sum(savings) / len(savings), max(worst)
-
-
-def test_sec424_more_cores(benchmark, ctx):
+def test_sec424_more_cores(benchmark):
     def run_all():
         out = {}
-        out[16] = mid_stats(ctx, ctx.runner(), ())
-        cfg32 = scaled_config().with_cpu(cores=32)
-        runner32 = ctx.runner(config=cfg32, cores=32, key=("cores", 32))
-        out[32] = mid_stats(ctx, runner32, ("cores", 32))
+        out[16] = mid_average(experiment(experiments.energy_savings))[None]
+        out[32] = mid_average(experiment(
+            experiments.energy_savings, mixes=tuple(mix_names("MID")),
+            config=scaled_config().with_cpu(cores=32),
+            settings=bench_settings(cores=32)))[None]
         return out
 
     stats = run_once(benchmark, run_all)

@@ -10,17 +10,16 @@ Paper values: RPKI 0.16 (ILP2) .. 17.03 (MEM1); WPKI 0.01 .. 3.71.
 
 import pytest
 
-from benchmarks.conftest import BENCH_CACHE_DIR, BENCH_JOBS, run_once
+from benchmarks.conftest import (BENCH_CACHE_DIR, BENCH_JOBS, bench_settings,
+                                 run_once)
 from repro.analysis import format_table
 from repro.cpu.workloads import MIXES
 from repro.sim.parallel import generate_traces
 
 
-def test_table1_workloads(benchmark, ctx):
-    runner = ctx.runner()
-
+def test_table1_workloads(benchmark):
     def build():
-        return generate_traces(list(MIXES), settings=runner.settings,
+        return generate_traces(list(MIXES), settings=bench_settings(),
                                jobs=BENCH_JOBS, cache_dir=BENCH_CACHE_DIR)
 
     traces = run_once(benchmark, build)

@@ -1,30 +1,30 @@
 """Shared infrastructure for the benchmark harness.
 
-Benches reproduce the paper's tables and figures; several of them reuse
-the same simulation runs (e.g. Figures 5 and 6 read the same MemScale
-runs), so all runs are cached per (configuration, mix, policy) for the
-whole pytest session. Runs additionally go through the content-keyed
-on-disk cache (``.repro_cache/`` by default — override with
-``REPRO_BENCH_CACHE``, or set it to the empty string to disable), so
-artifacts survive across sessions, and the Figure sweeps fan out across
-worker processes via :func:`repro.sim.parallel.run_sweep`.
+Each figure bench calls the function of :mod:`repro.sim.experiments`
+that ``repro figure N`` calls, so both print numbers from one
+definition. Those functions run through
+:func:`repro.sim.parallel.run_specs`: worker processes plus the
+content-keyed on-disk cache (``.repro_cache/`` by default — override
+with ``REPRO_BENCH_CACHE``, or set it to the empty string to disable),
+so traces and baselines survive across sessions. Figures that read the
+same runs (5 and 6; 9, 10 and 11) share one call per session through
+:func:`experiment`.
 
 Scale control: set ``REPRO_BENCH_INSTR`` (instructions per core, default
 120000) to trade fidelity for wall-clock time, and ``REPRO_BENCH_JOBS``
-to set the sweep worker count.
+to set the worker count.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-import pytest
-
-from repro.config import SystemConfig, scaled_config
+from repro.config import SystemConfig
+from repro.cpu.workloads import mix_names
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
-from repro.sim.parallel import Outcome, default_jobs, run_sweep
-from repro.sim.results import PolicyComparison, RunResult
+from repro.sim.experiments import ExperimentResult
+from repro.sim.parallel import default_jobs
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 
 DEFAULT_INSTRUCTIONS = int(os.environ.get("REPRO_BENCH_INSTR", "120000"))
@@ -33,88 +33,52 @@ BENCH_SEED = 2011
 #: On-disk artifact cache shared by all benches ("" disables it).
 BENCH_CACHE_DIR = os.environ.get("REPRO_BENCH_CACHE", DEFAULT_CACHE_DIR) or None
 
-#: Worker processes for the parallel Figure sweeps.
+#: Worker processes for the figure sweeps.
 BENCH_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", str(default_jobs())))
 
 
-class BenchContext:
-    """Session-wide cache of runners, runs, and comparisons."""
-
-    def __init__(self):
-        self._runners: Dict[Tuple, ExperimentRunner] = {}
-        self._comparisons: Dict[Tuple, PolicyComparison] = {}
-        self._results: Dict[Tuple, RunResult] = {}
-
-    # -- runners -----------------------------------------------------------
-
-    def runner(self, config: SystemConfig = None, cores: int = 16,
-               instructions: int = None, key: Tuple = ()) -> ExperimentRunner:
-        """A cached runner for the given configuration variant.
-
-        ``key`` must uniquely identify the configuration variant; the
-        default empty key is the standard scaled Table 2 configuration.
-        """
-        instructions = instructions or DEFAULT_INSTRUCTIONS
-        cache_key = (key, cores, instructions)
-        if cache_key not in self._runners:
-            cfg = config if config is not None else scaled_config()
-            disk_cache = (ExperimentCache(BENCH_CACHE_DIR)
-                          if BENCH_CACHE_DIR else None)
-            self._runners[cache_key] = ExperimentRunner(
-                config=cfg,
-                settings=RunnerSettings(cores=cores,
-                                        instructions_per_core=instructions,
-                                        seed=BENCH_SEED),
-                cache=disk_cache)
-        return self._runners[cache_key]
-
-    # -- parallel sweeps ---------------------------------------------------
-
-    def sweep(self, mixes: Sequence[str], policies: Sequence[str],
-              runner: ExperimentRunner = None, key: Tuple = (),
-              jobs: int = None) -> List[Outcome]:
-        """Fan (mix x policy) runs across processes and absorb the
-        outcomes into the session cache, so later benches reuse them."""
-        runner = runner or self.runner()
-        outcomes = run_sweep(
-            mixes, policies, config=runner.config, settings=runner.settings,
-            jobs=jobs if jobs is not None else BENCH_JOBS,
-            cache_dir=BENCH_CACHE_DIR)
-        for o in outcomes:
-            self._comparisons[(key, id(runner), o.mix, o.policy)] = o.comparison
-            if o.policy == "MemScale":
-                self._results[(key, id(runner), o.mix)] = o.result
-        return outcomes
-
-    # -- cached runs ---------------------------------------------------------
-
-    def comparison(self, mix: str, policy: str,
-                   runner: ExperimentRunner = None,
-                   key: Tuple = ()) -> PolicyComparison:
-        runner = runner or self.runner()
-        cache_key = (key, id(runner), mix, policy)
-        if cache_key not in self._comparisons:
-            self._comparisons[cache_key] = runner.compare_named(mix, policy)
-        return self._comparisons[cache_key]
-
-    def memscale_run(self, mix: str, runner: ExperimentRunner = None,
-                     key: Tuple = ()) -> Tuple[RunResult, PolicyComparison]:
-        runner = runner or self.runner()
-        cache_key = (key, id(runner), mix)
-        if cache_key not in self._results:
-            result, cmp = runner.run_memscale(mix)
-            self._results[cache_key] = result
-            self._comparisons[(key, id(runner), mix, "MemScale")] = cmp
-        return (self._results[cache_key],
-                self._comparisons[(key, id(runner), mix, "MemScale")])
+def bench_settings(cores: int = 16) -> RunnerSettings:
+    return RunnerSettings(cores=cores,
+                          instructions_per_core=DEFAULT_INSTRUCTIONS,
+                          seed=BENCH_SEED)
 
 
-_CONTEXT = BenchContext()
+def bench_runner(config: Optional[SystemConfig] = None,
+                 cores: int = 16) -> ExperimentRunner:
+    """A bench-scale runner on the shared disk cache."""
+    return ExperimentRunner(
+        config=config, settings=bench_settings(cores),
+        cache=ExperimentCache(BENCH_CACHE_DIR) if BENCH_CACHE_DIR else None)
 
 
-@pytest.fixture(scope="session")
-def ctx() -> BenchContext:
-    return _CONTEXT
+_RESULTS: Dict[Tuple, ExperimentResult] = {}
+
+
+def experiment(fn: Callable[..., ExperimentResult],
+               **kwargs) -> ExperimentResult:
+    """``fn(**kwargs)`` at bench scale, once per session per argument
+    set (values must be hashable); any failed job fails the bench."""
+    key = (fn, tuple(sorted(kwargs.items())))
+    if key not in _RESULTS:
+        kwargs.setdefault("settings", bench_settings())
+        result = fn(jobs=BENCH_JOBS, cache_dir=BENCH_CACHE_DIR, **kwargs)
+        assert not result.failures, result.notes
+        _RESULTS[key] = result
+    return _RESULTS[key]
+
+
+def mid_average(result: ExperimentResult, param: Optional[str] = None
+                ) -> Dict[object, Tuple[float, float]]:
+    """MID-average system savings and worst CPI increase of ``result``'s
+    rows, per value of column ``param`` (one entry keyed None without
+    one)."""
+    groups: Dict[object, list] = {}
+    for row in result.rows:
+        if row["workload"] in mix_names("MID"):
+            groups.setdefault(row[param] if param else None, []).append(row)
+    return {value: (sum(r["system_savings"] for r in rows) / len(rows),
+                    max(r["worst_cpi_increase"] for r in rows))
+            for value, rows in groups.items()}
 
 
 def run_once(benchmark, fn):

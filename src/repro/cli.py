@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
 from typing import Callable, List, Optional, Sequence
 
@@ -51,8 +52,7 @@ from repro.sim.parallel import (KINDS, JobFailure, JobSpec, Outcome,
                                 multidomain_specs, placement_specs,
                                 policy_specs, run_specs, run_sweep,
                                 scenario_specs, split_outcomes, sweep_table)
-from repro.sim.runner import (GOVERNOR_INFO, IMPORTED_TRACE_PREFIX,
-                              POLICY_NAMES, ExperimentRunner,
+from repro.sim.runner import (GOVERNOR_INFO, POLICY_NAMES, ExperimentRunner,
                               RunnerSettings, governor_listing)
 from repro.sim.telemetry import JsonlTelemetry
 
@@ -155,9 +155,12 @@ def _config_from_args(args,
 
 
 def _settings_from_args(args) -> RunnerSettings:
-    return RunnerSettings(cores=args.cores,
-                          instructions_per_core=args.instructions,
-                          seed=args.seed)
+    try:
+        return RunnerSettings(cores=args.cores,
+                              instructions_per_core=args.instructions,
+                              seed=args.seed)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _make_runner(args) -> ExperimentRunner:
@@ -284,19 +287,19 @@ def cmd_table1(args) -> None:
 
 def cmd_run(args) -> None:
     mix = _check_mix(args.mix)
-    runner = _make_runner(args)
-    if mix.startswith(IMPORTED_TRACE_PREFIX):
-        # Resolve now so a missing import or core-count mismatch is a
-        # clean CLI error, not a traceback from inside the run.
-        try:
-            runner.trace(mix)
-        except ValueError as exc:
-            raise SystemExit(str(exc))
     if args.policy not in POLICY_NAMES or args.policy == "Baseline":
         raise SystemExit(
             f"unknown policy {args.policy!r}; registered governors are:\n"
             f"{governor_listing()}\n"
             f"(`run` accepts the sweep-able names except 'Baseline')")
+    runner = _make_runner(args)
+    # Resolve now so a missing import, a core-count mismatch or a core
+    # count the generator cannot split is a clean CLI error, not a
+    # traceback from inside the run.
+    try:
+        runner.trace(mix)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     telemetry = JsonlTelemetry(args.telemetry) if args.telemetry else None
     try:
         cmp = runner.compare_named(mix, args.policy, telemetry=telemetry)
@@ -1134,32 +1137,35 @@ def cmd_query(args) -> None:
           f"({counts['ok']} ok, {counts['failed']} failed in store)")
 
 
+#: ``repro figure N``: the experiment that regenerates each figure.
+FIGURES = {
+    5: experiments.energy_savings, 6: experiments.energy_savings,
+    9: experiments.policy_comparison, 10: experiments.policy_comparison,
+    11: experiments.policy_comparison,
+    12: experiments.sensitivity_cpi_bound,
+    13: experiments.sensitivity_channels,
+    14: experiments.sensitivity_memory_fraction,
+    15: experiments.sensitivity_proportionality,
+}
+
+
 def cmd_figure(args) -> None:
-    runner = _make_runner(args)
-    settings = runner.settings
-    fig = args.number
-    if fig in (5, 6):
-        result = experiments.energy_savings(runner)
-    elif fig in (9, 10, 11):
-        result = experiments.policy_comparison(runner)
-    elif fig == 12:
-        result = experiments.sensitivity_cpi_bound(settings=settings)
-    elif fig == 13:
-        result = experiments.sensitivity_channels(settings=settings)
-    elif fig == 14:
-        result = experiments.sensitivity_memory_fraction(settings=settings)
-    elif fig == 15:
-        result = experiments.sensitivity_proportionality(settings=settings)
-    else:
-        raise SystemExit("supported figures: 5 6 9 10 11 12 13 14 15 "
+    experiment = FIGURES.get(args.number)
+    if experiment is None:
+        raise SystemExit(f"supported figures: {' '.join(map(str, FIGURES))} "
                          "(7/8 via the 'timeline' command)")
-    if not result.rows:
-        raise SystemExit("experiment produced no rows")
-    columns = [c for c in result.rows[0] if c != "app_cpi"]
-    rows = [[_fmt(row[c]) for c in columns] for row in result.rows]
-    print(format_table(columns, rows, title=result.name))
+    settings = _settings_from_args(args)
+    # A private cache lets the jobs share traces and baselines without
+    # leaving files behind.
+    with tempfile.TemporaryDirectory() as cache_dir:
+        result = experiment(settings=settings, cache_dir=cache_dir)
+    if result.rows:
+        columns = list(result.rows[0])
+        rows = [[_fmt(row[c]) for c in columns] for row in result.rows]
+        print(format_table(columns, rows, title=result.name))
     if result.notes:
         print(f"\n{result.notes}")
+    _report_failures(result.failures, f"figure {args.number}")
 
 
 def cmd_timeline(args) -> None:

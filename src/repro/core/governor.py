@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.policy import MemScalePolicy
+from repro.core.policy import MemScalePolicy, PolicyObjective
 from repro.memsim.controller import MemoryController
 from repro.memsim.counters import CounterDelta
 from repro.memsim.states import PowerdownMode
@@ -74,7 +74,10 @@ class MemScaleGovernor(Governor):
                  use_powerdown: bool = False):
         self._policy = policy
         self._use_powerdown = use_powerdown
-        self.name = "MemScale+Fast-PD" if use_powerdown else "MemScale"
+        name = ("MemScale(MemEnergy)"
+                if policy.objective is PolicyObjective.MEMORY_ENERGY
+                else "MemScale")
+        self.name = f"{name}+Fast-PD" if use_powerdown else name
         #: (time_ns, bus_mhz) after every decision, for timeline figures.
         self.frequency_log: List[Tuple[float, float]] = []
 

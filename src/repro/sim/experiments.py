@@ -1,40 +1,59 @@
 """Programmatic experiment API.
 
 High-level functions that regenerate each of the paper's result sets as
-structured data (lists of row dicts). The benchmark harness prints the
-same numbers; this module is the API a downstream user or the CLI calls
-to run the experiments at any scale and post-process the results.
+structured data (lists of row dicts). Each figure sweep is defined once
+here and runs through :func:`repro.sim.parallel.run_specs`, so
+``repro figure N``, the ``benchmarks/`` suite and a downstream user get
+the same rows with the same cache, workers and fault isolation. Every
+sweep function forwards ``**run_args`` (``config``, ``settings``,
+``jobs``, ``cache_dir``, ``telemetry_dir``, ``retries``,
+``fail_labels``) to :func:`run_specs` unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.cpu.workloads import MIXES, mix_names
-from repro.sim.parallel import (JobSpec, Outcome, cap_specs,
-                                multidomain_specs, run_specs, split_outcomes)
+from repro.sim.parallel import (JobFailure, JobSpec, Outcome, cap_specs,
+                                multidomain_specs, policy_specs, run_specs,
+                                split_outcomes)
 from repro.sim.results import PolicyComparison
-from repro.sim.runner import ExperimentRunner, RunnerSettings
+from repro.sim.runner import ExperimentRunner
+
+#: The policies of Figures 9-11, in the paper's order.
+FIG9_POLICIES = ("Fast-PD", "Slow-PD", "Decoupled", "Static",
+                 "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD")
 
 
 @dataclass
 class ExperimentResult:
-    """Structured output of one experiment: named rows plus notes."""
+    """Structured output of one experiment: named rows plus notes.
+
+    ``outcomes`` is everything :func:`run_specs` returned, failed jobs
+    included, in spec order; ``rows`` tabulate the good ones.
+    """
 
     name: str
     rows: List[Dict[str, object]] = field(default_factory=list)
     notes: str = ""
+    outcomes: List[Union[Outcome, JobFailure]] = field(default_factory=list)
 
     def column(self, key: str) -> List[object]:
         return [row[key] for row in self.rows]
 
+    @property
+    def failures(self) -> List[JobFailure]:
+        return split_outcomes(self.outcomes)[1]
 
-def _comparison_row(mix: str, cmp: PolicyComparison) -> Dict[str, object]:
+
+def _comparison_row(outcome: Outcome) -> Dict[str, object]:
+    cmp = outcome.comparison
     return {
-        "workload": mix,
+        "workload": outcome.mix,
         "policy": cmp.governor,
         "memory_savings": cmp.memory_energy_savings,
         "system_savings": cmp.system_energy_savings,
@@ -43,103 +62,114 @@ def _comparison_row(mix: str, cmp: PolicyComparison) -> Dict[str, object]:
     }
 
 
-def energy_savings(runner: ExperimentRunner,
-                   mixes: Optional[Sequence[str]] = None
-                   ) -> ExperimentResult:
+def _experiment(name: str, notes: str,
+                outcomes: List[Union[Outcome, JobFailure]],
+                rows: List[Dict[str, object]]) -> ExperimentResult:
+    """Bundle a sweep's outcomes and rows; failed jobs are listed in the
+    notes instead of the table."""
+    result = ExperimentResult(name, rows=rows, notes=notes,
+                              outcomes=outcomes)
+    if result.failures:
+        lines = ["FAILED JOBS (excluded from the table):"] + [
+            f"  {f.summary()}" for f in result.failures]
+        result.notes = "\n".join(filter(None, [notes] + lines))
+    return result
+
+
+def _spec_experiment(name: str, notes: str,
+                     row: Callable[[Outcome], Dict[str, object]],
+                     specs: List[JobSpec], **run_args) -> ExperimentResult:
+    """Run ``specs`` (``run_args`` go to :func:`run_specs`) and tabulate
+    the good outcomes with ``row``."""
+    outcomes = run_specs(specs, **run_args)
+    return _experiment(name, notes, outcomes,
+                       [row(o) for o in split_outcomes(outcomes)[0]])
+
+
+def energy_savings(mixes: Optional[Sequence[str]] = None,
+                   **run_args) -> ExperimentResult:
     """Figures 5 and 6: MemScale vs baseline for each mix."""
-    mixes = list(mixes) if mixes is not None else list(MIXES)
-    result = ExperimentResult(
+    specs = policy_specs(list(mixes) if mixes is not None else list(MIXES),
+                         ["MemScale"])
+    return _spec_experiment(
         "fig5_6_energy_savings",
-        notes="MemScale vs all-on baseline at the configured CPI bound")
-    for mix in mixes:
-        _, cmp = runner.run_memscale(mix)
-        result.rows.append(_comparison_row(mix, cmp))
-    return result
+        "MemScale vs all-on baseline at the configured CPI bound",
+        _comparison_row, specs, **run_args)
 
 
-def policy_comparison(runner: ExperimentRunner,
-                      mixes: Optional[Sequence[str]] = None,
-                      policies: Optional[Sequence[str]] = None
-                      ) -> ExperimentResult:
-    """Figures 9-11: every policy vs the baseline on the given mixes."""
+def policy_comparison(mixes: Optional[Sequence[str]] = None,
+                      policies: Sequence[str] = FIG9_POLICIES,
+                      **run_args) -> ExperimentResult:
+    """Figures 9-11: every policy vs the baseline on the given mixes,
+    ordered policy-major."""
     mixes = list(mixes) if mixes is not None else mix_names("MID")
-    if policies is None:
-        policies = ["Fast-PD", "Slow-PD", "Decoupled", "Static",
-                    "MemScale(MemEnergy)", "MemScale", "MemScale+Fast-PD"]
-    result = ExperimentResult(
+    specs = [JobSpec("policy", mix, policy=policy)
+             for policy in policies for mix in mixes]
+    return _spec_experiment(
         "fig9_11_policy_comparison",
-        notes="all policies on identical traces, vs the all-on baseline")
-    for policy in policies:
-        for mix in mixes:
-            cmp = runner.compare_named(mix, policy)
-            result.rows.append(_comparison_row(mix, cmp))
-    return result
+        "all policies on identical traces, vs the all-on baseline",
+        _comparison_row, specs, **run_args)
 
 
-def _sweep(configs: Iterable[Tuple[object, SystemConfig]],
-           settings: RunnerSettings,
-           mixes: Sequence[str], name: str, param: str) -> ExperimentResult:
-    result = ExperimentResult(name)
-    for value, config in configs:
-        runner = ExperimentRunner(config=config, settings=settings)
-        for mix in mixes:
-            _, cmp = runner.run_memscale(mix)
-            row = _comparison_row(mix, cmp)
-            row[param] = value
-            result.rows.append(row)
-    return result
+def sensitivity(name: str, param: str,
+                points: Sequence[Tuple[object, SystemConfig]],
+                mixes: Optional[Sequence[str]] = None,
+                **run_args) -> ExperimentResult:
+    """MemScale on ``mixes`` (default: the MID mixes) at each ``(value,
+    config)`` point, one :func:`run_specs` call per point; each row is
+    tagged ``param: value``. All points share each mix's trace."""
+    specs = policy_specs(list(mixes) if mixes is not None
+                         else mix_names("MID"), ["MemScale"])
+    outcomes: List[Union[Outcome, JobFailure]] = []
+    rows: List[Dict[str, object]] = []
+    for value, config in points:
+        point = run_specs(specs, config=config, **run_args)
+        outcomes += point
+        rows += [dict(_comparison_row(o), **{param: value})
+                 for o in split_outcomes(point)[0]]
+    return _experiment(name, "", outcomes, rows)
 
 
 def sensitivity_cpi_bound(bounds: Sequence[float] = (0.01, 0.05, 0.10, 0.15),
-                          settings: Optional[RunnerSettings] = None,
-                          mixes: Optional[Sequence[str]] = None
-                          ) -> ExperimentResult:
+                          mixes: Optional[Sequence[str]] = None,
+                          **run_args) -> ExperimentResult:
     """Figure 12: sweep the allowed CPI degradation."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [(b, scaled_config().with_policy(cpi_bound=b)) for b in bounds]
-    return _sweep(configs, settings, mixes, "fig12_cpi_bound", "cpi_bound")
+    points = [(b, scaled_config().with_policy(cpi_bound=b)) for b in bounds]
+    return sensitivity("fig12_cpi_bound", "cpi_bound", points, mixes,
+                       **run_args)
 
 
 def sensitivity_channels(channels: Sequence[int] = (2, 3, 4),
-                         settings: Optional[RunnerSettings] = None,
-                         mixes: Optional[Sequence[str]] = None
-                         ) -> ExperimentResult:
+                         mixes: Optional[Sequence[str]] = None,
+                         **run_args) -> ExperimentResult:
     """Figure 13: sweep the channel count (total DIMMs held ~constant)."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [
+    points = [
         (c, scaled_config().with_org(channels=c,
                                      dimms_per_channel=max(1, round(8 / c))))
         for c in channels
     ]
-    return _sweep(configs, settings, mixes, "fig13_channels", "channels")
+    return sensitivity("fig13_channels", "channels", points, mixes,
+                       **run_args)
 
 
 def sensitivity_memory_fraction(fractions: Sequence[float] = (0.3, 0.4, 0.5),
-                                settings: Optional[RunnerSettings] = None,
-                                mixes: Optional[Sequence[str]] = None
-                                ) -> ExperimentResult:
+                                mixes: Optional[Sequence[str]] = None,
+                                **run_args) -> ExperimentResult:
     """Figure 14: sweep the DIMM share of server power."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [(f, scaled_config().with_power(memory_power_fraction=f))
-               for f in fractions]
-    return _sweep(configs, settings, mixes, "fig14_memory_fraction",
-                  "memory_fraction")
+    points = [(f, scaled_config().with_power(memory_power_fraction=f))
+              for f in fractions]
+    return sensitivity("fig14_memory_fraction", "memory_fraction", points,
+                       mixes, **run_args)
 
 
 def sensitivity_proportionality(idle_fracs: Sequence[float] = (0.0, 0.5, 1.0),
-                                settings: Optional[RunnerSettings] = None,
-                                mixes: Optional[Sequence[str]] = None
-                                ) -> ExperimentResult:
+                                mixes: Optional[Sequence[str]] = None,
+                                **run_args) -> ExperimentResult:
     """Figure 15: sweep MC/register idle power (power proportionality)."""
-    settings = settings or RunnerSettings()
-    mixes = list(mixes) if mixes is not None else mix_names("MID")
-    configs = [(i, scaled_config().with_power(proportionality_idle_frac=i))
-               for i in idle_fracs]
-    return _sweep(configs, settings, mixes, "fig15_proportionality",
-                  "idle_frac")
+    points = [(i, scaled_config().with_power(proportionality_idle_frac=i))
+              for i in idle_fracs]
+    return sensitivity("fig15_proportionality", "idle_frac", points, mixes,
+                       **run_args)
 
 
 #: Default cap sweep: uncapped reference power down to ~60% of it.
@@ -171,12 +201,8 @@ def cap_outcome_row(outcome: Outcome) -> Dict[str, object]:
 
 def cap_sweep(mixes: Optional[Sequence[str]] = None,
               budget_fractions: Sequence[float] = DEFAULT_BUDGET_FRACTIONS,
-              config: Optional[SystemConfig] = None,
-              settings: Optional[RunnerSettings] = None,
-              jobs: Optional[int] = None,
-              cache_dir: Optional[str] = None,
-              telemetry_dir: Optional[str] = None,
-              include_throttle: bool = True) -> ExperimentResult:
+              include_throttle: bool = True,
+              **run_args) -> ExperimentResult:
     """Power-cap budget sweep (the FastCap-style dual experiment).
 
     For each mix, sweeps the power budget from the uncapped baseline
@@ -192,8 +218,7 @@ def cap_sweep(mixes: Optional[Sequence[str]] = None,
     specs = cap_specs(mixes if mixes is not None else mix_names("MID"),
                       budget_fractions, include_throttle=include_throttle)
     return _spec_experiment("cap_sweep", notes, cap_outcome_row, specs,
-                            config=config, settings=settings, jobs=jobs,
-                            cache_dir=cache_dir, telemetry_dir=telemetry_dir)
+                            **run_args)
 
 
 #: Default multi-domain sweep: global (CPU + memory) budget from the
@@ -232,12 +257,8 @@ def multidomain_outcome_row(outcome: Outcome) -> Dict[str, object]:
 def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
                       budget_fractions: Sequence[float] =
                       DEFAULT_MULTIDOMAIN_FRACTIONS,
-                      config: Optional[SystemConfig] = None,
-                      settings: Optional[RunnerSettings] = None,
-                      jobs: Optional[int] = None,
-                      cache_dir: Optional[str] = None,
-                      telemetry_dir: Optional[str] = None,
-                      include_memory_only: bool = True) -> ExperimentResult:
+                      include_memory_only: bool = True,
+                      **run_args) -> ExperimentResult:
     """Coordinated CPU+memory budget sweep (the SysScale-style dual).
 
     For each mix, sweeps a *global* power budget — a fraction of the
@@ -256,22 +277,7 @@ def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
         mixes if mixes is not None else mix_names("MID"), budget_fractions,
         include_memory_only=include_memory_only)
     return _spec_experiment("multidomain_sweep", notes,
-                            multidomain_outcome_row, specs, config=config,
-                            settings=settings, jobs=jobs,
-                            cache_dir=cache_dir, telemetry_dir=telemetry_dir)
-
-
-def _spec_experiment(name: str, notes: str,
-                     row: Callable[[Outcome], Dict[str, object]],
-                     specs: List[JobSpec], **run_args) -> ExperimentResult:
-    """Run ``specs`` (``run_args`` go to :func:`run_specs`) and tabulate
-    the good outcomes with ``row``; failed jobs are listed in the notes
-    instead."""
-    good, failed = split_outcomes(run_specs(specs, **run_args))
-    if failed:
-        notes += ("\nFAILED JOBS (excluded from the table):\n  "
-                  + "\n  ".join(f.summary() for f in failed))
-    return ExperimentResult(name, rows=[row(o) for o in good], notes=notes)
+                            multidomain_outcome_row, specs, **run_args)
 
 
 def timeline(runner: ExperimentRunner, mix: str) -> ExperimentResult:

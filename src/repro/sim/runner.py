@@ -131,6 +131,13 @@ class RunnerSettings:
     instructions_per_core: int = 60_000
     seed: int = 2011
 
+    def __post_init__(self) -> None:
+        for name in ("cores", "instructions_per_core"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"RunnerSettings.{name} must be >= 1, "
+                                 f"got {value!r}")
+
 
 class ExperimentRunner:
     """Runs and compares energy-management policies on Table 1 mixes."""

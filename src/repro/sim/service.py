@@ -230,7 +230,7 @@ class SweepService:
             raise ServiceError(f"{root}: cannot rebuild config: {exc}")
         try:
             settings = RunnerSettings(**meta["settings"])
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ServiceError(
                 f"{root}: cannot rebuild runner settings: {exc}")
         return cls(root, config=config, settings=settings,

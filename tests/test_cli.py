@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
+import functools
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.sim import experiments
 
 SCALE = ["--instructions", "25000"]
 
@@ -80,11 +83,39 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["figure", "7", *SCALE])
 
+    def test_figure_failed_job_exits_nonzero(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli.FIGURES, 5, functools.partial(
+            experiments.energy_savings, mixes=["ILP2", "MID1"],
+            fail_labels=["MID1/MemScale"]))
+        with pytest.raises(SystemExit) as info:
+            main(["figure", "5", "--instructions", "8000", "--cores", "4"])
+        assert "figure 5: 1 job(s) FAILED" in str(info.value.code)
+        assert "MID1/MemScale" in str(info.value.code)
+        out = capsys.readouterr().out
+        assert "ILP2" in out and "MID1 " not in out
+
     def test_best_static(self, capsys):
         code, out = run_cli(capsys, "best-static", "ILP2", *SCALE)
         assert code == 0
         assert "best static frequency" in out
         assert "MemScale" in out
+
+
+class TestScaleBoundary:
+    """Nonsense scale exits with a message naming it, before any run."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "MID1", "--cores", "0"], "RunnerSettings.cores must be"),
+        (["run", "MID1", "--instructions", "0"],
+         "RunnerSettings.instructions_per_core must be"),
+        (["run", "MID1", "--cores", "3"], "multiple of 4, got 3"),
+        (["sweep", "--cores", "0"], "RunnerSettings.cores must be"),
+    ], ids=["run-cores-0", "run-instructions-0", "run-cores-3",
+            "sweep-cores-0"])
+    def test_exits_with_message(self, tmp_path, argv, message):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--cache-dir", str(tmp_path)])
+        assert message in str(info.value.code)
 
 
 class TestSweepCommand:

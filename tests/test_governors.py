@@ -12,7 +12,7 @@ from repro.core.baselines import (
 )
 from repro.core.energy_model import EnergyModel
 from repro.core.governor import MemScaleGovernor
-from repro.core.policy import MemScalePolicy
+from repro.core.policy import MemScalePolicy, PolicyObjective
 from repro.memsim.controller import MemoryController
 from repro.memsim.engine import EventEngine
 from repro.memsim.states import PowerdownMode
@@ -98,14 +98,17 @@ class TestDecoupledGovernor:
 
 
 class TestMemScaleGovernor:
-    def _make(self, use_powerdown=False):
+    def _make(self, use_powerdown=False,
+              objective=PolicyObjective.SYSTEM_ENERGY):
         energy = EnergyModel(CFG, rest_power_w=40.0)
-        policy = MemScalePolicy(CFG, energy, n_cores=4)
+        policy = MemScalePolicy(CFG, energy, n_cores=4, objective=objective)
         return MemScaleGovernor(policy, use_powerdown=use_powerdown)
 
     def test_names(self):
         assert self._make().name == "MemScale"
         assert self._make(use_powerdown=True).name == "MemScale+Fast-PD"
+        assert (self._make(objective=PolicyObjective.MEMORY_ENERGY).name
+                == "MemScale(MemEnergy)")
 
     def test_powerdown_wiring(self):
         assert self._make().powerdown_mode is PowerdownMode.NONE

@@ -29,6 +29,12 @@ class TestRunnerConstruction:
         assert "Baseline" in POLICY_NAMES
         assert len(POLICY_NAMES) == 8
 
+    @pytest.mark.parametrize("field", ["cores", "instructions_per_core"])
+    def test_nonpositive_scale_rejected(self, field):
+        with pytest.raises(ValueError,
+                           match=f"RunnerSettings.{field} must be >= 1"):
+            RunnerSettings(**{field: 0})
+
 
 class TestComparisonPaths:
     def test_compare_accepts_explicit_governor(self, runner):

@@ -586,7 +586,8 @@ class TestUnopenableLedger:
         lambda meta: meta["settings"].update(warp=1),
         lambda meta: meta.pop("settings"),
         lambda meta: meta.update(settings=None),
-    ], ids=["extra-key", "missing-settings", "null-settings"])
+        lambda meta: meta["settings"].update(cores=0),
+    ], ids=["extra-key", "missing-settings", "null-settings", "zero-cores"])
     def test_bad_settings_name_the_directory(self, tmp_path, edit):
         root = self.edited_copy(tmp_path, edit)
         with pytest.raises(ServiceError,
