@@ -2,25 +2,23 @@
 
 Regenerates the paper's workload table from the synthetic trace
 generator and checks the calibration against the published targets.
-The twelve traces are built in parallel worker processes (and land in
-the on-disk cache, so every later bench loads instead of regenerating).
+The twelve traces land in the on-disk cache, so every later bench loads
+instead of regenerating.
 
 Paper values: RPKI 0.16 (ILP2) .. 17.03 (MEM1); WPKI 0.01 .. 3.71.
 """
 
 import pytest
 
-from benchmarks.conftest import (BENCH_CACHE_DIR, BENCH_JOBS, bench_settings,
-                                 run_once)
+from benchmarks.conftest import bench_runner, run_once
 from repro.analysis import format_table
 from repro.cpu.workloads import MIXES
-from repro.sim.parallel import generate_traces
 
 
 def test_table1_workloads(benchmark):
     def build():
-        return generate_traces(list(MIXES), settings=bench_settings(),
-                               jobs=BENCH_JOBS, cache_dir=BENCH_CACHE_DIR)
+        runner = bench_runner()
+        return {mix: runner.trace(mix) for mix in MIXES}
 
     traces = run_once(benchmark, build)
 

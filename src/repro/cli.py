@@ -40,18 +40,17 @@ import tempfile
 import time
 from typing import Callable, List, Optional, Sequence
 
-from repro.analysis import (cap_summary_table, device_energy_table,
-                            format_table, multidomain_summary_table)
+from repro.analysis import format_table
 from repro.config import SystemConfig, scaled_config
 from repro.cpu.stats import workload_stats
 from repro.cpu.workloads import MIXES, mix_names
 from repro.sim import experiments
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
-from repro.sim.parallel import (KINDS, JobFailure, JobSpec, Outcome,
-                                cap_specs, check_mixes, check_specs,
-                                multidomain_specs, placement_specs,
+from repro.sim.parallel import (KINDS, JobFailure, JobSpec, cap_specs,
+                                check_mixes, check_specs, multidomain_specs,
+                                outcome_table, placement_specs,
                                 policy_specs, run_specs, run_sweep,
-                                scenario_specs, split_outcomes, sweep_table)
+                                scenario_specs, split_outcomes)
 from repro.sim.runner import (GOVERNOR_INFO, POLICY_NAMES, ExperimentRunner,
                               RunnerSettings, governor_listing)
 from repro.sim.telemetry import JsonlTelemetry
@@ -91,20 +90,12 @@ SCENARIOS_SMOKE_RUNGS = ("mix2", "mix5")
 #: while MemScale adapts to stay inside it — the paper's actual claim.
 SCENARIOS_SMOKE_CPI_BOUND = 0.05
 
-#: Compliance slack on that bound (controller overshoot jitter).
-SCENARIOS_SMOKE_CPI_SLACK = 0.01
-
 #: Epoch/profile lengths of `repro placement --smoke` (ns). The
 #: placement policy acts only at epoch boundaries, so the smoke
 #: shortens epochs until a tiny run spans enough of them for
 #: classification, migration, and self-refresh parking to all fire.
 SMOKE_PLACEMENT_EPOCH_NS = 4_000.0
 SMOKE_PLACEMENT_PROFILE_NS = 400.0
-
-#: CPI-increase slack the placement smoke tolerates beyond the
-#: configured MemScale bound: self-refresh wake-ups and migration copy
-#: traffic add latency the frequency policy does not model.
-SMOKE_PLACEMENT_CPI_SLACK = 0.05
 
 #: The line the sweep commands print when the validator was armed.
 VALIDATOR_ARMED = ("protocol validator: armed on every simulated run, "
@@ -181,17 +172,17 @@ def _specs(build: Callable[[], List[JobSpec]]) -> List[JobSpec]:
     return specs
 
 
-def _sweep(args, what: str, specs: Sequence[JobSpec], config: SystemConfig,
-           settings: RunnerSettings,
-           table: Callable[[List[object]], str], notes: str = "",
-           check: Callable[[List[Outcome]], List[str]] = lambda good: [],
-           smoke_detail: str = "", done_note: str = "checks passed"
-           ) -> None:
+def _sweep(args, specs: Sequence[JobSpec], config: SystemConfig,
+           settings: RunnerSettings, title: str, smoke_detail: str = "",
+           done_note: str = "checks passed") -> None:
     """The path every sweep command shares: run ``specs`` under the
-    command's --jobs/--cache-dir/--telemetry/--retries flags, print
-    ``table(outcomes)`` and ``notes``, exit non-zero on a failed
-    acceptance ``check`` or failed jobs, and print the summary line
-    (``<WHAT> SMOKE OK`` under --smoke)."""
+    command's --jobs/--cache-dir/--telemetry/--retries flags, print the
+    kind's table under ``title`` and its notes, exit non-zero on a
+    failed kind check (strict under --smoke) or failed jobs, and print
+    the summary line (``<KIND> SMOKE OK`` under --smoke)."""
+    what = specs[0].kind
+    kind = KINDS[what]
+    smoke = getattr(args, "smoke", False)
     if args.jobs is not None and args.jobs < 1:
         raise SystemExit("--jobs must be >= 1")
     start = time.perf_counter()
@@ -202,9 +193,9 @@ def _sweep(args, what: str, specs: Sequence[JobSpec], config: SystemConfig,
     wall = time.perf_counter() - start
     good, failed = split_outcomes(outcomes)
     if good:
-        print(table(outcomes))
-    if notes:
-        print(f"\n{notes}")
+        print(outcome_table(outcomes, title))
+    if kind.notes:
+        print(f"\n{kind.notes}")
     if config.validate_protocol:
         print(VALIDATOR_ARMED)
     if args.telemetry:
@@ -214,12 +205,12 @@ def _sweep(args, what: str, specs: Sequence[JobSpec], config: SystemConfig,
         save_results(args.save, [o.result for o in good]
                      + [o.comparison for o in good])
         print(f"results saved to {args.save}")
-    failures = check(good)
+    failures = kind.check(good, config, smoke)
     if failures:
         raise SystemExit(f"{what.upper()} CHECKS FAILED:\n  "
                          + "\n  ".join(failures))
     _report_failures(failed, f"{what} sweep")
-    if getattr(args, "smoke", False):
+    if smoke:
         print(f"\n{what.upper()} SMOKE OK: {len(good)} runs "
               f"({smoke_detail}), {wall:.2f}s wall")
     else:
@@ -252,11 +243,23 @@ def _add_cache_args(parser: argparse.ArgumentParser,
                         help="disable the on-disk cache")
 
 
-def _add_retries_arg(parser: argparse.ArgumentParser,
-                     default: int = 0) -> None:
-    parser.add_argument("--retries", type=int, default=default,
+def _add_sweep_args(parser: argparse.ArgumentParser,
+                    retries: int = 0) -> None:
+    """The flags every sweep command takes."""
+    parser.add_argument("--jobs", type=int, default=None,
+                        help="worker processes (default: up to 8, one per "
+                             "CPU)")
+    parser.add_argument("--telemetry", default=None, metavar="DIR",
+                        help="write one per-epoch telemetry JSONL file per "
+                             "run into DIR")
+    parser.add_argument("--validate", action="store_true",
+                        help="arm the DDR3 protocol validator in every "
+                             "worker")
+    parser.add_argument("--retries", type=int, default=retries,
                         help="extra attempts per job before recording "
-                             f"its failure (default {default})")
+                             f"its failure (default {retries})")
+    _add_scale_args(parser)
+    _add_ff_arg(parser)
 
 
 def _check_mix(mix: str) -> str:
@@ -327,22 +330,6 @@ def cmd_run(args) -> None:
         print("\nprotocol validator: armed, zero violations")
 
 
-def _device_table(outcomes, **table_args) -> str:
-    return device_energy_table([_scenario_row(o) for o in
-                                split_outcomes(outcomes)[0]], **table_args)
-
-
-def _scenario_row(o) -> dict:
-    """One :func:`device_energy_table` row from a scenario outcome."""
-    return {
-        "workload": o.mix, "policy": o.policy, "device": o.spec.device,
-        "memory_energy_j": o.result.memory_energy_j,
-        "background_share": o.extras["background_share"],
-        "mem_savings": o.comparison.memory_energy_savings,
-        "worst_cpi_increase": o.comparison.worst_cpi_increase,
-    }
-
-
 def cmd_sweep(args) -> None:
     if args.mixes:
         mixes = list(args.mixes)
@@ -358,63 +345,13 @@ def cmd_sweep(args) -> None:
     done_note = f"jobs={jobs}, cache={cache_note}"
     config = _config_from_args(args)
     settings = _settings_from_args(args)
+    title = f"sweep: {len(mixes)} mixes x {len(policies)} policies"
     if args.devices:
         specs = _specs(lambda: scenario_specs(mixes, policies, args.devices))
-        _sweep(args, "scenario", specs, config, settings,
-               table=lambda outcomes: _device_table(
-                   outcomes, title=f"scenario sweep: {len(mixes)} mixes x "
-                                   f"{len(policies)} policies x "
-                                   f"{len(args.devices)} devices"),
-               notes="savings are normalized within each device (vs that "
-                     "device's own baseline);\n'standby' is background "
-                     "energy as a share of DIMM energy",
-               done_note=done_note)
-        return
-    specs = _specs(lambda: policy_specs(mixes, policies))
-    _sweep(args, "policy", specs, config, settings,
-           table=lambda outcomes: format_table(
-               ["workload", "policy", "mem savings", "sys savings",
-                "worst CPI", "job wall"], sweep_table(outcomes),
-               title=f"sweep: {len(mixes)} mixes x "
-                     f"{len(policies)} policies"),
-           done_note=done_note)
-
-
-def _check_cap_outcomes(outcomes) -> List[str]:
-    """Smoke-grade acceptance checks on a cap sweep's outcomes.
-
-    Returns failure strings (empty = pass). Checks, per capped point:
-    (a) no silent overshoot — every accounted epoch stayed within the
-    budget's tolerance band or the ledger recorded a violation; and
-    (b) fairness — the capped run's min-app normalized performance is
-    no lower than the naive lowest-frequency throttle reference.
-    """
-    failures: List[str] = []
-    throttle = {o.mix: o for o in outcomes
-                if o.spec.budget_fraction is None}
-    for o in outcomes:
-        if o.spec.budget_fraction is None:
-            continue
-        label = o.spec.label
-        cap = o.extras["cap"] or {}
-        budget_w = o.extras["budget_w"]
-        min_perf = o.extras["min_perf"]
-        if not cap.get("epochs_accounted"):
-            failures.append(f"{label}: ledger accounted no epochs")
-            continue
-        tol = 1.0 + 0.01 + 1e-9
-        if (cap.get("violation_count", 0) == 0
-                and cap.get("peak_power_w", 0.0) > budget_w * tol):
-            failures.append(
-                f"{label}: silent overshoot — peak epoch power "
-                f"{cap['peak_power_w']:.2f}W over budget {budget_w:.2f}W "
-                f"with no recorded violation")
-        ref = throttle.get(o.mix)
-        if ref is not None and min_perf < ref.extras["min_perf"] - 1e-9:
-            failures.append(
-                f"{label}: min-app normalized perf {min_perf:.4f} below "
-                f"the throttle reference {ref.extras['min_perf']:.4f}")
-    return failures
+        title = f"scenario {title} x {len(args.devices)} devices"
+    else:
+        specs = _specs(lambda: policy_specs(mixes, policies))
+    _sweep(args, specs, config, settings, title, done_note=done_note)
 
 
 def cmd_cap(args) -> None:
@@ -425,74 +362,12 @@ def cmd_cap(args) -> None:
         mixes = args.mixes if args.mixes else mix_names("MID")
         fractions = args.budgets
         settings = _settings_from_args(args)
-    specs = _specs(lambda: cap_specs(mixes, fractions))
-    _sweep(args, "cap", specs, _config_from_args(args), settings,
-           table=lambda outcomes: cap_summary_table(
-               [experiments.cap_outcome_row(o)
-                for o in split_outcomes(outcomes)[0]],
-               title=f"power-cap sweep: {len(mixes)} mixes x "
-                     f"{len(fractions)} budgets (+throttle reference)"),
-           notes="budgets are fractions of each mix's baseline average "
-                 "memory power;\nThrottle rows pin the slowest static "
-                 "frequency (the naive alternative)",
-           check=_check_cap_outcomes,
+    _sweep(args, _specs(lambda: cap_specs(mixes, fractions)),
+           _config_from_args(args), settings,
+           f"power-cap sweep: {len(mixes)} mixes x {len(fractions)} "
+           f"budgets (+throttle reference)",
            smoke_detail=f"{len(fractions)} budgets + throttle",
            done_note="cap enforcement checks passed")
-
-
-def _check_multidomain_outcomes(outcomes,
-                                require_coordinated_split: bool = False
-                                ) -> List[str]:
-    """Smoke-grade acceptance checks on a multi-domain sweep's outcomes.
-
-    Returns failure strings (empty = pass). Per global-budget point:
-    (a) the ledger accounted epochs and recorded zero violations on the
-    coordinated leg — the governor never exceeds the global budget;
-    (b) the coordinated leg beats the memory-only CapGovernor reference
-    on explicit-split system energy. With ``require_coordinated_split``
-    (the smoke), the tightest budget must also be a genuinely
-    *coordinated* split: infeasible for either domain alone at max
-    frequency, yet with feasible (core, memory) pairs found.
-    """
-    failures: List[str] = []
-    coordinated = [o for o in outcomes if o.spec.coordinated]
-    memory_only = {(o.mix, o.spec.budget_fraction): o
-                   for o in outcomes if not o.spec.coordinated}
-    for o in coordinated:
-        label = o.spec.label
-        summary = o.extras["summary"] or {}
-        if not summary.get("epochs_accounted"):
-            failures.append(f"{label}: ledger accounted no epochs")
-            continue
-        if summary.get("violation_count", 0) > 0:
-            failures.append(
-                f"{label}: {summary['violation_count']} epochs exceeded "
-                f"the global budget {o.extras['budget_w']:.2f}W")
-        ref = memory_only.get((o.mix, o.spec.budget_fraction))
-        mine_j = o.extras["system_energy_j"]
-        if ref is not None and mine_j >= ref.extras["system_energy_j"]:
-            failures.append(
-                f"{label}: coordinated system energy {mine_j:.4f}J does "
-                f"not beat the memory-only reference "
-                f"{ref.extras['system_energy_j']:.4f}J")
-    if coordinated and require_coordinated_split:
-        tight = min(coordinated, key=lambda o: o.spec.budget_fraction)
-        label = tight.spec.label
-        summary = tight.extras["summary"] or {}
-        if not summary.get("core_max_infeasible_epochs"):
-            failures.append(
-                f"{label}: budget never infeasible for nominal cores "
-                f"alone (no coordination needed)")
-        if not summary.get("mem_max_infeasible_epochs"):
-            failures.append(
-                f"{label}: budget never infeasible for max-frequency "
-                f"memory alone (no coordination needed)")
-        decided = summary.get("epochs_decided", 0)
-        if decided - summary.get("infeasible_epochs", 0) <= 0:
-            failures.append(
-                f"{label}: governor found no feasible (core, memory) "
-                f"pair in any epoch")
-    return failures
 
 
 def cmd_multidomain(args) -> None:
@@ -503,93 +378,13 @@ def cmd_multidomain(args) -> None:
         mixes = args.mixes if args.mixes else mix_names("MID")
         fractions = args.budgets
         settings = _settings_from_args(args)
-    specs = _specs(lambda: multidomain_specs(mixes, fractions))
-    _sweep(args, "multidomain", specs, _config_from_args(args), settings,
-           table=lambda outcomes: multidomain_summary_table(
-               [experiments.multidomain_outcome_row(o)
-                for o in split_outcomes(outcomes)[0]],
-               title=f"multi-domain budget sweep: {len(mixes)} mixes x "
-                     f"{len(fractions)} global budgets "
-                     f"(+memory-only reference)"),
-           notes="budgets are fractions of each mix's baseline memory "
-                 "power plus modeled\nnominal core power; MemOnly rows "
-                 "give the whole remaining budget to a\nmemory-only "
-                 "CapGovernor (the uncoordinated split)",
-           check=lambda good: _check_multidomain_outcomes(
-               good, require_coordinated_split=args.smoke),
+    _sweep(args, _specs(lambda: multidomain_specs(mixes, fractions)),
+           _config_from_args(args), settings,
+           f"multi-domain budget sweep: {len(mixes)} mixes x "
+           f"{len(fractions)} global budgets (+memory-only reference)",
            smoke_detail=f"{len(fractions)} budgets x "
                         f"coordinated+memory-only",
            done_note="budget-ledger checks passed")
-
-
-def _check_placement_outcomes(outcomes, cpi_bound: float,
-                              require_parking: bool = False) -> List[str]:
-    """Smoke-grade acceptance checks on a placement sweep's outcomes.
-
-    Returns failure strings (empty = pass). Per placed leg: (a) lower
-    absolute memory energy than the plain-MemScale reference on the
-    same mix (the legs share the trace and the CPI-degradation target,
-    so the energy comparison is at equal perf loss); (b) CPI increase
-    within the MemScale bound plus a small slack for self-refresh
-    wake-ups and copy traffic. With ``require_parking`` (the smoke),
-    the placed leg must also show the machinery actually engaged:
-    pages migrated, ranks parked in self-refresh, and the migration
-    copy ledger conserved — every migrated line was either copied or
-    is still in the pump's tracked backlog when the run ends (nothing
-    silently dropped).
-    """
-    failures: List[str] = []
-    references = {o.mix: o for o in outcomes if not o.spec.coordinated}
-    for o in outcomes:
-        if not o.spec.coordinated:
-            continue
-        label = o.spec.label
-        summary = o.extras["placement"] or {}
-        ref = references.get(o.mix)
-        if ref is not None \
-                and o.result.memory_energy_j >= ref.result.memory_energy_j:
-            failures.append(
-                f"{label}: memory energy {o.result.memory_energy_j:.4f}J "
-                f"does not beat plain MemScale "
-                f"{ref.result.memory_energy_j:.4f}J")
-        worst = o.comparison.worst_cpi_increase
-        if worst > cpi_bound + SMOKE_PLACEMENT_CPI_SLACK:
-            failures.append(
-                f"{label}: worst CPI increase {worst:+.1%} exceeds the "
-                f"bound {cpi_bound:.1%} plus "
-                f"{SMOKE_PLACEMENT_CPI_SLACK:.1%} slack")
-        if require_parking:
-            if not summary.get("parked_ranks"):
-                failures.append(f"{label}: no rank ever entered "
-                                "self-refresh")
-            if not summary.get("migrations"):
-                failures.append(f"{label}: no page was ever migrated")
-            copied = summary.get("lines_copied", 0)
-            backlog = summary.get("backlog", 0)
-            migrated = summary.get("migrated_lines", 0)
-            if copied + backlog != migrated:
-                failures.append(
-                    f"{label}: migration copy ledger does not conserve "
-                    f"— {copied} lines copied + {backlog} backlog != "
-                    f"{migrated} migrated")
-    return failures
-
-
-def _placement_table(outcomes, title: str) -> str:
-    rows = []
-    for o in split_outcomes(outcomes)[0]:
-        summary = o.extras["placement"] or {}
-        rows.append([
-            o.mix, "Placed" if o.spec.coordinated else "MemScale",
-            f"{o.result.memory_energy_j:.4f}",
-            f"{o.comparison.worst_cpi_increase:+.1%}",
-            str(summary.get("migrations", "-")),
-            str(summary.get("parked_ranks", "-")),
-            f"{o.wall_s:.2f}s",
-        ])
-    return format_table(["workload", "leg", "mem energy (J)", "worst CPI",
-                         "migrations", "parks", "job wall"], rows,
-                        title=title)
 
 
 def cmd_placement(args) -> None:
@@ -611,19 +406,10 @@ def cmd_placement(args) -> None:
         mixes = args.mixes if args.mixes else mix_names("MID")
         settings = _settings_from_args(args)
         base = None
-    config = _config_from_args(args, base)
-    specs = _specs(lambda: placement_specs(mixes))
-    _sweep(args, "placement", specs, config, settings,
-           table=lambda outcomes: _placement_table(
-               outcomes, title=f"placement sweep: {len(mixes)} mixes x "
-                               f"(placed + plain-MemScale reference)"),
-           notes="legs share the trace and the CPI bound; energies are "
-                 "absolute joules\n(enabling placement changes the "
-                 "baseline run's decode, so the legs are\nnot normalized "
-                 "to a common baseline)",
-           check=lambda good: _check_placement_outcomes(
-               good, cpi_bound=config.policy.cpi_bound,
-               require_parking=args.smoke),
+    _sweep(args, _specs(lambda: placement_specs(mixes)),
+           _config_from_args(args, base), settings,
+           f"placement sweep: {len(mixes)} mixes x "
+           f"(placed + plain-MemScale reference)",
            smoke_detail="placed + reference on MID1",
            done_note="placement checks passed")
 
@@ -662,18 +448,9 @@ def cmd_bench(args) -> None:
                    if spec.kind == "policy"]
     good, failed_jobs = split_outcomes(outcomes)
     failures = [f.summary() for f in failed_jobs]
-    for o in good:
-        if o.spec.kind != "policy":
-            continue
-        if o.result.epochs <= 0:
-            failures.append(f"{o.spec.label}: no epochs simulated")
-        if not -1.0 <= o.comparison.system_energy_savings <= 1.0:
-            failures.append(f"{o.spec.label}: implausible savings "
-                            f"{o.comparison.system_energy_savings:+.1%}")
-        if o.comparison.memory_energy_savings <= 0.0:
-            failures.append(f"{o.spec.label}: no memory savings")
-    failures.extend(_check_cap_outcomes(
-        [o for o in good if o.spec.kind == "cap"]))
+    for kind in ("policy", "cap"):
+        failures.extend(KINDS[kind].check(
+            [o for o in good if o.spec.kind == kind], config, strict=True))
     # Validator-armed leg: a tiny in-process run (DVFS + powerdown +
     # refresh) with the DDR3 protocol validator raising on any violation,
     # so tier-1 exercises the armed path even when the sweep above was
@@ -688,10 +465,7 @@ def cmd_bench(args) -> None:
         vrunner.run_named_policy("MID1", "MemScale+Fast-PD")
     except ProtocolViolation as exc:
         failures.append(f"validator: {exc}")
-    print(format_table(
-        ["workload", "policy", "mem savings", "sys savings",
-         "worst CPI", "job wall"],
-        sweep_table(policy_runs), title="bench smoke (parallel path)"))
+    print(outcome_table(policy_runs, "bench smoke (parallel path)"))
     if failures:
         raise SystemExit("SMOKE FAILED:\n  " + "\n  ".join(failures))
     print("validator: armed leg passed (zero protocol violations)")
@@ -767,58 +541,6 @@ def cmd_trace(args) -> None:
     print(f"\nimported as 'trace:{name}' into {cache.root}")
     print(f"replay: repro run trace:{name} --cores {summary.cores} "
           f"--cache-dir {args.cache_dir}")
-
-
-def _check_scenario_outcomes(outcomes, devices,
-                             cpi_bound: float = SCENARIOS_SMOKE_CPI_BOUND
-                             ) -> List[str]:
-    """Acceptance checks of the scenarios smoke's device leg.
-
-    Per device table: MemScale must beat Static on at least one ladder
-    rung, where "beats" honours the performance bound — a policy only
-    qualifies while its worst CPI increase stays within the bound (plus
-    controller-jitter slack), and among qualifying policies higher
-    memory savings wins. Across tables: the STT-MRAM-like part's
-    near-zero standby currents must show up as a lower background
-    (standby) share of DIMM energy than the DDR3-1333 baseline's.
-    """
-    failures: List[str] = []
-    by = {(o.mix, o.policy, o.spec.device): o for o in outcomes}
-    mixes = list(dict.fromkeys(o.mix for o in outcomes))
-    limit = cpi_bound + SCENARIOS_SMOKE_CPI_SLACK
-
-    def qualifies(o) -> bool:
-        return o.comparison.worst_cpi_increase <= limit
-
-    def beats(mix: str, device: str) -> bool:
-        mine = by.get((mix, "MemScale", device))
-        ref = by.get((mix, "Static", device))
-        if mine is None or ref is None:
-            return False
-        if not (qualifies(mine)
-                and mine.comparison.memory_energy_savings > 0):
-            return False
-        return (not qualifies(ref)
-                or (mine.comparison.memory_energy_savings
-                    > ref.comparison.memory_energy_savings))
-
-    for device in devices:
-        if not any(beats(mix, device) for mix in mixes):
-            failures.append(
-                f"{device}: MemScale beat Static on no ladder rung "
-                f"(within the {cpi_bound:.0%} CPI bound)")
-
-    def share(device: str) -> float:
-        vals = [o.extras["background_share"] for o in outcomes
-                if o.spec.device == device]
-        return sum(vals) / len(vals) if vals else 0.0
-
-    if "stt-mram" in devices and "ddr3-1333" in devices:
-        if share("stt-mram") >= share("ddr3-1333"):
-            failures.append(
-                f"stt-mram standby share {share('stt-mram'):.1%} is not "
-                f"below ddr3-1333's {share('ddr3-1333'):.1%}")
-    return failures
 
 
 def _scenarios_smoke(args) -> None:
@@ -899,6 +621,7 @@ def _scenarios_smoke(args) -> None:
     devices = scn.device_names()
     device_config = config.with_policy(
         cpi_bound=SCENARIOS_SMOKE_CPI_BOUND)
+    scenario = KINDS["scenario"]
     outcomes = run_specs(scenario_specs(SCENARIOS_SMOKE_RUNGS,
                                         ("MemScale", "Static"), devices),
                          config=device_config, settings=settings,
@@ -907,15 +630,15 @@ def _scenarios_smoke(args) -> None:
     failures.extend(f"devices: {f.summary()}" for f in failed)
     if dev_good:
         print()
-        print(_device_table(dev_good))
-    failures.extend(_check_scenario_outcomes(dev_good, devices))
+        print(outcome_table(outcomes, "device technology sweep"))
+    failures.extend(scenario.check(dev_good, device_config, strict=True))
 
     wall = time.perf_counter() - start
     (directory / "summary.json").write_text(_json.dumps({
         "import": _dc.asdict(summary),
         "replay_identical": len(set(replay_legs.values())) == 1,
         "ladder_rungs": rungs,
-        "devices": [_scenario_row(o) for o in dev_good],
+        "devices": [scenario.row(o) for o in dev_good],
         "failures": failures,
         "wall_s": wall,
     }, indent=1, sort_keys=True) + "\n")
@@ -1264,21 +987,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "its own baseline")
     p.add_argument("--policies", nargs="+", default=["MemScale"],
                    metavar="POLICY", help=f"policies from {POLICY_NAMES}")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
     p.add_argument("--bound", type=float, default=None,
                    help="CPI degradation bound (default 0.10)")
     p.add_argument("--save", default=None, metavar="FILE",
                    help="save all results/comparisons to a JSON file")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker")
-    _add_scale_args(p)
+    _add_sweep_args(p)
     _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("cap",
@@ -1294,17 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoke", action="store_true",
                    help="tiny 2-point sweep on MID1 with acceptance "
                         "checks (cap enforcement + fairness)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker")
-    _add_scale_args(p)
+    _add_sweep_args(p)
     _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
     p.set_defaults(func=cmd_cap)
 
     p = sub.add_parser("multidomain",
@@ -1322,17 +1027,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tiny 2-point sweep on MID1 with acceptance "
                         "checks (budget enforcement + coordinated split "
                         "beats memory-only capping)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker")
-    _add_scale_args(p)
+    _add_sweep_args(p)
     _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
     p.set_defaults(func=cmd_multidomain)
 
     p = sub.add_parser("placement",
@@ -1345,18 +1041,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "acceptance checks (placement+SR beats plain "
                         "MemScale on memory energy, validator armed, "
                         "ranks actually parked)")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: up to 8, one per CPU)")
-    p.add_argument("--telemetry", default=None, metavar="DIR",
-                   help="write one per-epoch telemetry JSONL file per run "
-                        "into DIR")
-    p.add_argument("--validate", action="store_true",
-                   help="arm the DDR3 protocol validator in every worker "
-                        "(the smoke always does)")
-    _add_scale_args(p)
+    _add_sweep_args(p)
     _add_cache_args(p)
-    _add_ff_arg(p)
-    _add_retries_arg(p)
     p.set_defaults(func=cmd_placement)
 
     p = sub.add_parser("governors",
@@ -1470,21 +1156,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--devices", nargs="+", default=None, metavar="NAME",
                     help="device technology tables (kind=scenario; "
                          "default ddr3-1333)")
-    sp.add_argument("--jobs", type=int, default=None,
-                    help="worker processes (default: up to 8, one per "
-                         "CPU)")
-    sp.add_argument("--telemetry", default=None, metavar="DIR",
-                    help="write per-epoch telemetry JSONL files into DIR")
-    sp.add_argument("--validate", action="store_true",
-                    help="arm the DDR3 protocol validator in every "
-                         "worker")
     sp.add_argument("--fail-label", nargs="+", default=None,
                     metavar="MIX/POINT",
                     help="inject a deterministic failure into the named "
                          "jobs (testing hook, e.g. MID1/MemScale)")
-    _add_scale_args(sp)
-    _add_ff_arg(sp)
-    _add_retries_arg(sp, default=1)
+    _add_sweep_args(sp, retries=1)
     sp.set_defaults(func=cmd_service)
 
     sp = ssub.add_parser("resume",

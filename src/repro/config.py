@@ -353,14 +353,6 @@ class SystemConfig:
     #: hatch and for measuring the speedup itself.
     fast_forward: bool = True
 
-    @property
-    def max_bus_freq_mhz(self) -> float:
-        return max(self.bus_freqs_mhz)
-
-    @property
-    def min_bus_freq_mhz(self) -> float:
-        return min(self.bus_freqs_mhz)
-
     def sorted_bus_freqs(self) -> List[float]:
         """Candidate bus frequencies, descending (highest first)."""
         return sorted(self.bus_freqs_mhz, reverse=True)

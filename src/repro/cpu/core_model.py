@@ -87,11 +87,6 @@ class Core:
         """Complete passes through the trace so far."""
         return self._passes
 
-    @property
-    def instruction_time_ns(self) -> float:
-        """Wall-clock time per committed CPU instruction."""
-        return self._instr_ns
-
     def set_target(self, instructions: int) -> None:
         """Record the time at which this core commits its N-th instruction.
 
@@ -276,6 +271,3 @@ class CpuCluster:
 
     def all_reached_target(self) -> bool:
         return all(core.reached_target for core in self.cores)
-
-    def all_finished(self) -> bool:
-        return all(core.finished for core in self.cores)

@@ -48,12 +48,6 @@ class RankPowerState(enum.Enum):
                         RankPowerState.PRECHARGE_POWERDOWN,
                         RankPowerState.SELF_REFRESH)
 
-    @property
-    def all_precharged(self) -> bool:
-        return self in (RankPowerState.PRECHARGE_STANDBY,
-                        RankPowerState.PRECHARGE_POWERDOWN,
-                        RankPowerState.SELF_REFRESH)
-
 
 class PowerdownMode(enum.Enum):
     """Idle power-management aggressiveness of the MC (Section 4.2.3).

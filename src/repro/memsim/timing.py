@@ -13,7 +13,7 @@ Separates the two classes of latency Section 2.2 identifies:
 from __future__ import annotations
 
 import enum
-from typing import Dict, NamedTuple
+from typing import NamedTuple
 
 from repro.config import DramTimings
 from repro.core.frequency import FrequencyPoint
@@ -42,20 +42,6 @@ class TimingTable(NamedTuple):
     t_xpdll_ns: float
     t_ckesr_ns: float
     t_xs_ns: float
-
-
-class FrequencyTimings(NamedTuple):
-    """Cycle-denominated operation durations at one frequency point.
-
-    Burst and MC-processing times are fixed in bus/MC cycles, so their
-    wall-clock value changes on every re-lock; this table is computed
-    once per :class:`~repro.core.frequency.FrequencyPoint` and cached,
-    so no per-request property arithmetic remains on the hot path.
-    """
-
-    bus_mhz: float
-    burst_ns: float
-    mc_latency_ns: float
 
 
 class AccessClass(enum.Enum):
@@ -90,7 +76,6 @@ class TimingCalculator:
             t_ckesr_ns=timings.t_ckesr_ns,
             t_xs_ns=timings.t_xs_ns,
         )
-        self._freq_tables: Dict[float, FrequencyTimings] = {}
 
     @property
     def timings(self) -> DramTimings:
@@ -100,23 +85,6 @@ class TimingCalculator:
     def table(self) -> TimingTable:
         """Precomputed array-timing constants (see :class:`TimingTable`)."""
         return self._table
-
-    def for_frequency(self, freq: FrequencyPoint) -> FrequencyTimings:
-        """The cached cycle-derived durations at ``freq``.
-
-        Memoized per bus frequency, so repeated re-locks to the same
-        ladder point reuse one table; values are identical to the
-        :class:`~repro.core.frequency.FrequencyPoint` properties they
-        are computed from.
-        """
-        try:
-            return self._freq_tables[freq.bus_mhz]
-        except KeyError:
-            table = FrequencyTimings(bus_mhz=freq.bus_mhz,
-                                     burst_ns=freq.burst_ns,
-                                     mc_latency_ns=freq.mc_latency_ns)
-            self._freq_tables[freq.bus_mhz] = table
-            return table
 
     def classify_latency_ns(self, access: AccessClass) -> float:
         """Command-to-data latency of the array portion of an access."""
@@ -138,17 +106,6 @@ class TimingCalculator:
             return self._t.t_xp_ns
         return 0.0
 
-    def self_refresh_entry_ns(self) -> float:
-        """tCKESR: minimum CKE-low residency once self-refresh is entered."""
-        return self._t.t_ckesr_ns
-
-    def self_refresh_exit_ns(self) -> float:
-        """tXS: delay from self-refresh exit to the first valid command."""
-        return self._t.t_xs_ns
-
-    def precharge_ns(self) -> float:
-        return self._t.t_rp_ns
-
     def refresh_ns(self) -> float:
         return self._t.t_rfc_ns
 
@@ -166,9 +123,6 @@ class TimingCalculator:
     def row_cycle_ns(self) -> float:
         """tRC: min activate-to-activate time for a single bank."""
         return self._t.t_rc_ns
-
-    def ras_ns(self) -> float:
-        return self._t.t_ras_ns
 
     @staticmethod
     def burst_ns(freq: FrequencyPoint) -> float:

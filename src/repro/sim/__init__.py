@@ -14,7 +14,6 @@ from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.sim.parallel import (
     JobSpec,
     Outcome,
-    generate_traces,
     run_specs,
     run_sweep,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "SystemSimulator",
     "TelemetrySink",
     "compare_to_baseline",
-    "generate_traces",
     "load_telemetry",
     "run_specs",
     "run_sweep",

@@ -18,9 +18,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.cpu.workloads import MIXES, mix_names
-from repro.sim.parallel import (JobFailure, JobSpec, Outcome, cap_specs,
-                                multidomain_specs, policy_specs, run_specs,
-                                split_outcomes)
+from repro.sim.parallel import (KINDS, JobFailure, JobSpec, Outcome,
+                                cap_specs, multidomain_specs, policy_specs,
+                                run_specs, split_outcomes)
 from repro.sim.results import PolicyComparison
 from repro.sim.runner import ExperimentRunner
 
@@ -176,32 +176,8 @@ def sensitivity_proportionality(idle_fracs: Sequence[float] = (0.0, 0.5, 1.0),
 DEFAULT_BUDGET_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.6)
 
 
-def cap_outcome_row(outcome: Outcome) -> Dict[str, object]:
-    """Flatten one cap-kind :class:`~repro.sim.parallel.Outcome` to a
-    row dict (the shape :func:`repro.analysis.cap_summary_table`
-    renders)."""
-    extras = outcome.extras
-    cap = extras["cap"] or {}
-    return {
-        "workload": outcome.mix,
-        "governor": extras["governor"],
-        "budget_fraction": outcome.spec.budget_fraction,
-        "budget_w": extras["budget_w"],
-        "avg_power_w": extras["avg_power_w"],
-        "violations": cap.get("violation_count"),
-        "time_over_frac": cap.get("time_over_cap_fraction"),
-        "infeasible_epochs": cap.get("infeasible_epochs"),
-        "peak_power_w": cap.get("peak_power_w"),
-        "min_perf": extras["min_perf"],
-        "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
-        "memory_savings": outcome.comparison.memory_energy_savings,
-        "system_savings": outcome.comparison.system_energy_savings,
-    }
-
-
 def cap_sweep(mixes: Optional[Sequence[str]] = None,
               budget_fractions: Sequence[float] = DEFAULT_BUDGET_FRACTIONS,
-              include_throttle: bool = True,
               **run_args) -> ExperimentResult:
     """Power-cap budget sweep (the FastCap-style dual experiment).
 
@@ -212,12 +188,10 @@ def cap_sweep(mixes: Optional[Sequence[str]] = None,
     through :func:`repro.sim.parallel.run_specs`, so runs share the
     on-disk trace/baseline cache with every other experiment.
     """
-    notes = ("budgets are fractions of each mix's baseline average "
-             "memory power; Throttle rows pin the slowest static "
-             "frequency (the naive capping alternative)")
     specs = cap_specs(mixes if mixes is not None else mix_names("MID"),
-                      budget_fractions, include_throttle=include_throttle)
-    return _spec_experiment("cap_sweep", notes, cap_outcome_row, specs,
+                      budget_fractions)
+    kind = KINDS["cap"]
+    return _spec_experiment("cap_sweep", kind.notes, kind.row, specs,
                             **run_args)
 
 
@@ -226,38 +200,9 @@ def cap_sweep(mixes: Optional[Sequence[str]] = None,
 DEFAULT_MULTIDOMAIN_FRACTIONS = (1.0, 0.9, 0.8, 0.7, 0.65)
 
 
-def multidomain_outcome_row(outcome: Outcome) -> Dict[str, object]:
-    """Flatten one multidomain-kind :class:`~repro.sim.parallel.Outcome`
-    to a row dict (the shape
-    :func:`repro.analysis.multidomain_summary_table` renders)."""
-    extras = outcome.extras
-    summary = extras["summary"] or {}
-    return {
-        "workload": outcome.mix,
-        "governor": extras["governor"],
-        "coordinated": outcome.spec.coordinated,
-        "budget_fraction": outcome.spec.budget_fraction,
-        "budget_w": extras["budget_w"],
-        "avg_power_w": extras["avg_power_w"],
-        "avg_core_power_w": extras["avg_core_power_w"],
-        "avg_core_mhz": summary.get("avg_core_mhz"),
-        "violations": summary.get("violation_count"),
-        "time_over_frac": summary.get("time_over_cap_fraction"),
-        "infeasible_epochs": summary.get("infeasible_epochs"),
-        "core_max_infeasible_epochs":
-            summary.get("core_max_infeasible_epochs"),
-        "mem_max_infeasible_epochs":
-            summary.get("mem_max_infeasible_epochs"),
-        "min_perf": extras["min_perf"],
-        "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
-        "system_energy_j": extras["system_energy_j"],
-    }
-
-
 def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
                       budget_fractions: Sequence[float] =
                       DEFAULT_MULTIDOMAIN_FRACTIONS,
-                      include_memory_only: bool = True,
                       **run_args) -> ExperimentResult:
     """Coordinated CPU+memory budget sweep (the SysScale-style dual).
 
@@ -269,15 +214,11 @@ def multidomain_sweep(mixes: Optional[Sequence[str]] = None,
     infeasibility, fairness, and explicit-split system energy. Routed
     through :func:`repro.sim.parallel.run_specs`.
     """
-    notes = ("budgets are fractions of each mix's baseline memory power "
-             "plus modeled nominal core power; MemOnly rows give the "
-             "whole remaining budget to a memory-only CapGovernor "
-             "(the uncoordinated split)")
     specs = multidomain_specs(
-        mixes if mixes is not None else mix_names("MID"), budget_fractions,
-        include_memory_only=include_memory_only)
-    return _spec_experiment("multidomain_sweep", notes,
-                            multidomain_outcome_row, specs, **run_args)
+        mixes if mixes is not None else mix_names("MID"), budget_fractions)
+    kind = KINDS["multidomain"]
+    return _spec_experiment("multidomain_sweep", kind.notes, kind.row,
+                            specs, **run_args)
 
 
 def timeline(runner: ExperimentRunner, mix: str) -> ExperimentResult:

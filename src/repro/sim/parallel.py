@@ -6,7 +6,7 @@ mix's all-on baseline. The sweep kinds differ only in which governor
 runs and what gets summarized, so there is one job type
 (:class:`JobSpec`), one worker, one driver (:func:`run_specs`) and one
 outcome type (:class:`Outcome`). What a kind adds lives in one
-:data:`KINDS` table entry with three pieces:
+:data:`KINDS` table entry. Three pieces say how it runs:
 
 * an **overlay** of the sweep config (a device technology table for
   scenario jobs, ``placement.enabled`` for the placed leg);
@@ -16,6 +16,11 @@ outcome type (:class:`Outcome`). What a kind adds lives in one
 * an **extras** extractor: the kind's bookkeeping (cap ledger,
   per-domain energy split, placement counters, standby share) as a
   plain dict on the outcome.
+
+Four say what it reports and must satisfy, for the CLI, the
+experiments API and a store reader alike: a **row** per outcome, the
+table **columns** :func:`outcome_table` renders it through, the
+**notes** printed under that table, and the acceptance **check**.
 
 The ``*_specs`` builders name a sweep's points, for :func:`run_specs`
 and the persistent :class:`~repro.sim.service.SweepService` alike.
@@ -73,10 +78,10 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
 
 import multiprocessing
 
+from repro.analysis import format_table, percent
 from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.core.governor import Governor
-from repro.cpu.trace import WorkloadTrace
 from repro.cpu.workloads import known_mix_names
 from repro.sim.cache import (DEFAULT_CACHE_DIR, ExperimentCache,
                              content_digest)
@@ -391,9 +396,345 @@ def _budget_point(spec: JobSpec) -> str:
     return f"Cap{spec.budget_fraction:.2f}"
 
 
+# -- what each kind reports and must satisfy --------------------------------
+# A row is one outcome as a flat dict; a column is (header, row key,
+# formatter), and outcome_table renders a None cell as "-". A check
+# takes the good outcomes, the sweep config and ``strict`` (the smoke's
+# stronger claims) and returns failure strings (empty = pass).
+
+Column = Tuple[str, str, Callable[[object], str]]
+
+_SIGNED = "{:+.1%}".format
+_SHARE = "{:.1%}".format
+_WATTS = "{:.2f}".format
+_JOULES = "{:.4f}".format
+_COUNT = "{:d}".format
+_PERF = "{:.3f}".format
+_WALL = "{:.2f}s".format
+
+#: Columns the cap and multi-domain tables open with.
+_BUDGET_COLUMNS: Tuple[Column, ...] = (
+    ("workload", "workload", str), ("governor", "governor", str),
+    ("budget", "budget_fraction", "{:.0%}".format),
+    ("cap W", "budget_w", _WATTS), ("avg W", "avg_power_w", _WATTS),
+)
+
+#: CPI-increase slack the placement check tolerates beyond the
+#: configured MemScale bound: self-refresh wake-ups and migration copy
+#: traffic add latency the frequency policy does not model.
+SMOKE_PLACEMENT_CPI_SLACK = 0.05
+
+#: Compliance slack on the scenario check's CPI bound (controller
+#: overshoot jitter).
+SCENARIOS_SMOKE_CPI_SLACK = 0.01
+
+
+def _policy_row(o: Outcome) -> Dict[str, object]:
+    return {
+        "workload": o.mix, "policy": o.point,
+        "memory_savings": o.comparison.memory_energy_savings,
+        "system_savings": o.comparison.system_energy_savings,
+        "worst_cpi_increase": o.comparison.worst_cpi_increase,
+        "wall_s": o.wall_s,
+    }
+
+
+def _check_policy_outcomes(outcomes: Sequence[Outcome],
+                           config: SystemConfig,
+                           strict: bool) -> List[str]:
+    """The claims ``repro bench --smoke`` makes of its policy runs,
+    strict only: every run simulated epochs, its system savings lie in
+    [-100%, 100%], and it saved memory energy (which a Baseline point
+    never does, so a plain sweep cannot be held to it)."""
+    failures: List[str] = []
+    if not strict:
+        return failures
+    for o in outcomes:
+        if o.result.epochs <= 0:
+            failures.append(f"{o.spec.label}: no epochs simulated")
+        if not -1.0 <= o.comparison.system_energy_savings <= 1.0:
+            failures.append(f"{o.spec.label}: implausible savings "
+                            f"{o.comparison.system_energy_savings:+.1%}")
+        if o.comparison.memory_energy_savings <= 0.0:
+            failures.append(f"{o.spec.label}: no memory savings")
+    return failures
+
+
+def _cap_row(outcome: Outcome) -> Dict[str, object]:
+    extras = outcome.extras
+    cap = extras["cap"] or {}
+    return {
+        "workload": outcome.mix,
+        "governor": extras["governor"],
+        "budget_fraction": outcome.spec.budget_fraction,
+        "budget_w": extras["budget_w"],
+        "avg_power_w": extras["avg_power_w"],
+        "violations": cap.get("violation_count"),
+        "time_over_frac": cap.get("time_over_cap_fraction"),
+        "infeasible_epochs": cap.get("infeasible_epochs"),
+        "peak_power_w": cap.get("peak_power_w"),
+        "min_perf": extras["min_perf"],
+        "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
+        "memory_savings": outcome.comparison.memory_energy_savings,
+        "system_savings": outcome.comparison.system_energy_savings,
+    }
+
+
+def _check_cap_outcomes(outcomes: Sequence[Outcome], config: SystemConfig,
+                        strict: bool) -> List[str]:
+    """Acceptance checks on a cap sweep's outcomes, strict or not.
+
+    Per capped point: (a) no silent overshoot — every accounted epoch
+    stayed within the budget's tolerance band or the ledger recorded a
+    violation; and (b) fairness — the capped run's min-app normalized
+    performance is no lower than the naive lowest-frequency throttle
+    reference.
+    """
+    failures: List[str] = []
+    throttle = {o.mix: o for o in outcomes
+                if o.spec.budget_fraction is None}
+    for o in outcomes:
+        if o.spec.budget_fraction is None:
+            continue
+        label = o.spec.label
+        cap = o.extras["cap"] or {}
+        budget_w = o.extras["budget_w"]
+        min_perf = o.extras["min_perf"]
+        if not cap.get("epochs_accounted"):
+            failures.append(f"{label}: ledger accounted no epochs")
+            continue
+        tol = 1.0 + 0.01 + 1e-9
+        if (cap.get("violation_count", 0) == 0
+                and cap.get("peak_power_w", 0.0) > budget_w * tol):
+            failures.append(
+                f"{label}: silent overshoot — peak epoch power "
+                f"{cap['peak_power_w']:.2f}W over budget {budget_w:.2f}W "
+                f"with no recorded violation")
+        ref = throttle.get(o.mix)
+        if ref is not None and min_perf < ref.extras["min_perf"] - 1e-9:
+            failures.append(
+                f"{label}: min-app normalized perf {min_perf:.4f} below "
+                f"the throttle reference {ref.extras['min_perf']:.4f}")
+    return failures
+
+
+def _multidomain_row(outcome: Outcome) -> Dict[str, object]:
+    extras = outcome.extras
+    summary = extras["summary"] or {}
+    return {
+        "workload": outcome.mix,
+        "governor": extras["governor"],
+        "coordinated": outcome.spec.coordinated,
+        "budget_fraction": outcome.spec.budget_fraction,
+        "budget_w": extras["budget_w"],
+        "avg_power_w": extras["avg_power_w"],
+        "avg_core_power_w": extras["avg_core_power_w"],
+        "avg_core_mhz": summary.get("avg_core_mhz"),
+        "violations": summary.get("violation_count"),
+        "time_over_frac": summary.get("time_over_cap_fraction"),
+        "infeasible_epochs": summary.get("infeasible_epochs"),
+        "core_max_infeasible_epochs":
+            summary.get("core_max_infeasible_epochs"),
+        "mem_max_infeasible_epochs":
+            summary.get("mem_max_infeasible_epochs"),
+        "min_perf": extras["min_perf"],
+        "worst_cpi_increase": outcome.comparison.worst_cpi_increase,
+        "system_energy_j": extras["system_energy_j"],
+    }
+
+
+def _check_multidomain_outcomes(outcomes: Sequence[Outcome],
+                                config: SystemConfig,
+                                strict: bool) -> List[str]:
+    """Acceptance checks on a multi-domain sweep's outcomes.
+
+    Per global-budget point: (a) the ledger accounted epochs and
+    recorded zero violations on the coordinated leg — the governor
+    never exceeds the global budget; (b) the coordinated leg beats the
+    memory-only CapGovernor reference on explicit-split system energy.
+    With ``strict`` (the smoke), the tightest budget must also be a
+    genuinely *coordinated* split: infeasible for either domain alone
+    at max frequency, yet with feasible (core, memory) pairs found.
+    """
+    failures: List[str] = []
+    coordinated = [o for o in outcomes if o.spec.coordinated]
+    memory_only = {(o.mix, o.spec.budget_fraction): o
+                   for o in outcomes if not o.spec.coordinated}
+    for o in coordinated:
+        label = o.spec.label
+        summary = o.extras["summary"] or {}
+        if not summary.get("epochs_accounted"):
+            failures.append(f"{label}: ledger accounted no epochs")
+            continue
+        if summary.get("violation_count", 0) > 0:
+            failures.append(
+                f"{label}: {summary['violation_count']} epochs exceeded "
+                f"the global budget {o.extras['budget_w']:.2f}W")
+        ref = memory_only.get((o.mix, o.spec.budget_fraction))
+        mine_j = o.extras["system_energy_j"]
+        if ref is not None and mine_j >= ref.extras["system_energy_j"]:
+            failures.append(
+                f"{label}: coordinated system energy {mine_j:.4f}J does "
+                f"not beat the memory-only reference "
+                f"{ref.extras['system_energy_j']:.4f}J")
+    if coordinated and strict:
+        tight = min(coordinated, key=lambda o: o.spec.budget_fraction)
+        label = tight.spec.label
+        summary = tight.extras["summary"] or {}
+        if not summary.get("core_max_infeasible_epochs"):
+            failures.append(
+                f"{label}: budget never infeasible for nominal cores "
+                f"alone (no coordination needed)")
+        if not summary.get("mem_max_infeasible_epochs"):
+            failures.append(
+                f"{label}: budget never infeasible for max-frequency "
+                f"memory alone (no coordination needed)")
+        decided = summary.get("epochs_decided", 0)
+        if decided - summary.get("infeasible_epochs", 0) <= 0:
+            failures.append(
+                f"{label}: governor found no feasible (core, memory) "
+                f"pair in any epoch")
+    return failures
+
+
+def _placement_row(o: Outcome) -> Dict[str, object]:
+    summary = o.extras["placement"] or {}
+    return {
+        "workload": o.mix,
+        "leg": "Placed" if o.spec.coordinated else "MemScale",
+        "memory_energy_j": o.result.memory_energy_j,
+        "worst_cpi_increase": o.comparison.worst_cpi_increase,
+        "migrations": summary.get("migrations"),
+        "parks": summary.get("parked_ranks"),
+        "wall_s": o.wall_s,
+    }
+
+
+def _check_placement_outcomes(outcomes: Sequence[Outcome],
+                              config: SystemConfig,
+                              strict: bool) -> List[str]:
+    """Acceptance checks on a placement sweep's outcomes.
+
+    Per placed leg: (a) lower absolute memory energy than the
+    plain-MemScale reference on the same mix (the legs share the trace
+    and the CPI-degradation target, so the energy comparison is at
+    equal perf loss); (b) CPI increase within ``config``'s MemScale
+    bound plus a small slack for self-refresh wake-ups and copy
+    traffic. With ``strict`` (the smoke), the placed leg must also show
+    the machinery actually engaged: pages migrated, ranks parked in
+    self-refresh, and the migration copy ledger conserved — every
+    migrated line was either copied or is still in the pump's tracked
+    backlog when the run ends (nothing silently dropped).
+    """
+    failures: List[str] = []
+    cpi_bound = config.policy.cpi_bound
+    references = {o.mix: o for o in outcomes if not o.spec.coordinated}
+    for o in outcomes:
+        if not o.spec.coordinated:
+            continue
+        label = o.spec.label
+        summary = o.extras["placement"] or {}
+        ref = references.get(o.mix)
+        if ref is not None \
+                and o.result.memory_energy_j >= ref.result.memory_energy_j:
+            failures.append(
+                f"{label}: memory energy {o.result.memory_energy_j:.4f}J "
+                f"does not beat plain MemScale "
+                f"{ref.result.memory_energy_j:.4f}J")
+        worst = o.comparison.worst_cpi_increase
+        if worst > cpi_bound + SMOKE_PLACEMENT_CPI_SLACK:
+            failures.append(
+                f"{label}: worst CPI increase {worst:+.1%} exceeds the "
+                f"bound {cpi_bound:.1%} plus "
+                f"{SMOKE_PLACEMENT_CPI_SLACK:.1%} slack")
+        if strict:
+            if not summary.get("parked_ranks"):
+                failures.append(f"{label}: no rank ever entered "
+                                "self-refresh")
+            if not summary.get("migrations"):
+                failures.append(f"{label}: no page was ever migrated")
+            copied = summary.get("lines_copied", 0)
+            backlog = summary.get("backlog", 0)
+            migrated = summary.get("migrated_lines", 0)
+            if copied + backlog != migrated:
+                failures.append(
+                    f"{label}: migration copy ledger does not conserve "
+                    f"— {copied} lines copied + {backlog} backlog != "
+                    f"{migrated} migrated")
+    return failures
+
+
+def _scenario_row(o: Outcome) -> Dict[str, object]:
+    return {
+        "workload": o.mix, "policy": o.policy, "device": o.spec.device,
+        "memory_energy_j": o.result.memory_energy_j,
+        "background_share": o.extras["background_share"],
+        "mem_savings": o.comparison.memory_energy_savings,
+        "worst_cpi_increase": o.comparison.worst_cpi_increase,
+    }
+
+
+def _check_scenario_outcomes(outcomes: Sequence[Outcome],
+                             config: SystemConfig,
+                             strict: bool) -> List[str]:
+    """Acceptance claims of a device sweep, strict only.
+
+    Per device table among the outcomes: MemScale must beat Static on
+    at least one ladder rung, where "beats" honours ``config``'s
+    performance bound — a policy only qualifies while its worst CPI
+    increase stays within the bound (plus controller-jitter slack), and
+    among qualifying policies higher memory savings wins. Across
+    tables: the STT-MRAM-like part's near-zero standby currents must
+    show up as a lower background (standby) share of DIMM energy than
+    the DDR3-1333 baseline's.
+    """
+    failures: List[str] = []
+    if not strict:
+        return failures
+    cpi_bound = config.policy.cpi_bound
+    by = {(o.mix, o.policy, o.spec.device): o for o in outcomes}
+    mixes = list(dict.fromkeys(o.mix for o in outcomes))
+    devices = list(dict.fromkeys(o.spec.device for o in outcomes))
+    limit = cpi_bound + SCENARIOS_SMOKE_CPI_SLACK
+
+    def qualifies(o) -> bool:
+        return o.comparison.worst_cpi_increase <= limit
+
+    def beats(mix: str, device: str) -> bool:
+        mine = by.get((mix, "MemScale", device))
+        ref = by.get((mix, "Static", device))
+        if mine is None or ref is None:
+            return False
+        if not (qualifies(mine)
+                and mine.comparison.memory_energy_savings > 0):
+            return False
+        return (not qualifies(ref)
+                or (mine.comparison.memory_energy_savings
+                    > ref.comparison.memory_energy_savings))
+
+    for device in devices:
+        if not any(beats(mix, device) for mix in mixes):
+            failures.append(
+                f"{device}: MemScale beat Static on no ladder rung "
+                f"(within the {cpi_bound:.0%} CPI bound)")
+
+    def share(device: str) -> float:
+        vals = [o.extras["background_share"] for o in outcomes
+                if o.spec.device == device]
+        return sum(vals) / len(vals) if vals else 0.0
+
+    if "stt-mram" in devices and "ddr3-1333" in devices:
+        if share("stt-mram") >= share("ddr3-1333"):
+            failures.append(
+                f"stt-mram standby share {share('stt-mram'):.1%} is not "
+                f"below ddr3-1333's {share('ddr3-1333'):.1%}")
+    return failures
+
+
 @dataclass(frozen=True)
 class Kind:
-    """What one experiment kind adds to the shared run."""
+    """What one experiment kind adds to the shared run, and what it
+    reports and must satisfy."""
 
     #: (outcome record field, :class:`JobSpec` attribute) pairs that
     #: name a point of this kind
@@ -405,17 +746,43 @@ class Kind:
     #: None runs the mix's baseline compared with itself
     governor: Callable[[ExperimentRunner, JobSpec], Optional[Governor]]
     extras: Callable[..., Dict[str, object]]
+    #: one outcome as a flat table row
+    row: Callable[[Outcome], Dict[str, object]]
+    columns: Tuple[Column, ...]
+    #: printed under the kind's table
+    notes: str
+    #: ``check(good_outcomes, config, strict)`` -> failure strings
+    check: Callable[[Sequence[Outcome], SystemConfig, bool], List[str]]
 
 
 KINDS: Dict[str, Kind] = {
     "policy": Kind(
         fields=(("policy", "policy"),), required=("policy",),
         point=lambda s: s.policy, overlay=_same_config,
-        governor=_named_governor, extras=_no_extras),
+        governor=_named_governor, extras=_no_extras,
+        row=_policy_row,
+        columns=(("workload", "workload", str), ("policy", "policy", str),
+                 ("mem savings", "memory_savings", _SIGNED),
+                 ("sys savings", "system_savings", _SIGNED),
+                 ("worst CPI", "worst_cpi_increase", _SIGNED),
+                 ("job wall", "wall_s", _WALL)),
+        notes="", check=_check_policy_outcomes),
     "cap": Kind(
         fields=(("budget_fraction", "budget_fraction"),), required=(),
         point=_budget_point, overlay=_same_config,
-        governor=_cap_governor, extras=_cap_extras),
+        governor=_cap_governor, extras=_cap_extras,
+        row=_cap_row,
+        columns=_BUDGET_COLUMNS + (
+            ("viol", "violations", _COUNT),
+            ("t>cap", "time_over_frac", _SHARE),
+            ("infeas", "infeasible_epochs", _COUNT),
+            ("min perf", "min_perf", _PERF),
+            ("worst CPI", "worst_cpi_increase", percent),
+            ("sys savings", "system_savings", percent)),
+        notes="budgets are fractions of each mix's baseline average "
+              "memory power;\nStatic-<MHz> rows pin the slowest static "
+              "frequency (the naive alternative)",
+        check=_check_cap_outcomes),
     "multidomain": Kind(
         fields=(("budget_fraction", "budget_fraction"),
                 ("coordinated", "coordinated")),
@@ -423,17 +790,53 @@ KINDS: Dict[str, Kind] = {
         point=lambda s: (f"{'MD' if s.coordinated else 'MemOnly'}"
                          f"{s.budget_fraction:.2f}"),
         overlay=_same_config, governor=_multidomain_governor,
-        extras=_multidomain_extras),
+        extras=_multidomain_extras,
+        row=_multidomain_row,
+        columns=_BUDGET_COLUMNS + (
+            ("core W", "avg_core_power_w", _WATTS),
+            ("core MHz", "avg_core_mhz", "{:.0f}".format),
+            ("viol", "violations", _COUNT),
+            ("infeas", "infeasible_epochs", _COUNT),
+            ("min perf", "min_perf", _PERF),
+            ("sys J", "system_energy_j", _JOULES)),
+        notes="budgets are fractions of each mix's baseline memory "
+              "power plus modeled\nnominal core power; Cap-<W> rows "
+              "give the whole remaining budget to a\nmemory-only "
+              "CapGovernor (the uncoordinated split)",
+        check=_check_multidomain_outcomes),
     "placement": Kind(
         fields=(("placed", "coordinated"),), required=("coordinated",),
         point=lambda s: "Placed" if s.coordinated else "NoPlacement",
         overlay=_placement_config, governor=_placement_governor,
-        extras=_placement_extras),
+        extras=_placement_extras,
+        row=_placement_row,
+        columns=(("workload", "workload", str), ("leg", "leg", str),
+                 ("mem energy (J)", "memory_energy_j", _JOULES),
+                 ("worst CPI", "worst_cpi_increase", _SIGNED),
+                 ("migrations", "migrations", str),
+                 ("parks", "parks", str),
+                 ("job wall", "wall_s", _WALL)),
+        notes="legs share the trace and the CPI bound; energies are "
+              "absolute joules\n(enabling placement changes the "
+              "baseline run's decode, so the legs are\nnot normalized "
+              "to a common baseline)",
+        check=_check_placement_outcomes),
     "scenario": Kind(
         fields=(("policy", "policy"), ("device", "device")),
         required=("policy", "device"),
         point=lambda s: f"{s.policy}@{s.device}", overlay=_device_config,
-        governor=_named_governor, extras=_scenario_extras),
+        governor=_named_governor, extras=_scenario_extras,
+        row=_scenario_row,
+        columns=(("workload", "workload", str), ("policy", "policy", str),
+                 ("device", "device", str),
+                 ("mem J", "memory_energy_j", _JOULES),
+                 ("standby", "background_share", _SHARE),
+                 ("mem savings", "mem_savings", percent),
+                 ("worst CPI", "worst_cpi_increase", percent)),
+        notes="savings are normalized within each device (vs that "
+              "device's own baseline);\n'standby' is background "
+              "energy as a share of DIMM energy",
+        check=_check_scenario_outcomes),
 }
 
 
@@ -459,65 +862,60 @@ def policy_specs(mixes: Sequence[str],
             for mix in mixes for policy in policies]
 
 
-def cap_specs(mixes: Sequence[str], budget_fractions: Sequence[float],
-              include_throttle: bool = True) -> List[JobSpec]:
+def cap_specs(mixes: Sequence[str],
+              budget_fractions: Sequence[float]) -> List[JobSpec]:
     """Specs for a power-cap sweep, ordered ``mix x budget``.
 
     ``budget_fractions`` are caps expressed as fractions of each mix's
     *own* baseline average memory power (1.0 = uncapped reference
     power); the conversion to watts happens in the worker from the
-    cache-shared baseline run, so all workers agree bit for bit. With
-    ``include_throttle`` each mix also gets a lowest-static-frequency
-    reference point (``budget_fraction=None``) — the fairness floor a
-    capping governor must beat.
+    cache-shared baseline run, so all workers agree bit for bit. Each
+    mix also gets a lowest-static-frequency reference point
+    (``budget_fraction=None``) — the fairness floor a capping governor
+    must beat.
     """
     _need(mixes, "mix")
-    points: List[Optional[float]] = list(_fractions(budget_fractions))
-    if include_throttle:
-        points.append(None)
+    points: List[Optional[float]] = [*_fractions(budget_fractions), None]
     return [JobSpec("cap", mix, budget_fraction=frac)
             for mix in mixes for frac in points]
 
 
 def multidomain_specs(mixes: Sequence[str],
-                      budget_fractions: Sequence[float],
-                      include_memory_only: bool = True) -> List[JobSpec]:
+                      budget_fractions: Sequence[float]) -> List[JobSpec]:
     """Specs for a multi-domain sweep, ordered ``mix x fraction x
     (coordinated, memory-only)`` so per-point pairs sit adjacent.
 
     ``budget_fractions`` are global (CPU + memory) budgets expressed as
     fractions of each mix's baseline memory power plus modeled nominal
-    core power. With ``include_memory_only`` each budget point also
-    runs the memory-only reference (``coordinated=False``): a
+    core power. Each budget point also runs the memory-only reference
+    (``coordinated=False``): a
     :class:`~repro.cap.governor.CapGovernor` given the budget left after
     nominal core power — the split a coordinated governor must beat.
     """
     _need(mixes, "mix")
     fractions = _fractions(budget_fractions)
-    legs = [True, False] if include_memory_only else [True]
     return [JobSpec("multidomain", mix, budget_fraction=frac,
                     coordinated=coordinated)
-            for mix in mixes for frac in fractions for coordinated in legs]
+            for mix in mixes for frac in fractions
+            for coordinated in (True, False)]
 
 
-def placement_specs(mixes: Sequence[str],
-                    include_reference: bool = True) -> List[JobSpec]:
+def placement_specs(mixes: Sequence[str]) -> List[JobSpec]:
     """Specs for a placement sweep, ordered ``mix x (placed,
     reference)`` (the ``coordinated`` field carries the placed flag).
 
     The placed leg wraps MemScale in a
     :class:`~repro.placement.governor.PlacementGovernor` on a
     placement-enabled copy of the sweep config (pass a config with
-    tuned ``config.placement`` knobs to shape it); with
-    ``include_reference`` each mix also runs plain MemScale on the
-    config unchanged. Placement's gain is judged between the two legs'
-    *absolute* memory energies: enabling placement changes the decode
-    of the baseline run too, so the legs do not share a reference.
+    tuned ``config.placement`` knobs to shape it); the reference leg
+    runs plain MemScale on the config unchanged. Placement's gain is
+    judged between the two legs' *absolute* memory energies: enabling
+    placement changes the decode of the baseline run too, so the legs
+    do not share a reference.
     """
     _need(mixes, "mix")
-    legs = [True, False] if include_reference else [True]
     return [JobSpec("placement", mix, coordinated=placed)
-            for mix in mixes for placed in legs]
+            for mix in mixes for placed in (True, False)]
 
 
 def scenario_specs(mixes: Sequence[str], policies: Sequence[str],
@@ -591,14 +989,6 @@ def _warm_mix(args: Tuple[SystemConfig, RunnerSettings, str, Optional[str]]
     config, settings, mix, cache_dir = args
     _make_runner(config, settings, cache_dir).warm(mix)
     return mix
-
-
-def _build_trace(args: Tuple[RunnerSettings, str, Optional[str]]
-                 ) -> Tuple[str, WorkloadTrace]:
-    """Trace-only task used by :func:`generate_traces`."""
-    settings, mix, cache_dir = args
-    runner = _make_runner(scaled_config(), settings, cache_dir)
-    return mix, runner.trace(mix)
 
 
 def _run_spec(args: Tuple[JobSpec, SystemConfig, RunnerSettings,
@@ -791,6 +1181,32 @@ def split_outcomes(outcomes: Sequence[object]
     return good, bad
 
 
+def outcome_table(outcomes: Sequence[Union[Outcome, JobFailure]],
+                  title: Optional[str]) -> str:
+    """A sweep's outcomes, all of one kind, as a plain-text table of that
+    kind's columns.
+
+    :class:`JobFailure` entries render as FAILED rows carrying the
+    exception class, so a partially failed sweep still prints.
+    """
+    if not outcomes:
+        raise ValueError("no outcomes to format")
+    first = outcomes[0]
+    kind = KINDS[(first.job if isinstance(first, JobFailure)
+                  else first.spec).kind]
+    rows = []
+    for o in outcomes:
+        if isinstance(o, JobFailure):
+            rows.append([o.mix, o.label.split("/", 1)[-1], "FAILED",
+                         o.error_type] + ["-"] * (len(kind.columns) - 4))
+            continue
+        row = kind.row(o)
+        rows.append(["-" if row[key] is None else fmt(row[key])
+                     for _, key, fmt in kind.columns])
+    return format_table([header for header, _, _ in kind.columns], rows,
+                        title=title)
+
+
 # -- the driver ------------------------------------------------------------
 
 def _warm(specs: Sequence[JobSpec], config: SystemConfig,
@@ -890,48 +1306,3 @@ def run_sweep(mixes: Sequence[str],
     return run_specs(policy_specs(mixes, policies), config=config,
                      settings=settings, jobs=jobs, cache_dir=cache_dir,
                      telemetry_dir=telemetry_dir, retries=retries)
-
-
-def generate_traces(mixes: Sequence[str],
-                    settings: Optional[RunnerSettings] = None,
-                    jobs: Optional[int] = None,
-                    cache_dir: Optional[PathLike] = DEFAULT_CACHE_DIR
-                    ) -> Dict[str, WorkloadTrace]:
-    """Build (or load from cache) the traces of ``mixes``, in parallel."""
-    mixes = list(mixes)
-    check_mixes(mixes)
-    settings = settings if settings is not None else RunnerSettings()
-    if jobs is None:
-        jobs = default_jobs()
-    cache_dir = str(cache_dir) if cache_dir is not None else None
-    args = [(settings, mix, cache_dir) for mix in mixes]
-    if jobs == 1 or len(mixes) <= 1:
-        pairs = [_build_trace(a) for a in args]
-    else:
-        with _executor(jobs) as pool:
-            pairs = list(pool.map(_build_trace, args))
-    return dict(pairs)
-
-
-def sweep_table(outcomes: Sequence[object]) -> List[List[str]]:
-    """Rows (mix, point, savings, CPI, wall) for a plain-text report.
-
-    :class:`JobFailure` entries render as FAILED rows carrying the
-    exception class, so a partially failed sweep still prints.
-    """
-    rows = []
-    for o in outcomes:
-        if isinstance(o, JobFailure):
-            rows.append([
-                o.mix, o.label.split("/", 1)[-1],
-                "FAILED", o.error_type, "-", f"{o.wall_s:.2f}s",
-            ])
-            continue
-        rows.append([
-            o.mix, o.point,
-            f"{o.comparison.memory_energy_savings:+.1%}",
-            f"{o.comparison.system_energy_savings:+.1%}",
-            f"{o.comparison.worst_cpi_increase:+.1%}",
-            f"{o.wall_s:.2f}s",
-        ])
-    return rows

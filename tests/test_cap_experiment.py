@@ -4,12 +4,11 @@ row flattening, table rendering, and the v2 telemetry it streams."""
 
 import pytest
 
-from repro.analysis import cap_summary_table
 from repro.config import NS_PER_US, scaled_config
 from repro.sim import load_telemetry, run_specs
 from repro.sim.telemetry import TELEMETRY_SCHEMA_VERSION
-from repro.sim.experiments import cap_outcome_row, cap_sweep
-from repro.sim.parallel import cap_specs
+from repro.sim.experiments import cap_sweep
+from repro.sim.parallel import KINDS, cap_specs, outcome_table
 from repro.sim.runner import RunnerSettings
 
 CFG = scaled_config(epoch_ns=20 * NS_PER_US, profile_ns=2 * NS_PER_US)
@@ -20,14 +19,12 @@ FRACTIONS = (0.9, 0.75)
 @pytest.fixture(scope="module")
 def outcomes(tmp_path_factory):
     cache = tmp_path_factory.mktemp("cap_cache")
-    return cap_run(["MID1"], FRACTIONS, cache_dir=str(cache))
+    return cap_run(cap_specs(["MID1"], FRACTIONS), cache_dir=str(cache))
 
 
-def cap_run(mixes, fractions, include_throttle=True, **kwargs):
-    """A cap-kind sweep through the shared driver at this file's scale."""
-    return run_specs(cap_specs(mixes, fractions,
-                               include_throttle=include_throttle),
-                     config=CFG, settings=SETTINGS, jobs=1, **kwargs)
+def cap_run(specs, **kwargs):
+    """Cap-kind specs through run_specs at this file's scale."""
+    return run_specs(specs, config=CFG, settings=SETTINGS, jobs=1, **kwargs)
 
 
 class TestRunCapSweep:
@@ -63,28 +60,23 @@ class TestRunCapSweep:
                 >= throttle.extras["min_perf"] - 1e-9
 
     def test_deterministic_under_cache(self, outcomes, tmp_path):
-        again = cap_run(["MID1"], FRACTIONS,
+        again = cap_run(cap_specs(["MID1"], FRACTIONS),
                         cache_dir=str(tmp_path / "fresh"))
         for a, b in zip(outcomes, again):
             assert a.extras["avg_power_w"] == b.extras["avg_power_w"]
             assert a.extras["min_perf"] == b.extras["min_perf"]
             assert a.extras["cap"] == b.extras["cap"]
 
-    def test_throttle_can_be_excluded(self, tmp_path):
-        out = cap_run(["MID1"], (0.9,), include_throttle=False,
-                      cache_dir=str(tmp_path / "c"))
-        assert [o.spec.budget_fraction for o in out] == [0.9]
-
-    def test_rejects_empty_inputs(self, tmp_path):
+    def test_rejects_empty_inputs(self):
         with pytest.raises(ValueError):
-            cap_run([], (0.9,), cache_dir=str(tmp_path / "c"))
+            cap_specs([], (0.9,))
         with pytest.raises(ValueError):
-            cap_run(["MID1"], (), include_throttle=False,
-                    cache_dir=str(tmp_path / "c"))
+            cap_specs(["MID1"], ())
 
     def test_telemetry_streams_v2_records(self, tmp_path):
         tdir = tmp_path / "telemetry"
-        out = cap_run(["MID1"], (0.9,), include_throttle=False,
+        # The capped point only: the throttle reference has no budget.
+        out = cap_run(cap_specs(["MID1"], (0.9,))[:1],
                       cache_dir=str(tmp_path / "c"), telemetry_dir=str(tdir))
         records = load_telemetry(out[0].telemetry_path)
         assert records
@@ -95,17 +87,17 @@ class TestRunCapSweep:
 
 class TestRowsAndTable:
     def test_cap_outcome_row_shape(self, outcomes):
-        row = cap_outcome_row(outcomes[0])
+        row = KINDS["cap"].row(outcomes[0])
         assert row["workload"] == "MID1"
         assert row["budget_fraction"] == 0.9
         assert row["violations"] \
             == outcomes[0].extras["cap"]["violation_count"]
-        throttle_row = cap_outcome_row(outcomes[-1])
+        throttle_row = KINDS["cap"].row(outcomes[-1])
         assert throttle_row["budget_w"] is None
         assert throttle_row["violations"] is None
 
     def test_table_renders_none_as_dash(self, outcomes):
-        table = cap_summary_table([cap_outcome_row(o) for o in outcomes])
+        table = outcome_table(outcomes, "power-cap sweep")
         lines = table.splitlines()
         assert lines[0] == "power-cap sweep"
         throttle_line = next(line for line in lines
@@ -121,3 +113,4 @@ class TestRowsAndTable:
         assert result.name == "cap_sweep"
         assert len(result.rows) == 2  # one capped point + throttle
         assert result.column("workload") == ["MID1", "MID1"]
+        assert result.notes == KINDS["cap"].notes

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.config import scaled_config
-from repro.cpu.workloads import MIXES
 from repro.sim.cache import ExperimentCache
 from repro.sim.parallel import (
     JobFailure,
@@ -19,10 +18,9 @@ from repro.sim.parallel import (
     _run_spec,
     default_jobs,
     execute_jobs,
-    generate_traces,
+    outcome_table,
     run_sweep,
     split_outcomes,
-    sweep_table,
     telemetry_filename,
 )
 from repro.sim.runner import ExperimentRunner, RunnerSettings
@@ -216,7 +214,7 @@ class TestRunSweep:
         assert [(o.mix, o.policy) for o in outcomes] == [
             ("MID2", "Static"), ("MID2", "MemScale"),
             ("MID1", "Static"), ("MID1", "MemScale")]
-        assert sweep_table(outcomes)  # report rows render
+        assert outcome_table(outcomes, None)  # report rows render
 
     def test_parallel_matches_serial_byte_identically(self, tmp_path):
         mixes, policies = ["MID1", "ILP1"], ["MemScale", "Static"]
@@ -286,27 +284,6 @@ class TestRunSweep:
         name = telemetry_filename("MID1", "MemScale(MemEnergy)")
         assert "(" not in name and ")" not in name
         assert name.endswith(".jsonl")
-
-
-class TestGenerateTraces:
-    def test_matches_serial_generation(self, tmp_path):
-        import numpy as np
-        traces = generate_traces(["MID1", "ILP1"], settings=SETTINGS,
-                                 jobs=2, cache_dir=tmp_path / "c")
-        runner = ExperimentRunner(settings=SETTINGS)
-        for mix in ("MID1", "ILP1"):
-            expected = runner.trace(mix)
-            got = traces[mix]
-            assert len(got) == len(expected)
-            for a, b in zip(expected.cores, got.cores):
-                assert np.array_equal(a.gaps, b.gaps)
-                assert np.array_equal(a.read_addrs, b.read_addrs)
-                assert np.array_equal(a.wb_addrs, b.wb_addrs)
-
-    def test_all_mixes_resolve(self, tmp_path):
-        traces = generate_traces(list(MIXES)[:3], settings=SETTINGS,
-                                 jobs=1, cache_dir=None)
-        assert len(traces) == 3
 
 
 # -- fault isolation --------------------------------------------------------
@@ -453,9 +430,11 @@ class TestSplitAndTable:
     def test_sweep_table_renders_failed_rows(self, tmp_path):
         good_run = run_sweep(["MID1"], ["Static"], settings=SETTINGS,
                              jobs=1, cache_dir=tmp_path / "c")
-        rows = sweep_table([good_run[0], self._failure()])
-        assert rows[0][0] == "MID1" and rows[0][1] == "Static"
-        assert rows[1][:4] == ["MID1", "MemScale", "FAILED", "ValueError"]
+        lines = outcome_table([good_run[0], self._failure()],
+                              None).splitlines()
+        assert lines[2].split()[:2] == ["MID1", "Static"]
+        assert lines[3].split() == ["MID1", "MemScale", "FAILED",
+                                    "ValueError", "-", "-"]
 
 
 class TestCacheOrphans:

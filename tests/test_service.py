@@ -79,10 +79,6 @@ class TestJobSpec:
             == ["MID1/A", "MID1/B"]
         assert [s.label for s in cap_specs(["MID1"], [0.9])] \
             == ["MID1/Cap0.90", "MID1/Throttle"]
-        assert [s.label
-                for s in cap_specs(["MID1"], [0.9],
-                                   include_throttle=False)] \
-            == ["MID1/Cap0.90"]
         assert [s.label for s in multidomain_specs(["MID1"], [0.8])] \
             == ["MID1/MD0.80", "MID1/MemOnly0.80"]
 
@@ -294,7 +290,7 @@ class TestOpenRoundTrip:
 class TestServiceKinds:
     def test_cap_jobs_run_through_the_service(self, tmp_path):
         svc = make_service(tmp_path / "s")
-        out = svc.run(cap_specs(["MID1"], [0.9], include_throttle=True))
+        out = svc.run(cap_specs(["MID1"], [0.9]))
         good, bad = split_outcomes(out)
         assert not bad and len(good) == 2
         budget, throttle = good
@@ -304,8 +300,8 @@ class TestServiceKinds:
 
     def test_multidomain_jobs_run_through_the_service(self, tmp_path):
         svc = make_service(tmp_path / "s")
-        out = svc.run(multidomain_specs(["MID1"], [0.8],
-                                        include_memory_only=False))
+        # The coordinated leg only.
+        out = svc.run(multidomain_specs(["MID1"], [0.8])[:1])
         good, bad = split_outcomes(out)
         assert not bad and len(good) == 1
         assert good[0].spec.coordinated is True
@@ -325,10 +321,6 @@ class TestServiceKinds:
         assert svc.store.query(kind="placement", status="ok")
         assert [s.label for s in placement_specs(["MID1"])] \
             == ["MID1/Placed", "MID1/NoPlacement"]
-        assert [s.label
-                for s in placement_specs(["MID1"],
-                                         include_reference=False)] \
-            == ["MID1/Placed"]
 
 
 class TestScenarioKind:

@@ -83,17 +83,34 @@ class TestSavingsTable:
 
 
 class TestCapSummaryTable:
-    ROW = {
-        "workload": "MID1", "governor": "Cap-20.00W",
-        "budget_fraction": 0.9, "budget_w": 20.0, "avg_power_w": 19.2,
-        "violations": 0, "time_over_frac": 0.0, "infeasible_epochs": 1,
-        "min_perf": 0.95, "worst_cpi_increase": 0.05,
-        "system_savings": 0.08,
-    }
+    """The cap kind's table, rendered through ``outcome_table`` from
+    hand-built outcomes."""
+
+    @staticmethod
+    def outcome(mix="MID1", budget_fraction=0.9, governor="Cap-20.00W",
+                budget_w=20.0, cap=None, min_perf=0.95):
+        from repro.sim.parallel import JobSpec, Outcome
+        from repro.sim.results import PolicyComparison
+
+        if cap is None and budget_fraction is not None:
+            cap = {"violation_count": 0, "time_over_cap_fraction": 0.0,
+                   "infeasible_epochs": 1, "peak_power_w": 20.1}
+        comparison = PolicyComparison(
+            workload=mix, governor=governor, memory_energy_savings=0.2,
+            system_energy_savings=0.08, avg_cpi_increase=0.03,
+            worst_cpi_increase=0.05, app_cpi_increase={},
+            rest_power_w=0.0, energy_breakdown_j={},
+            baseline_breakdown_j={})
+        return Outcome(
+            spec=JobSpec("cap", mix, budget_fraction=budget_fraction),
+            result=None, comparison=comparison,
+            extras={"budget_w": budget_w, "governor": governor,
+                    "min_perf": min_perf, "avg_power_w": 19.2, "cap": cap},
+            wall_s=0.0)
 
     def test_renders_all_columns(self):
-        from repro.analysis import cap_summary_table
-        out = cap_summary_table([self.ROW])
+        from repro.sim.parallel import outcome_table
+        out = outcome_table([self.outcome()], "power-cap sweep")
         assert "power-cap sweep" in out
         assert "90%" in out
         assert "20.00" in out
@@ -101,23 +118,21 @@ class TestCapSummaryTable:
         assert "+5.0%" in out and "+8.0%" in out
 
     def test_empty_rejected(self):
-        from repro.analysis import cap_summary_table
-        with pytest.raises(ValueError, match="no cap results"):
-            cap_summary_table([])
+        from repro.sim.parallel import outcome_table
+        with pytest.raises(ValueError, match="no outcomes"):
+            outcome_table([], "power-cap sweep")
 
     def test_none_budget_columns_render_as_dash(self):
-        from repro.analysis import cap_summary_table
-        throttle = dict(self.ROW, governor="Static-200MHz",
-                        budget_fraction=None, budget_w=None,
-                        violations=None, time_over_frac=None,
-                        infeasible_epochs=None)
-        out = cap_summary_table([throttle], title=None)
+        from repro.sim.parallel import outcome_table
+        throttle = self.outcome(governor="Static-200MHz",
+                                budget_fraction=None, budget_w=None)
+        out = outcome_table([throttle], title=None)
         row_line = out.splitlines()[-1]
         assert row_line.split().count("-") >= 5
 
     def test_single_row_single_app_mix(self):
-        from repro.analysis import cap_summary_table
-        row = dict(self.ROW, workload="ILP1", min_perf=1.0)
-        out = cap_summary_table([row])
+        from repro.sim.parallel import outcome_table
+        out = outcome_table([self.outcome(mix="ILP1", min_perf=1.0)],
+                            "power-cap sweep")
         assert "ILP1" in out
         assert "1.000" in out
