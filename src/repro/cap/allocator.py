@@ -84,6 +84,24 @@ class Allocation:
         return self.chosen.min_perf
 
 
+def min_perf(cpi: np.ndarray, cpi_max: np.ndarray) -> float:
+    """Fairness score: the worst core's normalized performance
+    ``cpi_max / cpi``. Cores without a positive CPI on either side are
+    skipped."""
+    worst = 1.0
+    for core in range(len(cpi)):
+        if cpi[core] <= 0 or cpi_max[core] <= 0:
+            continue
+        ratio = cpi_max[core] / cpi[core]
+        # Max frequency can never be slower than a candidate: clamp,
+        # mirroring MemScalePolicy._feasible's guard.
+        if ratio > 1.0:
+            ratio = 1.0
+        if ratio < worst:
+            worst = ratio
+    return worst
+
+
 class CapAllocator:
     """Per-epoch joint-frequency search under a power budget."""
 
@@ -145,7 +163,7 @@ class CapAllocator:
             out.append(CapCandidate(
                 global_point=g, channel_bus_mhz=None,
                 predicted_power_w=powers[g.index], predicted_cpi=cpi_g,
-                min_perf=self._min_perf(cpi_g, cpi_max),
+                min_perf=min_perf(cpi_g, cpi_max),
                 tpi_mem_ns=tpi_mem[g.index]))
             if g.index >= len(self._ladder) - 1 or total_accesses <= 0:
                 continue
@@ -168,24 +186,9 @@ class CapAllocator:
                 out.append(CapCandidate(
                     global_point=g, channel_bus_mhz=tuple(channel_mhz),
                     predicted_power_w=power_k, predicted_cpi=cpi_k,
-                    min_perf=self._min_perf(cpi_k, cpi_max),
+                    min_perf=min_perf(cpi_k, cpi_max),
                     tpi_mem_ns=tpi_mem_g + extra_tpi_ns))
         return out
-
-    def _min_perf(self, cpi: np.ndarray, cpi_max: np.ndarray) -> float:
-        """Fairness score: the worst core's normalized performance."""
-        worst = 1.0
-        for core in range(len(cpi)):
-            if cpi[core] <= 0 or cpi_max[core] <= 0:
-                continue
-            ratio = cpi_max[core] / cpi[core]
-            # Max frequency can never be slower than a candidate: clamp,
-            # mirroring MemScalePolicy._feasible's guard.
-            if ratio > 1.0:
-                ratio = 1.0
-            if ratio < worst:
-                worst = ratio
-        return worst
 
     def _cpi_with_tpi_mem(self, delta: CounterDelta,
                           tpi_mem_ns: float) -> np.ndarray:

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cap.allocator import CapAllocator, CapCandidate
+from repro.cap.allocator import CapAllocator, CapCandidate, min_perf
 from repro.cap.budget import PowerBudget
 from repro.config import SystemConfig
 from repro.core.cpu_power import (CoreFrequencyLadder, CoreFrequencyPoint,
@@ -177,7 +177,7 @@ class MultiDomainAllocator:
             p_core = self._core.cluster_power_w(utils, cp)
             for mc in mem_cands:
                 cpi = self._core.predicted_cpi(delta, cp, mc.tpi_mem_ns)
-                min_perf = self._min_perf(cpi, cpi_ref)
+                worst = min_perf(cpi, cpi_ref)
                 total_w = p_core + mc.predicted_power_w
                 # Instruction-weighted slowdown vs the reference — the
                 # same mean perf_model.time_scale uses.
@@ -193,25 +193,10 @@ class MultiDomainAllocator:
                 out.append(MultiDomainCandidate(
                     core_point=cp, mem=mc, core_power_w=p_core,
                     total_power_w=total_w, predicted_cpi=cpi,
-                    min_perf=min_perf,
-                    meets_bound=min_perf >= min_perf_floor - 1e-12,
+                    min_perf=worst,
+                    meets_bound=worst >= min_perf_floor - 1e-12,
                     energy_score=energy_score))
         return out
-
-    @staticmethod
-    def _min_perf(cpi: np.ndarray, cpi_ref: np.ndarray) -> float:
-        """Worst core's normalized performance, clamped like the cap
-        allocator's fairness score."""
-        worst = 1.0
-        for core in range(len(cpi)):
-            if cpi[core] <= 0 or cpi_ref[core] <= 0:
-                continue
-            ratio = cpi_ref[core] / cpi[core]
-            if ratio > 1.0:
-                ratio = 1.0
-            if ratio < worst:
-                worst = ratio
-        return worst
 
     # -- selection ------------------------------------------------------------
 

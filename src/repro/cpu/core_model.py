@@ -148,7 +148,7 @@ class Core:
             delta = done - self._gap_done
             self._gap_done = done
             self.instructions_committed += delta
-            self._counters.commit_instructions(self.core_id, delta)
+            self._counters.tic[self.core_id] += delta
             self._check_target()
 
     def _issue(self, gap: int) -> None:

@@ -7,14 +7,14 @@ Row-buffer management is closed-page: the row is precharged after every
 access unless the next request already queued for the bank targets the
 same row (Section 4.1).
 
-Hot-path notes: the fixed-in-ns DDR timings are cached as plain floats
-at construction (they never change over a run), the bank maintains its
-rank's ``_active_banks`` / ``_open_rows`` counters at the activity
-transition points so the rank never scans its banks, and service/
-precharge completions are posted closure-free as ``(bound method, arg)``
-continuations through the engine's ``post_at``. Enum members read
-per access are module constants (a class-attribute read of an ``Enum``
-member is a descriptor call).
+Hot-path notes: the fixed-in-ns DDR timings of ``config.DramTimings``
+are cached as plain floats at construction (they never change over a
+run), the bank maintains its rank's ``_active_banks`` / ``_open_rows``
+counters at the activity transition points so the rank never scans its
+banks, and service/precharge completions are posted closure-free as
+``(bound method, arg)`` continuations through the engine's
+``post_at``. Enum members read per access are module constants (a
+class-attribute read of an ``Enum`` member is a descriptor call).
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Optional, TYPE_CHECKING
 
+from repro.config import DramTimings
 from repro.memsim.counters import CounterFile
 from repro.memsim.engine import EventEngine
 from repro.memsim.request import MemRequest
 from repro.memsim.rank import Rank
-from repro.memsim.states import RankPowerState
-from repro.memsim.timing import AccessClass, TimingCalculator
+from repro.memsim.states import AccessClass, RankPowerState
 
 _ACTIVE_STANDBY = RankPowerState.ACTIVE_STANDBY
 _PRECHARGE_STANDBY = RankPowerState.PRECHARGE_STANDBY
@@ -44,18 +44,17 @@ class Bank:
     """One bank of a rank, with its request queues and row buffer."""
 
     __slots__ = (
-        "_engine", "_timing", "_counters", "_controller", "_channel",
+        "_engine", "_counters", "_controller", "_channel",
         "_rank", "bank_id", "read_q", "write_q", "busy", "open_row",
         "_in_service", "_last_act_ns", "_current_act_ns",
         "_t_cl_ns", "_t_rcd_ns", "_t_rp_ns", "_t_rc_ns", "_t_ras_ns",
         "_channel_id", "_open_page",
     )
 
-    def __init__(self, engine: EventEngine, timing: TimingCalculator,
+    def __init__(self, engine: EventEngine, timings: DramTimings,
                  counters: CounterFile, controller: "MemoryController",
                  channel: "Channel", rank: Rank, bank_id: int):
         self._engine = engine
-        self._timing = timing
         self._counters = counters
         self._controller = controller
         self._channel = channel
@@ -69,12 +68,11 @@ class Bank:
         self._last_act_ns = float("-inf")
         self._current_act_ns = float("-inf")
         # fixed-in-ns constants, cached out of the per-command path
-        table = timing.table
-        self._t_cl_ns = table.t_cl_ns
-        self._t_rcd_ns = table.t_rcd_ns
-        self._t_rp_ns = table.t_rp_ns
-        self._t_rc_ns = table.t_rc_ns
-        self._t_ras_ns = table.t_ras_ns
+        self._t_cl_ns = timings.t_cl_ns
+        self._t_rcd_ns = timings.t_rcd_ns
+        self._t_rp_ns = timings.t_rp_ns
+        self._t_rc_ns = timings.t_rc_ns
+        self._t_ras_ns = timings.t_ras_ns
         # run-constant lookups hoisted off the per-access path
         self._channel_id = channel.channel_id
         self._open_page = controller.row_policy == "open"
@@ -163,10 +161,7 @@ class Bank:
         # Exiting powerdown costs tXP / tXPDLL and is counted via EPDC.
         state = rank._state
         if state is not _ACTIVE_STANDBY and state is not _PRECHARGE_STANDBY:
-            exit_penalty = rank.wake_for_access()
-            if exit_penalty > 0:
-                request.powerdown_exit = True
-                start += exit_penalty
+            start += rank.wake_for_access()
         open_row = self.open_row
         row = request.location.row
         if open_row is None:
@@ -174,11 +169,9 @@ class Bank:
             counters.cbmc += 1.0
         elif open_row == row:
             access = _ROW_HIT
-            request.row_hit = True
             counters.rbhc += 1.0
         else:
             access = _OPEN_ROW_MISS
-            request.open_row_miss = True
             counters.obmc += 1.0
 
         if access is not _ROW_HIT:

@@ -29,7 +29,6 @@ from repro.memsim.engine import (CALLBACK, HOUSEKEEPING_LEN, TAG, TIME,
 from repro.memsim.rank import Rank
 from repro.memsim.request import MemRequest, RequestKind
 from repro.memsim.states import PowerdownMode
-from repro.memsim.timing import TimingCalculator
 from repro.memsim.validate import ProtocolValidator
 
 #: Writeback queue capacity per channel; reads lose priority when the
@@ -50,7 +49,6 @@ class MemoryController:
         config.validate()
         self._engine = engine
         self._config = config
-        self._timing = TimingCalculator(config.timings)
         self._ladder = FrequencyLadder(config)
         self._freq = self._ladder.fastest
         self._channel_freqs: Dict[int, FrequencyPoint] = {}
@@ -86,26 +84,25 @@ class MemoryController:
             Channel(engine, self.counters, self, c) for c in range(org.channels)
         ]
         self.ranks: List[Rank] = []
-        self._banks: Dict[tuple, Bank] = {}
         #: flat bank array indexed ((channel * ranks_per_channel) + rank)
         #: * banks_per_rank + bank — the per-request lookup on the submit
         #: path, replacing a tuple-keyed dict probe
         self._bank_list: List[Bank] = []
         self._ranks_per_channel = org.ranks_per_channel
         self._banks_per_rank = org.banks_per_rank
+        timings = config.timings
         for c in range(org.channels):
             for r in range(org.ranks_per_channel):
                 global_rank = c * org.ranks_per_channel + r
-                rank = Rank(engine, self._timing, self.counters,
+                rank = Rank(engine, timings, self.counters,
                             global_rank_index=global_rank,
                             n_banks=org.banks_per_rank,
                             powerdown_mode=powerdown_mode,
                             refresh_enabled=refresh_enabled)
                 banks = []
                 for b in range(org.banks_per_rank):
-                    bank = Bank(engine, self._timing, self.counters, self,
+                    bank = Bank(engine, timings, self.counters, self,
                                 self.channels[c], rank, bank_id=b)
-                    self._banks[(c, r, b)] = bank
                     self._bank_list.append(bank)
                     banks.append(bank)
                 rank.attach_banks(banks)
@@ -119,7 +116,7 @@ class MemoryController:
 
         #: idle periods batched analytically (diagnostic)
         self.fast_forward_batches = 0
-        self._t_refi_ns = self._timing.table.t_refi_ns
+        self._t_refi_ns = timings.t_refi_ns
         if config.fast_forward:
             engine.set_fast_forward(self._fast_forward_idle)
 
@@ -137,11 +134,6 @@ class MemoryController:
     def config(self) -> SystemConfig:
         """The Table 2 system configuration this controller was built from."""
         return self._config
-
-    @property
-    def timing(self) -> TimingCalculator:
-        """DDR3 timing calculator (the Section 2.1 device parameters)."""
-        return self._timing
 
     @property
     def ladder(self) -> FrequencyLadder:
@@ -197,10 +189,6 @@ class MemoryController:
     def row_policy(self) -> str:
         """Row-buffer management policy: "closed" or "open"."""
         return self._config.org.row_policy
-
-    def bank(self, channel: int, rank: int, bank: int) -> Bank:
-        """The :class:`~repro.memsim.bank.Bank` at (channel, rank, bank)."""
-        return self._banks[(channel, rank, bank)]
 
     # -- request path -----------------------------------------------------------
 
@@ -438,7 +426,8 @@ class MemoryController:
             entry = [t + t_refi, seq + 1, rank._refresh_timer, None, rank]
             rank._timer_entry = entry
             heapreplace(queue, entry)  # drop absorbed head, land re-post
-            # same bytes as the event path's record_refresh(rank_index)
+            # same bytes as the event path's refresh count in
+            # Rank._maybe_start_refresh
             refreshes[rank.global_rank_index] += 1.0
             skipped_total += skipped
             ticks += 1

@@ -166,12 +166,14 @@ _STATE_ORDER = tuple(RankPowerState)
 class CounterFile:
     """Mutable counter registers, updated by the simulator as events occur.
 
-    Hot-path storage is deliberately plain Python: scalar registers are
-    floats and the per-core / per-rank / per-channel registers are Python
-    lists, because a single-element numpy ``arr[i] += x`` costs roughly
-    an order of magnitude more than a list index. The numpy arrays the
-    models consume are materialized once per :meth:`snapshot` (a
-    per-epoch operation), not per event.
+    The simulator writes the registers directly where each event
+    happens (core model, controller, bank, channel, rank); there are no
+    update methods. Hot-path storage is deliberately plain Python:
+    scalar registers are floats and the per-core / per-rank /
+    per-channel registers are Python lists, because a single-element
+    numpy ``arr[i] += x`` costs roughly an order of magnitude more than
+    a list index. The numpy arrays the models consume are materialized
+    once per :meth:`snapshot` (a per-epoch operation), not per event.
     """
 
     def __init__(self, n_cores: int, n_channels: int, n_ranks: int):
@@ -199,62 +201,6 @@ class CounterFile:
         self.channel_busy_ns = [0.0] * n_channels
         self.channel_reads = [0.0] * n_channels
         self.channel_writes = [0.0] * n_channels
-
-    # -- update hooks called by the simulator ----------------------------
-
-    def commit_instructions(self, core: int, count: int) -> None:
-        self.tic[core] += count
-
-    def record_llc_miss(self, core: int) -> None:
-        self.tlm[core] += 1
-
-    def record_bank_arrival(self, outstanding_ahead: float) -> None:
-        """A request arrived at a bank queue seeing ``outstanding_ahead`` work."""
-        self.bto += outstanding_ahead
-        self.btc += 1.0
-
-    def record_channel_arrival(self, outstanding_ahead: float) -> None:
-        self.cto += outstanding_ahead
-        self.ctc += 1.0
-
-    def record_row_hit(self) -> None:
-        self.rbhc += 1.0
-
-    def record_open_row_miss(self) -> None:
-        self.obmc += 1.0
-
-    def record_closed_bank_miss(self) -> None:
-        self.cbmc += 1.0
-
-    def record_powerdown_exit(self) -> None:
-        self.epdc += 1.0
-
-    def record_activate(self) -> None:
-        """One page open/close pair (POCC)."""
-        self.pocc += 1.0
-
-    def record_access(self, channel: int, is_read: bool, burst_ns: float) -> None:
-        if is_read:
-            self.reads += 1.0
-            self.channel_reads[channel] += 1.0
-        else:
-            self.writes += 1.0
-            self.channel_writes[channel] += 1.0
-        self.channel_busy_ns[channel] += burst_ns
-
-    def account_rank_state(self, rank: int, state: RankPowerState,
-                           duration_ns: float) -> None:
-        """Add ``duration_ns`` to rank ``rank``'s time in ``state``.
-
-        The simulator's ranks add to their row at ``state.column``
-        directly (same float, same order); this is the checked form.
-        """
-        if duration_ns < 0:
-            raise ValueError(f"negative duration: {duration_ns}")
-        self.rank_state_ns[rank][state.column] += duration_ns
-
-    def record_refresh(self, rank: int) -> None:
-        self.refreshes[rank] += 1.0
 
     # -- snapshot / delta -------------------------------------------------
 
@@ -298,8 +244,3 @@ class CounterFile:
             channel_reads=end.channel_reads - start.channel_reads,
             channel_writes=end.channel_writes - start.channel_writes,
         )
-
-
-def state_index(state: RankPowerState) -> int:
-    """Column index of ``state`` in ``rank_state_ns`` arrays."""
-    return state.column

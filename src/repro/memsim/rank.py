@@ -11,7 +11,8 @@ queued) on each idle/refresh decision, the rank keeps ``_active_banks``
 and ``_open_rows`` counters that its banks maintain at the exact
 transition points (a bank becomes active when a request lands in an
 empty idle bank; inactive when it frees with nothing queued). The
-fixed-in-ns timing constants are cached as plain floats at construction.
+fixed-in-ns timing constants of ``config.DramTimings`` are cached as
+plain floats at construction, the powerdown exit latency among them.
 State residency is added straight into this rank's row of
 ``CounterFile.rank_state_ns`` at the column each :class:`RankPowerState`
 carries, and the enum members are read from module constants: hashing
@@ -24,10 +25,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List
 
+from repro.config import DramTimings
 from repro.memsim.counters import CounterFile
 from repro.memsim.engine import EventEngine
 from repro.memsim.states import PowerdownMode, RankPowerState
-from repro.memsim.timing import TimingCalculator
 
 _ACTIVE_STANDBY = RankPowerState.ACTIVE_STANDBY
 _PRECHARGE_STANDBY = RankPowerState.PRECHARGE_STANDBY
@@ -41,21 +42,20 @@ class Rank:
     """One rank of DRAM chips plus its power/refresh state machine."""
 
     __slots__ = (
-        "_engine", "_timing", "_counters", "global_rank_index", "n_banks",
+        "_engine", "_counters", "global_rank_index", "n_banks",
         "powerdown_mode", "_banks", "validator", "_state", "_state_since",
         "_recent_activates", "refresh_busy_until", "_refresh_due",
         "_refresh_enabled", "_t_rrd_ns", "_t_faw_ns", "_t_refi_ns",
         "_t_rfc_ns", "_active_banks", "_open_rows", "_timer_entry",
-        "_t_ckesr_ns", "_t_xs_ns", "_sr_enter_ns", "sr_ready_until",
-        "_residency",
+        "_t_ckesr_ns", "_t_xs_ns", "_pd_exit_ns", "_sr_enter_ns",
+        "sr_ready_until", "_residency",
     )
 
-    def __init__(self, engine: EventEngine, timing: TimingCalculator,
+    def __init__(self, engine: EventEngine, timings: DramTimings,
                  counters: CounterFile, global_rank_index: int,
                  n_banks: int, powerdown_mode: PowerdownMode,
                  refresh_enabled: bool = True):
         self._engine = engine
-        self._timing = timing
         self._counters = counters
         self.global_rank_index = global_rank_index
         self.n_banks = n_banks
@@ -71,13 +71,19 @@ class Rank:
         # activation window: times of the most recent activates (for tFAW)
         self._recent_activates: Deque[float] = deque(maxlen=4)
         # fixed-in-ns constants, cached out of the per-command path
-        table = timing.table
-        self._t_rrd_ns = table.t_rrd_ns
-        self._t_faw_ns = table.t_faw_ns
-        self._t_refi_ns = table.t_refi_ns
-        self._t_rfc_ns = table.t_rfc_ns
-        self._t_ckesr_ns = table.t_ckesr_ns
-        self._t_xs_ns = table.t_xs_ns
+        self._t_rrd_ns = timings.t_rrd_ns
+        self._t_faw_ns = timings.t_faw_ns
+        self._t_refi_ns = timings.t_refi_ns
+        self._t_rfc_ns = timings.t_rfc_ns
+        self._t_ckesr_ns = timings.t_ckesr_ns
+        self._t_xs_ns = timings.t_xs_ns
+        # latency to wake from powerdown, by the flavour this rank enters
+        if powerdown_mode is PowerdownMode.SLOW_EXIT:
+            self._pd_exit_ns = timings.t_xpdll_ns
+        elif powerdown_mode is PowerdownMode.FAST_EXIT:
+            self._pd_exit_ns = timings.t_xp_ns
+        else:
+            self._pd_exit_ns = 0.0
         # self-refresh parking (entered only by explicit policy calls)
         self._sr_enter_ns = -1.0
         #: earliest time a command may issue after a self-refresh exit
@@ -186,7 +192,7 @@ class Rank:
         state = self._state
         if state is _SELF_REFRESH:
             return self.exit_self_refresh(for_access=True)
-        self._counters.record_powerdown_exit()
+        self._counters.epdc += 1.0
         v = self.validator
         if v is not None:
             v.on_powerdown_exit(self.global_rank_index, self._engine.now)
@@ -194,7 +200,7 @@ class Rank:
         self._transition(_PRECHARGE_STANDBY
                          if state is _PRECHARGE_POWERDOWN
                          else _ACTIVE_STANDBY)
-        return self._timing.powerdown_exit_ns(self.powerdown_mode)
+        return self._pd_exit_ns
 
     # -- self-refresh parking ------------------------------------------------
 
@@ -250,7 +256,7 @@ class Rank:
         ready = now + penalty
         self.sr_ready_until = ready
         if for_access:
-            self._counters.record_powerdown_exit()
+            self._counters.epdc += 1.0
             v = self.validator
             if v is not None:
                 v.on_powerdown_exit(self.global_rank_index, now)
@@ -307,7 +313,7 @@ class Rank:
         if was_powered_down:
             self._transition(_PRECHARGE_STANDBY)
         self.refresh_busy_until = now + self._t_rfc_ns
-        self._counters.record_refresh(self.global_rank_index)
+        self._counters.refreshes[self.global_rank_index] += 1.0
         v = self.validator
         if v is not None:
             v.on_refresh_issue(self.global_rank_index, now,
@@ -328,7 +334,7 @@ class Rank:
     # effects of `_refresh_timer` + `_maybe_start_refresh` +
     # `_refresh_done` on an idle rank: same validator hook order, same
     # per-slice residency additions, same sequence numbers for the
-    # events left behind. `record_refresh` is the one deviation — the
+    # events left behind. The refresh count is the one deviation — the
     # controller adds the same `+= 1.0` to the refresh counter itself,
     # so the counter bytes cannot differ.
 

@@ -34,7 +34,7 @@ class MemRequest:
         "request_id", "kind", "is_read", "core_id", "app_id", "location",
         "issue_ns", "arrive_bank_ns", "bank_start_ns",
         "act_ns", "bank_done_ns", "bus_start_ns", "complete_ns",
-        "on_complete", "row_hit", "open_row_miss", "powerdown_exit",
+        "on_complete",
     )
 
     def __init__(self, kind: RequestKind, location: MemoryLocation,
@@ -56,9 +56,6 @@ class MemRequest:
         self.bank_done_ns: float = -1.0
         self.bus_start_ns: float = -1.0
         self.complete_ns: float = -1.0
-        self.row_hit = False
-        self.open_row_miss = False
-        self.powerdown_exit = False
 
     @property
     def total_latency_ns(self) -> float:

@@ -1,4 +1,5 @@
-"""Shared state enums for DRAM rank/bank power accounting."""
+"""Shared enums of the DRAM model: rank power states, powerdown modes
+and the row-buffer outcome of an access."""
 
 from __future__ import annotations
 
@@ -62,3 +63,11 @@ class PowerdownMode(enum.Enum):
     NONE = "none"
     FAST_EXIT = "fast"
     SLOW_EXIT = "slow"
+
+
+class AccessClass(enum.Enum):
+    """Row-buffer outcome of an access (Eq. 6 categories)."""
+
+    ROW_HIT = "hit"            #: open row matches — column access only
+    OPEN_ROW_MISS = "ob_miss"  #: wrong row open — precharge + activate + column
+    CLOSED_BANK_MISS = "cb_miss"  #: bank precharged — activate + column

@@ -13,10 +13,12 @@ constraints and the scheduling rules of Section 4.1:
   refreshes may be postponed at most ``max_postponed_refreshes``
   intervals), no refresh overlap, powerdown entry legality (CKE may go
   low only with every bank idle; precharge powerdown additionally needs
-  every row closed), EPDC accounting on every access-path exit, and the
-  self-refresh state machine (entry only with the rank drained and no
-  refresh pending, no commands or external refreshes while parked, and
-  the tCKESR + tXS exit window honored before the next command);
+  every row closed), EPDC accounting on every access-path exit, the
+  powerdown exit latency (no activate before tXP after a fast exit,
+  tXPDLL after a slow one), and the self-refresh state machine (entry
+  only with the rank drained and no refresh pending, no commands or
+  external refreshes while parked, and the tCKESR + tXS exit window
+  honored before the next command);
 * per-channel: data-burst non-overlap, burst length consistent with the
   channel's clock, no burst or bank service start inside a
   frequency-transition freeze window;
@@ -60,8 +62,7 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.memsim.states import RankPowerState
-from repro.memsim.timing import AccessClass
+from repro.memsim.states import AccessClass, PowerdownMode, RankPowerState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards for type hints
     from repro.core.frequency import FrequencyPoint
@@ -156,6 +157,10 @@ class ProtocolValidator:
         self._pd_exits_access = 0      # exits that recorded an EPDC event
         self._pd_exits_refresh = 0     # wakes performed to issue a refresh
         self._pd_exits_sr = 0          # policy-driven self-refresh unparks
+        # powerdown exit latency of the bound controller's mode, and the
+        # earliest legal activate after each rank's latest access wake
+        self._pd_exit_ns = 0.0
+        self._pd_ready: Dict[int, float] = {}
         # conservation
         self.submitted = 0
         self.completed = 0
@@ -184,6 +189,11 @@ class ProtocolValidator:
         self._base_rank_state = np.array(controller.counters.rank_state_ns,
                                          dtype=np.float64)
         self._global_freq = controller.freq
+        mode = controller.powerdown_mode
+        if mode is PowerdownMode.SLOW_EXIT:
+            self._pd_exit_ns = self._t.t_xpdll_ns
+        elif mode is PowerdownMode.FAST_EXIT:
+            self._pd_exit_ns = self._t.t_xp_ns
 
     # -- violation plumbing -------------------------------------------------
 
@@ -424,6 +434,15 @@ class ProtocolValidator:
                 f"below tRC={t.t_rc_ns}ns", channel=channel, rank=rank_index,
                 bank=bank_id, request_id=request.request_id,
                 required_ns=t.t_rc_ns, actual_ns=act - last_act)
+        pd_ready = self._pd_ready.get(rank_index)
+        if pd_ready is not None:
+            self._check(
+                "pd-exit", act >= pd_ready - EPS_NS, act,
+                f"activate at {act:.3f}ns inside rank {rank_index}'s "
+                f"powerdown exit window (until {pd_ready:.3f}ns)",
+                channel=channel, rank=rank_index, bank=bank_id,
+                request_id=request.request_id,
+                required_ns=pd_ready, actual_ns=act)
         acts = self._rank_acts.get(rank_index)
         if acts is None:
             acts = self._rank_acts[rank_index] = deque(maxlen=4)
@@ -668,8 +687,15 @@ class ProtocolValidator:
             self._in_sr[rank_index] = False
 
     def on_powerdown_exit(self, rank_index: int, now_ns: float) -> None:
-        """The rank exited powerdown for an access (EPDC was recorded)."""
+        """The rank exited powerdown for an access (EPDC was recorded).
+
+        No activate to the rank may issue before the exit latency of the
+        controller's powerdown mode has passed. A demand wake from
+        self-refresh reports here too; its tXS window is longer and is
+        checked by the ``sr-exit`` rule.
+        """
         self._pd_exits_access += 1
+        self._pd_ready[rank_index] = now_ns + self._pd_exit_ns
 
     def on_fast_forward(self, now_ns: float, limit_ns: float,
                         in_flight: int) -> None:

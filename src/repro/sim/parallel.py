@@ -407,10 +407,19 @@ Column = Tuple[str, str, Callable[[object], str]]
 _SIGNED = "{:+.1%}".format
 _SHARE = "{:.1%}".format
 _WATTS = "{:.2f}".format
-_JOULES = "{:.4f}".format
+_JOULES = "{:.4g}".format  # significant digits: no nonzero cell reads 0
 _COUNT = "{:d}".format
 _PERF = "{:.3f}".format
 _WALL = "{:.2f}s".format
+
+
+def _not_below(mine_j: float, reference: str, ref_j: float) -> str:
+    """Why energy ``mine_j`` fails to beat ``ref_j``, however close the
+    two are: each to 6 significant digits, and the relative gap."""
+    gap = (mine_j - ref_j) / ref_j if ref_j > 0 else float("inf")
+    return (f"{mine_j:.6g}J does not beat {reference} {ref_j:.6g}J "
+            f"({100 * gap:.2g}% above)")
+
 
 #: Columns the cap and multi-domain tables open with.
 _BUDGET_COLUMNS: Tuple[Column, ...] = (
@@ -574,9 +583,9 @@ def _check_multidomain_outcomes(outcomes: Sequence[Outcome],
         mine_j = o.extras["system_energy_j"]
         if ref is not None and mine_j >= ref.extras["system_energy_j"]:
             failures.append(
-                f"{label}: coordinated system energy {mine_j:.4f}J does "
-                f"not beat the memory-only reference "
-                f"{ref.extras['system_energy_j']:.4f}J")
+                f"{label}: coordinated system energy "
+                + _not_below(mine_j, "the memory-only reference",
+                             ref.extras["system_energy_j"]))
     if coordinated and strict:
         tight = min(coordinated, key=lambda o: o.spec.budget_fraction)
         label = tight.spec.label
@@ -638,9 +647,9 @@ def _check_placement_outcomes(outcomes: Sequence[Outcome],
         if ref is not None \
                 and o.result.memory_energy_j >= ref.result.memory_energy_j:
             failures.append(
-                f"{label}: memory energy {o.result.memory_energy_j:.4f}J "
-                f"does not beat plain MemScale "
-                f"{ref.result.memory_energy_j:.4f}J")
+                f"{label}: memory energy "
+                + _not_below(o.result.memory_energy_j, "plain MemScale",
+                             ref.result.memory_energy_j))
         worst = o.comparison.worst_cpi_increase
         if worst > cpi_bound + SMOKE_PLACEMENT_CPI_SLACK:
             failures.append(

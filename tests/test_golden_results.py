@@ -1,12 +1,15 @@
 """Golden-result snapshot: frozen full results of the smoke sweep.
 
 ``tests/golden/smoke_results.json`` pins the complete serialized
-``RunResult`` and ``PolicyComparison`` of MID1 under MemScale and Static
-(cores=4, instructions_per_core=8000, seed=2011, serial, no cache) at
-the moment the snapshot was taken. Any change to simulator arithmetic —
-timing, counters, power, performance, policy — shows up here as a
-field-level diff, which is far more diagnostic than an end-to-end
-savings drift.
+``RunResult`` and ``PolicyComparison`` of MID1 under MemScale, Static,
+Fast-PD, Slow-PD and MemScale+Fast-PD (cores=4,
+instructions_per_core=8000, seed=2011, serial, no cache) at the moment
+the snapshot was taken. Any change to simulator arithmetic — timing,
+counters, power, performance, policy — shows up here as a field-level
+diff, which is far more diagnostic than an end-to-end savings drift.
+The three powerdown policies are the only entries that power a rank
+down, so they alone pin the EPDC counter, the tXP/tXPDLL exit penalty
+and the perf model's powerdown term.
 
 The snapshot is intentionally exact (``==`` on the JSON round-trip, no
 tolerances): the simulator is deterministic, so the only legitimate way
@@ -30,7 +33,7 @@ from repro.sim.serialize import comparison_to_dict, run_result_to_dict
 GOLDEN_PATH = Path(__file__).parent / "golden" / "smoke_results.json"
 
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=8_000, seed=2011)
-POLICIES = ("MemScale", "Static")
+POLICIES = ("MemScale", "Static", "Fast-PD", "Slow-PD", "MemScale+Fast-PD")
 
 
 def _jsonify(data):

@@ -208,6 +208,34 @@ class TestPlacementCheck:
         assert_one_failure(check(smoke, "placement", doctored, False),
                            "MID1/Placed", "does not beat plain MemScale")
 
+    def test_close_energies_are_told_apart(self, smoke):
+        # Both legs near 4.2e-5 J, the placed one 2e-5 (relative) above:
+        # four decimals would print 0.0000 for both, in the cells and
+        # in the message.
+        target = {"MID1/NoPlacement": 4.2e-5,
+                  "MID1/Placed": 4.2e-5 * (1 + 2e-5)}
+
+        def scaled(o):
+            factor = target[o.spec.label] / o.result.memory_energy_j
+            return with_result(o, energy_j={
+                k: factor * v for k, v in o.result.energy_j.items()})
+
+        doctored = [scaled(o) for o in smoke["placement"][0]]
+        failures = check(smoke, "placement", doctored, False)
+        assert_one_failure(failures, "MID1/Placed",
+                           "does not beat plain MemScale")
+        mine, ref, gap = re.search(
+            r"energy (\S+)J does not beat plain MemScale (\S+)J "
+            r"\((\S+)% above\)", failures[0]).groups()
+        assert mine != ref
+        assert float(gap) == pytest.approx(2e-3, rel=0.05)
+        lines = outcome_table(doctored, None).splitlines()
+        column = cells(lines[0]).index("mem energy (J)")
+        joules = [cells(line)[column] for line in lines[2:]]
+        assert len(joules) == 2 and "0.0000" not in joules
+        assert all(float(j) == pytest.approx(4.2e-5, rel=1e-3)
+                   for j in joules), joules
+
     def test_cpi_beyond_bound_and_slack(self, smoke):
         doctored = replace_at(
             smoke["placement"][0], "MID1/Placed",

@@ -39,12 +39,6 @@ class TestMemRequest:
         assert request.total_latency_ns == pytest.approx(50.0)
         assert request.bank_queue_ns == pytest.approx(3.0)
 
-    def test_flags_default_false(self):
-        request = make_request()
-        assert not request.row_hit
-        assert not request.open_row_miss
-        assert not request.powerdown_exit
-
     def test_repr_mentions_location(self):
         text = repr(make_request())
         assert "ch=1" in text and "bank=3" in text

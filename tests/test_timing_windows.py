@@ -70,9 +70,9 @@ class TestRowCycle:
         locs = [MemoryLocation(0, 0, 0, 7, col) for col in (0, 1)]
         mc, done = drive_reads(locs)
         assert mc.counters.rbhc == 1
-        hit = [r for r in done if r.row_hit][0]
-        miss = [r for r in done if not r.row_hit][0]
+        miss, hit = done
         # the hit performed no activate and starts as soon as the miss
         # releases the bank, well before a tRC would have elapsed
+        assert miss.act_ns >= 0
         assert hit.act_ns == -1.0
         assert hit.bank_start_ns - miss.bank_start_ns < CFG.timings.t_rc_ns

@@ -27,8 +27,7 @@ from repro.memsim.controller import (
 )
 from repro.memsim.engine import EventEngine
 from repro.memsim.request import MemRequest, RequestKind
-from repro.memsim.states import PowerdownMode, RankPowerState
-from repro.memsim.timing import AccessClass
+from repro.memsim.states import AccessClass, PowerdownMode, RankPowerState
 from repro.memsim.validate import (
     ProtocolValidator,
     ProtocolViolation,
@@ -378,6 +377,27 @@ class TestPowerdownConstraints:
                         any_bank_busy=False)
         v.finalize()
         assert "powerdown-exit-epdc" in rules(v)
+
+    @pytest.mark.parametrize("mode,exit_ns", [
+        (PowerdownMode.FAST_EXIT, T.t_xp_ns),
+        (PowerdownMode.SLOW_EXIT, T.t_xpdll_ns),
+    ])
+    def test_activate_inside_exit_window_detected(self, mode, exit_ns):
+        # the window is the exit latency of the bound controller's mode
+        engine = EventEngine()
+        mc = MemoryController(engine, CFG, powerdown_mode=mode,
+                              refresh_enabled=False, n_cores=4)
+        v = make_validator()
+        mc.attach_validator(v)
+        v.on_powerdown_exit(0, 100.0)
+        service(v, 100.0 + exit_ns - 1.0, rank=0)
+        assert rules(v) == ["pd-exit"]
+        assert v.violations[0].required_ns == pytest.approx(100.0 + exit_ns)
+        # an activate exactly at the end of the window is legal
+        v.on_powerdown_exit(1, 100.0)
+        service(v, 100.0 + exit_ns, rank=1)
+        assert v.violation_count == 1
+        assert v.checks["pd-exit"] == 2
 
     def test_refresh_wake_balances_exit(self):
         v = make_validator()

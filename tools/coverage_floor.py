@@ -46,6 +46,10 @@ def executable_lines(path: Path) -> set:
 def main(argv) -> int:
     prefix = str(SRC) + "/"
     executed: dict = {}
+    # The line universe is read before the suite runs, so a file edited
+    # during the run is still scored against the lines that executed.
+    universes = {path: executable_lines(path)
+                 for path in sorted(SRC.rglob("*.py"))}
 
     def local_trace(frame, event, arg):
         if event == "line":
@@ -72,8 +76,7 @@ def main(argv) -> int:
 
     total_exec = total_hit = 0
     rows = []
-    for path in sorted(SRC.rglob("*.py")):
-        universe = executable_lines(path)
+    for path, universe in universes.items():
         hit = executed.get(str(path), set()) & universe
         total_exec += len(universe)
         total_hit += len(hit)
