@@ -12,7 +12,7 @@ corrected through the slack mechanism".
 import numpy as np
 
 from benchmarks.conftest import bench_runner, run_once
-from repro.analysis import format_table
+from repro.analysis import cpi_errors, format_table
 from repro.cpu.workloads import mix_names
 
 
@@ -21,23 +21,8 @@ def epoch_errors(runner, mix):
     governor = runner.make_memscale_governor(mix)
     result = runner.run_governor(mix, governor)
     trace = runner.trace(mix)
-    app_of_core = [c.app_name for c in trace.cores]
-
-    errors = []
-    decisions = governor.policy.decisions
-    for epoch_index, sample in enumerate(result.timeline):
-        if epoch_index >= len(decisions):
-            break
-        predicted = decisions[epoch_index].predicted_cpi
-        by_app = {}
-        for core, app in enumerate(app_of_core):
-            by_app.setdefault(app, []).append(float(predicted[core]))
-        for app, achieved in sample.app_cpi.items():
-            if achieved <= 0 or app not in by_app:
-                continue
-            pred = float(np.mean(by_app[app]))
-            errors.append(abs(pred - achieved) / achieved)
-    return errors
+    return cpi_errors(governor.policy.decisions, result.timeline,
+                      [c.app_name for c in trace.cores])
 
 
 def test_model_prediction_accuracy(benchmark):

@@ -14,6 +14,7 @@ instruction counts keep growing monotonically either way.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Optional
 
 from repro.config import CpuConfig
@@ -214,10 +215,16 @@ class Core:
             cursor = self._cursor = 0
             self._passes += 1
         gap = self._gaps[cursor]
-        self._gap_start_ns = self._engine._now
+        engine = self._engine
+        now = engine._now
+        self._gap_start_ns = now
         self._gap_total = gap
         self._gap_done = 0
-        self._engine.post(gap * self._instr_ns, self._issue, gap)
+        # the body of engine.post(gap * self._instr_ns, self._issue, gap)
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, [now + gap * self._instr_ns, seq,
+                                 self._issue, gap])
+        engine._horizon = None
 
 
 class CpuCluster:

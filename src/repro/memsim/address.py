@@ -13,7 +13,9 @@ frozen dataclass: it is created once per simulated request on the MC's
 submit path, and tuple construction/field access run at C speed while
 keeping value equality and hashability. :meth:`AddressMapper.decode`
 builds it through ``tuple.__new__`` directly, skipping the Python-level
-``__new__`` the named tuple generates.
+``__new__`` the named tuple generates, and takes the low-order
+channel/bank/rank digits of the address in one ``divmod`` and one table
+lookup.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ class AddressMapper:
     """Bidirectional line-address <-> :class:`MemoryLocation` mapping."""
 
     __slots__ = ("_org", "_channels", "_banks_per_rank", "_ranks_per_channel",
-                 "_lines_per_row", "_rows_per_bank")
+                 "_lines_per_row", "_rows_per_bank", "_interleave",
+                 "_interleave_digits")
 
     def __init__(self, org: MemoryOrgConfig):
         self._org = org
@@ -58,6 +61,18 @@ class AddressMapper:
         self._ranks_per_channel = org.ranks_per_channel
         self._lines_per_row = org.lines_per_row
         self._rows_per_bank = org.rows_per_bank
+        # Channel, bank and rank are the low-order mixed-radix digits of
+        # a line address (channel fastest), so one divmod by their
+        # product splits them off; this table maps that remainder to
+        # (channel, rank, bank), split one field at a time.
+        self._interleave = interleave = org.total_banks
+        digits = []
+        for low in range(interleave):
+            addr, channel = divmod(low, self._channels)
+            addr, bank = divmod(addr, self._banks_per_rank)
+            _, rank = divmod(addr, self._ranks_per_channel)
+            digits.append((channel, rank, bank))
+        self._interleave_digits = tuple(digits)
 
     @property
     def org(self) -> MemoryOrgConfig:
@@ -67,9 +82,8 @@ class AddressMapper:
         """Decode a cache-line index into its physical location."""
         if line_addr < 0:
             raise ValueError(f"negative line address: {line_addr}")
-        addr, channel = divmod(line_addr, self._channels)
-        addr, bank = divmod(addr, self._banks_per_rank)
-        addr, rank = divmod(addr, self._ranks_per_channel)
+        addr, low = divmod(line_addr, self._interleave)
+        channel, rank, bank = self._interleave_digits[low]
         row_index, column = divmod(addr, self._lines_per_row)
         row = row_index % self._rows_per_bank
         return _make_location((channel, rank, bank, row, column))

@@ -7,19 +7,24 @@ Row-buffer management is closed-page: the row is precharged after every
 access unless the next request already queued for the bank targets the
 same row (Section 4.1).
 
-Hot-path notes: the fixed-in-ns DDR timings of ``config.DramTimings``
-are cached as plain floats at construction (they never change over a
-run), the bank maintains its rank's ``_active_banks`` / ``_open_rows``
-counters at the activity transition points so the rank never scans its
-banks, and service/precharge completions are posted closure-free as
-``(bound method, arg)`` continuations through the engine's
-``post_at``. Enum members read per access are module constants (a
-class-attribute read of an ``Enum`` member is a descriptor call).
+Hot-path notes: the bank owns a request from arrival to release.
+``MemoryController.submit`` posts ``(bank._arrive, request)``; an
+arrival at an idle bank starts service in the same handler, a release
+starts the next queued request itself, and the bank-done and
+precharge-release continuations are pushed onto the engine heap inline
+(see the engine module). The fixed-in-ns DDR timings of
+``config.DramTimings``, the rank's tRRD/tFAW among them, are cached as
+plain floats at construction, and the bank maintains its rank's
+``_active_banks`` / ``_open_rows`` counters at the activity transition
+points so the rank never scans its banks. Enum members read per access
+are module constants (a class-attribute read of an ``Enum`` member is
+a descriptor call).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque, Optional, TYPE_CHECKING
 
 from repro.config import DramTimings
@@ -48,7 +53,7 @@ class Bank:
         "_rank", "bank_id", "read_q", "write_q", "busy", "open_row",
         "_in_service", "_last_act_ns", "_current_act_ns",
         "_t_cl_ns", "_t_rcd_ns", "_t_rp_ns", "_t_rc_ns", "_t_ras_ns",
-        "_channel_id", "_open_page",
+        "_t_rrd_ns", "_t_faw_ns", "_channel_id", "_open_page",
     )
 
     def __init__(self, engine: EventEngine, timings: DramTimings,
@@ -73,36 +78,60 @@ class Bank:
         self._t_rp_ns = timings.t_rp_ns
         self._t_rc_ns = timings.t_rc_ns
         self._t_ras_ns = timings.t_ras_ns
+        self._t_rrd_ns = timings.t_rrd_ns
+        self._t_faw_ns = timings.t_faw_ns
         # run-constant lookups hoisted off the per-access path
         self._channel_id = channel.channel_id
         self._open_page = controller.row_policy == "open"
 
-    # -- queue interface ----------------------------------------------------
+    # -- arrival -------------------------------------------------------------
 
-    def enqueue(self, request: MemRequest) -> None:
-        """Add a request; the controller has already stamped its arrival.
+    def _arrive(self, request: MemRequest) -> None:
+        """The request reached this bank after MC processing.
 
-        The idle-bank kick is inlined (rather than delegated to
-        :meth:`kick`) because this runs once per simulated request.
+        Stamps the arrival and samples the transactions-outstanding
+        accumulators (Section 3.1) before the request joins a queue. On
+        an idle bank with empty queues outside a refresh window the
+        request is the one :meth:`_select_next` would pick, so it starts
+        at once without queueing.
         """
-        if not self.busy and not self.read_q and not self.write_q:
+        now = self._engine._now
+        request.arrive_bank_ns = now
+        controller = self._controller
+        v = controller.validator
+        if v is not None:
+            v.on_arrive(request, now)
+        read_q = self.read_q
+        write_q = self.write_q
+        busy = self.busy
+        channel = self._channel
+        counters = self._counters
+        counters.bto += len(read_q) + len(write_q) + (1 if busy else 0)
+        counters.btc += 1.0
+        counters.cto += len(channel._waiting) + (1 if channel._bus_busy else 0)
+        counters.ctc += 1.0
+        rank = self._rank
+        if not busy and not read_q and not write_q:
             # idle-with-empty-queues -> active transition (rank bookkeeping)
-            self._rank._active_banks += 1
+            rank._active_banks += 1
+            if rank.refresh_busy_until <= now:
+                if not request.is_read:
+                    # the writeback leaves its queue (see _pop_write)
+                    controller.on_write_dequeued(self._channel_id)
+                self._start_service(request)
+                return
         if request.is_read:
-            self.read_q.append(request)
+            read_q.append(request)
         else:
-            self.write_q.append(request)
-        if self.busy:
+            write_q.append(request)
+        if busy or rank.refresh_busy_until > now:
+            # resume when the service or the refresh completes
             return
-        if self._rank.refresh_busy_until > self._engine._now:
-            # resume when the refresh completes (the rank kicks us back)
-            return
-        request = self._select_next()
-        if request is not None:
-            self._start_service(request)
+        self._start_service(self._select_next())
 
     def kick(self) -> None:
-        """Attempt to start servicing the next request, if idle."""
+        """Start servicing the next request, if idle (the rank calls
+        this when a refresh completes)."""
         if self.busy or not (self.read_q or self.write_q):
             return
         if self._rank.refresh_busy_until > self._engine._now:
@@ -139,8 +168,9 @@ class Bank:
     def _start_service(self, request: MemRequest) -> None:
         # The hottest handler of the request path: run-constant
         # collaborator lookups are hoisted to locals, the controller's
-        # freeze-window method and the rank's standby-transition wrapper
-        # are inlined, and the clock is read once without the property.
+        # freeze-window method, the rank's activation-window check and
+        # its standby-transition wrapper are inlined, and the clock is
+        # read once without the property.
         engine = self._engine
         controller = self._controller
         rank = self._rank
@@ -175,15 +205,27 @@ class Bank:
             counters.obmc += 1.0
 
         if access is not _ROW_HIT:
-            not_before = start
+            act = start
             if access is _OPEN_ROW_MISS:
-                not_before += self._t_rp_ns
+                act += self._t_rp_ns
             # per-bank tRC: a new activate must wait out the row cycle
-            row_cycle_ok = self._last_act_ns + self._t_rc_ns
-            if row_cycle_ok > not_before:
-                not_before = row_cycle_ok
-            act = rank.earliest_activate_ns(not_before)
-            rank._recent_activates.append(act)
+            t = self._last_act_ns + self._t_rc_ns
+            if t > act:
+                act = t
+            # the rank's activation window (tRRD, tFAW), then its refresh
+            recent = rank._recent_activates
+            if recent:
+                t = recent[-1] + self._t_rrd_ns
+                if t > act:
+                    act = t
+                if len(recent) == 4:
+                    t = recent[0] + self._t_faw_ns
+                    if t > act:
+                        act = t
+            t = rank.refresh_busy_until
+            if t > act:
+                act = t
+            recent.append(act)
             counters.pocc += 1.0
             self._last_act_ns = act
             self._current_act_ns = act
@@ -210,7 +252,10 @@ class Bank:
             v.on_service_start(self._channel_id,
                                rank.global_rank_index, self.bank_id,
                                request, access, start, data_ready)
-        engine.post_at(data_ready, self._bank_done, request)
+        # the body of engine.post_at(data_ready, self._bank_done, request)
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, [data_ready, seq, self._bank_done, request])
+        engine._horizon = None
 
     def _bank_done(self, request: MemRequest) -> None:
         """Array access complete; hold the bank and wait for the bus.
@@ -263,14 +308,24 @@ class Bank:
                 v.on_precharge(self._channel_id,
                                self._rank.global_rank_index, self.bank_id,
                                pre_start, free_at)
-            self._engine.post_at(free_at, self._free, free_at)
+            # the body of engine.post_at(free_at, self._free, free_at)
+            engine = self._engine
+            engine._seq = seq = engine._seq + 1
+            heappush(engine._queue, [free_at, seq, self._free, free_at])
+            engine._horizon = None
 
     def _free(self, _at_ns: float) -> None:
+        """The bank is free: start its next request, or go idle."""
         self.busy = False
         self._in_service = None
+        rank = self._rank
         if self.read_q or self.write_q:
-            self.kick()
+            if rank.refresh_busy_until > self._engine._now:
+                # resume when the refresh completes (the rank kicks us back)
+                return
+            self._start_service(self._select_next())
         else:
             # active -> idle transition (rank bookkeeping)
-            self._rank._active_banks -= 1
-            self._rank.notify_all_banks_idle()
+            rank._active_banks -= 1
+            if not rank._active_banks:
+                rank.notify_all_banks_idle()

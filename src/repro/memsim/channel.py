@@ -13,6 +13,7 @@ per-burst path never chases frequency-point properties.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Deque, Tuple, TYPE_CHECKING
 
 from repro.memsim.counters import CounterFile
@@ -70,7 +71,10 @@ class Channel:
         v = controller.validator
         if v is not None:
             v.on_burst(channel_id, request, start, end)
-        engine.post_at(end, self._end_burst, bank)
+        # the body of engine.post_at(end, self._end_burst, bank)
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, [end, seq, self._end_burst, bank])
+        engine._horizon = None
 
     def _end_burst(self, bank: "Bank") -> None:
         """The burst finished: free the bank, complete the request at the

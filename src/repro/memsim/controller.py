@@ -5,7 +5,8 @@ from the CPU model; and implements the mechanisms of Section 3.1:
 
 * FCFS read scheduling with writebacks deprioritized until the writeback
   queue is half-full (Section 4.1);
-* bank interleaving via the address mapper;
+* bank interleaving via the address mapper (each request is handed to
+  its bank, which runs it from arrival to release);
 * per-rank powerdown management (Fast-PD / Slow-PD baselines);
 * dynamic frequency re-locking: on ``set_frequency`` memory operation is
   suspended for 512 bus cycles + 28 ns while DLLs re-synchronize
@@ -15,7 +16,7 @@ from the CPU model; and implements the mechanisms of Section 3.1:
 
 from __future__ import annotations
 
-from heapq import heapreplace
+from heapq import heappush, heapreplace
 from typing import Callable, Dict, List, Optional
 
 from repro.config import SystemConfig
@@ -198,16 +199,21 @@ class MemoryController:
 
         During a frequency-transition freeze the MC is suspended, so a
         request first waits out the freeze window and *then* pays the MC
-        processing latency.
+        processing latency. The target bank is resolved here and owns
+        the request from then on: the arrival event is
+        ``(bank._arrive, request)``, pushed inline (see the engine
+        module).
         """
-        now = self._engine._now
+        engine = self._engine
+        now = engine._now
         request.issue_ns = now
         self._in_flight += 1
         v = self.validator
         if v is not None:
             v.on_submit(request, now, self._mc_latency_ns)
+        loc = request.location
         if not request.is_read:
-            ch = request.location.channel
+            ch = loc.channel
             self._wb_pending[ch] += 1
             if self._wb_pending[ch] > WRITEBACK_QUEUE_CAPACITY:
                 self.wb_overflow_count += 1
@@ -218,7 +224,13 @@ class MemoryController:
         if freeze_wait < 0.0:
             freeze_wait = 0.0
         mc_delay = freeze_wait + self._mc_latency_ns
-        self._engine.post(mc_delay, self._arrive_at_bank, request)
+        bank = self._bank_list[
+            (loc.channel * self._ranks_per_channel + loc.rank)
+            * self._banks_per_rank + loc.bank]
+        # the body of engine.post(mc_delay, bank._arrive, request)
+        engine._seq = seq = engine._seq + 1
+        heappush(engine._queue, [now + mc_delay, seq, bank._arrive, request])
+        engine._horizon = None
 
     def submit_read(self, line_addr: int, core_id: int = 0, app_id: int = 0,
                     on_complete: Optional[Callable[[MemRequest], None]] = None
@@ -238,29 +250,6 @@ class MemoryController:
                              core_id=core_id, app_id=app_id)
         self.submit(request)
         return request
-
-    def _arrive_at_bank(self, request: MemRequest) -> None:
-        loc = request.location
-        channel = loc.channel
-        bank = self._bank_list[
-            (channel * self._ranks_per_channel + loc.rank)
-            * self._banks_per_rank + loc.bank]
-        request.arrive_bank_ns = now = self._engine._now
-        v = self.validator
-        if v is not None:
-            v.on_arrive(request, now)
-        # Sample the transactions-outstanding accumulators (Section 3.1)
-        # at arrival, before this request is added. The occupancy
-        # properties and the counter-file record call are inlined: this
-        # runs once per simulated request.
-        ch = self.channels[channel]
-        counters = self.counters
-        counters.bto += (len(bank.read_q) + len(bank.write_q)
-                         + (1 if bank.busy else 0))
-        counters.btc += 1.0
-        counters.cto += len(ch._waiting) + (1 if ch._bus_busy else 0)
-        counters.ctc += 1.0
-        bank.enqueue(request)
 
     # -- writeback priority -------------------------------------------------------
 

@@ -13,13 +13,23 @@ Hot-path design
 The heap stores plain lists whose first two slots are ``time`` and a
 unique ``seq``, so ``heapq`` orders entries with C-level list
 comparison: comparisons never reach the callback slot and no Python
-``__lt__`` is ever invoked. A workload event is posted with
-:meth:`post` / :meth:`post_at` as a callback and its one argument; its
-entry is ``[time, seq, callback, arg]`` and is dispatched as
-``callback(arg)``. The simulator's request path posts a bound method
-and its argument (a bank completion posts ``(bank._bank_done,
-request)``), so no per-event closure is built, no second Python frame
-runs, and no handle is allocated: a post is one list and one heap push.
+``__lt__`` is ever invoked. A workload event is a callback and its one
+argument; its entry is ``[time, seq, callback, arg]`` and is dispatched
+as ``callback(arg)``. Posting one takes three steps: bump ``_seq`` and
+put the new value in the entry, push the entry, and clear the
+``_horizon`` cache (see :meth:`workload_horizon`). That is the whole
+body of :meth:`post` / :meth:`post_at`; no handle is returned.
+
+The simulator's request path posts a bound method and its argument (a
+bank completion posts ``(bank._bank_done, request)``), so no per-event
+closure is built, and it runs those three steps inline, saving a Python
+frame per event. The five inline sites push ``Bank._arrive`` (from
+``MemoryController.submit``), ``Bank._bank_done`` (bank service start),
+``Bank._free`` (bank release after a burst), ``Channel._end_burst``
+(burst start) and ``Core._issue`` (miss completion). Each computes the
+time as :meth:`post` (``now + delay``) or :meth:`post_at` would, and
+none can lie in the past. Every other caller goes through :meth:`post`
+/ :meth:`post_at`, which reject a time in the past.
 
 Cancellation is a tombstone and applies to housekeeping entries only
 (below): :meth:`tombstone` clears the entry's callback slot in place (a
@@ -149,8 +159,8 @@ class EventEngine:
              arg: Any) -> None:
         """Schedule ``callback(arg)`` after ``delay_ns`` nanoseconds.
 
-        The body of :meth:`post_at` is duplicated rather than delegated:
-        this is called once per request-path continuation.
+        The body of :meth:`post_at` is duplicated rather than delegated,
+        so a post costs one Python frame.
         """
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")

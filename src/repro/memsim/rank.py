@@ -3,8 +3,9 @@
 The rank is the granularity of DDR3 power management (Section 1): CKE is
 per-rank, so powerdown requires *every* bank of the rank to be idle — the
 very property that makes idle low-power states hard to exploit and
-motivates MemScale. The rank also enforces the cross-bank activation
-constraints tRRD and tFAW and periodically refreshes itself.
+motivates MemScale. The rank also keeps the window of recent activates
+that its banks check against the cross-bank constraints tRRD and tFAW,
+and periodically refreshes itself.
 
 Hot-path notes: instead of scanning every bank (busy, or with requests
 queued) on each idle/refresh decision, the rank keeps ``_active_banks``
@@ -45,7 +46,7 @@ class Rank:
         "_engine", "_counters", "global_rank_index", "n_banks",
         "powerdown_mode", "_banks", "validator", "_state", "_state_since",
         "_recent_activates", "refresh_busy_until", "_refresh_due",
-        "_refresh_enabled", "_t_rrd_ns", "_t_faw_ns", "_t_refi_ns",
+        "_refresh_enabled", "_t_refi_ns",
         "_t_rfc_ns", "_active_banks", "_open_rows", "_timer_entry",
         "_t_ckesr_ns", "_t_xs_ns", "_pd_exit_ns", "_sr_enter_ns",
         "sr_ready_until", "_residency",
@@ -68,11 +69,10 @@ class Rank:
         self._state = _PRECHARGE_STANDBY
         self._state_since = engine.now
         self._residency = counters.rank_state_ns[global_rank_index]
-        # activation window: times of the most recent activates (for tFAW)
+        #: activation window: times of the most recent activates, which
+        #: the banks check against tRRD and tFAW and append to
         self._recent_activates: Deque[float] = deque(maxlen=4)
         # fixed-in-ns constants, cached out of the per-command path
-        self._t_rrd_ns = timings.t_rrd_ns
-        self._t_faw_ns = timings.t_faw_ns
         self._t_refi_ns = timings.t_refi_ns
         self._t_rfc_ns = timings.t_rfc_ns
         self._t_ckesr_ns = timings.t_ckesr_ns
@@ -141,7 +141,7 @@ class Rank:
     def _transition(self, new_state: RankPowerState) -> None:
         if new_state is self._state:
             return
-        self._transition_at(new_state, self._engine.now)
+        self._transition_at(new_state, self._engine._now)
 
     def _transition_at(self, new_state: RankPowerState,
                        now_ns: float) -> None:
@@ -270,24 +270,6 @@ class Rank:
             self._timer_entry = self._engine.post_housekeeping(
                 self._t_refi_ns, self._refresh_timer, self)
         return penalty
-
-    # -- activation window (tRRD / tFAW) -----------------------------------
-
-    def earliest_activate_ns(self, not_before_ns: float) -> float:
-        """Earliest time a new activate may issue to this rank."""
-        t = not_before_ns
-        recent = self._recent_activates
-        if recent:
-            gap_ok = recent[-1] + self._t_rrd_ns
-            if gap_ok > t:
-                t = gap_ok
-            if len(recent) == 4:
-                faw_ok = recent[0] + self._t_faw_ns
-                if faw_ok > t:
-                    t = faw_ok
-        if self.refresh_busy_until > t:
-            t = self.refresh_busy_until
-        return t
 
     # -- refresh ------------------------------------------------------------
 

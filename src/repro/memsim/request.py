@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Callable, Optional
 
 from repro.memsim.address import MemoryLocation
-
-_request_ids = itertools.count()
 
 
 class RequestKind(enum.Enum):
@@ -28,6 +25,10 @@ class MemRequest:
     be decomposed into MC processing, bank queueing, bank service, bus
     blocking, and burst transfer — the same decomposition the performance
     model of Section 3.3 uses.
+
+    ``request_id`` is None until a protocol validator numbers the
+    request at submit: it numbers the requests of its own run, so a
+    violation names the same request in every run of the same input.
     """
 
     __slots__ = (
@@ -40,7 +41,7 @@ class MemRequest:
     def __init__(self, kind: RequestKind, location: MemoryLocation,
                  core_id: int = 0, app_id: int = 0,
                  on_complete: Optional[Callable[["MemRequest"], None]] = None):
-        self.request_id = next(_request_ids)
+        self.request_id: Optional[int] = None
         self.kind = kind
         #: plain attribute (not a property): read on every scheduling
         #: decision, so the enum comparison is paid once at construction

@@ -258,7 +258,13 @@ class ProtocolValidator:
     def on_submit(self, request: "MemRequest", now_ns: float,
                   mc_latency_ns: float) -> None:
         """A request entered the MC; it must pay ``mc_latency_ns`` *after*
-        any active MC freeze window (the PR-2 freeze/latency bugfix)."""
+        any active MC freeze window, not be swallowed by it.
+
+        Numbers the request: ids count this validator's submissions from
+        0, so every message names the same request in every run of the
+        same input, however many requests the process built before.
+        """
+        request.request_id = self.submitted
         self.submitted += 1
         expected = max(now_ns, self._mc_frozen_until) + mc_latency_ns
         self._expected_arrival[request.request_id] = expected

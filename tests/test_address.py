@@ -75,3 +75,31 @@ class TestSmallOrganizations:
         org = MemoryOrgConfig(channels=2)
         mapper = AddressMapper(org)
         assert [mapper.decode(i).channel for i in range(4)] == [0, 1, 0, 1]
+
+
+def chain_decode(org, line_addr):
+    """Reference decode: one divmod per field, channel first."""
+    addr, channel = divmod(line_addr, org.channels)
+    addr, bank = divmod(addr, org.banks_per_rank)
+    addr, rank = divmod(addr, org.ranks_per_channel)
+    row_index, column = divmod(addr, org.lines_per_row)
+    return MemoryLocation(channel, rank, bank,
+                          row_index % org.rows_per_bank, column)
+
+
+class TestOneSplitDecode:
+    """`decode` splits channel, bank and rank off in one divmod; that
+    must equal the field-by-field chain for every geometry."""
+
+    @given(channels=st.integers(1, 6), dimms=st.integers(1, 3),
+           ranks=st.integers(1, 4), banks=st.integers(1, 16),
+           rows=st.integers(1, 1 << 16),
+           addr=st.integers(min_value=0, max_value=2**48))
+    def test_matches_field_by_field_chain(self, channels, dimms, ranks,
+                                          banks, rows, addr):
+        org = MemoryOrgConfig(channels=channels, dimms_per_channel=dimms,
+                              ranks_per_dimm=ranks, banks_per_rank=banks,
+                              rows_per_bank=rows)
+        mapper = AddressMapper(org)
+        for line in (addr, addr + 1, addr // 7):
+            assert mapper.decode(line) == chain_decode(org, line)

@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.config import scaled_config
 from repro.memsim.address import MemoryLocation
+from repro.memsim.controller import MemoryController
+from repro.memsim.engine import EventEngine
 from repro.memsim.request import MemRequest, RequestKind
+from repro.memsim.validate import ProtocolValidator
 
 
 def make_request(kind=RequestKind.READ):
@@ -11,10 +15,30 @@ def make_request(kind=RequestKind.READ):
                       core_id=7, app_id=2)
 
 
+def armed_run():
+    """Submit a fixed request stream to a validator-armed controller and
+    run it to completion; returns the ids the requests carry."""
+    config = scaled_config()
+    engine = EventEngine()
+    controller = MemoryController(engine, config)
+    validator = ProtocolValidator(config, mode="collect")
+    controller.attach_validator(validator)
+    requests = [controller.submit_read(line) for line in range(0, 96, 3)]
+    requests.append(controller.submit_writeback(7))
+    engine.run_until(20_000.0)
+    assert validator.violation_count == 0
+    assert validator.completed == len(requests)
+    return [request.request_id for request in requests]
+
+
 class TestMemRequest:
-    def test_ids_are_unique_and_increasing(self):
-        a, b = make_request(), make_request()
-        assert b.request_id > a.request_id
+    def test_validator_numbers_requests_per_run(self):
+        """Ids count one validator's submissions from 0, so a second
+        run in the same process names the same requests."""
+        first = armed_run()
+        assert armed_run() == first
+        assert first == list(range(len(first)))
+        assert make_request().request_id is None
 
     def test_kind_predicates(self):
         assert make_request(RequestKind.READ).is_read

@@ -402,7 +402,8 @@ class TestServiceLock:
         svc.run(policy_specs(["MID1"], ["Static"]))
         assert calls == ["probed"]
         # After run() returns the lock is free again.
-        ServiceLock(tmp_path / "s").acquire()
+        with ServiceLock(tmp_path / "s"):
+            pass
 
 
 class TestPlacementDifferential:
