@@ -44,6 +44,7 @@ from repro.analysis import format_table
 from repro.config import SystemConfig, scaled_config
 from repro.cpu.stats import workload_stats
 from repro.cpu.workloads import MIXES, mix_names
+from repro.records import RecordError, atomic_write
 from repro.sim import experiments
 from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.sim.parallel import (KINDS, JobFailure, JobSpec, cap_specs,
@@ -634,7 +635,7 @@ def _scenarios_smoke(args) -> None:
     failures.extend(scenario.check(dev_good, device_config, strict=True))
 
     wall = time.perf_counter() - start
-    (directory / "summary.json").write_text(_json.dumps({
+    atomic_write(directory / "summary.json", _json.dumps({
         "import": _dc.asdict(summary),
         "replay_identical": len(set(replay_legs.values())) == 1,
         "ladder_rungs": rungs,
@@ -1236,7 +1237,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args.func(args)
+    try:
+        args.func(args)
+    except RecordError as exc:
+        # A damaged store record, ledger line or imported trace: the
+        # message names the file, the cause and what to do.
+        raise SystemExit(str(exc))
     return 0
 
 

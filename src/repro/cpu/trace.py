@@ -18,17 +18,21 @@ small JSON sidecar mapping cores to column ranges. Uncompressed arrays
 can be memory-mapped: workers of a parallel sweep
 ``np.load(..., mmap_mode="r")`` the one file the experiment cache
 stores and share its pages through the OS page cache instead of each
-regenerating a private copy — the zero-copy fan-out path.
+regenerating a private copy — the zero-copy fan-out path. Both halves
+go through :mod:`repro.records`; the sidecar is a signed record that
+also carries ``data_sha256``, the sha256 of the ``.npy``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
+
+from repro.records import (RecordError, file_sha256, read_record,
+                           write_array, write_record)
 
 #: Version tag of the columnar (.npy + sidecar) trace layout.
 COLUMNAR_TRACE_VERSION = 1
@@ -143,7 +147,8 @@ class WorkloadTrace:
         The matrix layout is row-major ``(3, total_records)`` — gaps,
         read addresses, writeback addresses — so each per-core slice of
         a row is contiguous and loading with ``mmap_mode="r"`` hands the
-        replayer views without copying or decompressing anything.
+        replayer views without copying or decompressing anything. The
+        data file lands before the sidecar that vouches for it.
         """
         total = sum(len(c) for c in self.cores)
         data = np.empty((3, total), dtype=np.int64)
@@ -158,24 +163,27 @@ class WorkloadTrace:
                                "app_id": core.app_id,
                                "offset": offset, "count": n})
             offset += n
-        np.save(str(path), data, allow_pickle=False)
-        sidecar = columnar_sidecar_path(path)
-        sidecar.write_text(json.dumps({
+        data_sha256 = write_array(path, data)
+        write_record(columnar_sidecar_path(path), {
             "version": COLUMNAR_TRACE_VERSION,
             "name": self.name,
             "cores": meta_cores,
-        }))
+            "data_sha256": data_sha256,
+        })
 
     @classmethod
-    def load_columnar(cls, path: "Path | str",
-                      mmap: bool = True) -> "WorkloadTrace":
+    def load_columnar(cls, path: "Path | str", mmap: bool = True,
+                      remedy: str = "delete the entry (for cache entries: "
+                      "`repro cache --prune`) and regenerate or re-import "
+                      "the trace") -> "WorkloadTrace":
         """Load a columnar trace; with ``mmap`` (the default) the core
         arrays are read-only views of a shared memory map.
 
-        A columnar entry is a *pair*; losing either half makes the
-        other unreadable, so a missing half raises an error naming
-        which file is gone and how to clean up, not a bare
-        ``FileNotFoundError`` from deep inside ``np.load``.
+        Both digests are checked before the data is mapped. Every way
+        an entry fails to load — a missing half, a digest mismatch, a
+        bad shape or core range, an address :class:`CoreTrace` rejects
+        — raises :class:`~repro.records.RecordError` ending in
+        ``remedy``.
         """
         data_path = Path(str(path))
         sidecar_path = columnar_sidecar_path(path)
@@ -185,29 +193,32 @@ class WorkloadTrace:
         if not sidecar_path.exists():
             missing.append(f"sidecar {sidecar_path}")
         if missing:
-            raise FileNotFoundError(
-                f"columnar trace {data_path} is incomplete: missing "
-                + " and ".join(missing)
-                + "; the surviving half cannot be loaded alone — remove "
-                "the orphan (for cache entries: `repro cache --prune`) "
-                "and regenerate or re-import the trace")
-        meta = json.loads(sidecar_path.read_text())
-        if meta.get("version") != COLUMNAR_TRACE_VERSION:
-            raise ValueError(
-                f"unsupported columnar trace version: {meta.get('version')}")
-        data = np.load(str(path), mmap_mode="r" if mmap else None,
-                       allow_pickle=False)
-        if data.ndim != 2 or data.shape[0] != 3:
-            raise ValueError(f"bad columnar trace shape: {data.shape}")
-        cores = []
-        for entry in meta["cores"]:
-            lo = int(entry["offset"])
-            hi = lo + int(entry["count"])
-            if hi > data.shape[1]:
-                raise ValueError("columnar trace sidecar out of range")
-            cores.append(CoreTrace(app_name=str(entry["app_name"]),
-                                   app_id=int(entry["app_id"]),
-                                   gaps=data[0, lo:hi],
-                                   read_addrs=data[1, lo:hi],
-                                   wb_addrs=data[2, lo:hi]))
-        return cls(name=str(meta["name"]), cores=cores)
+            raise RecordError(
+                data_path, "incomplete columnar pair: missing "
+                + " and ".join(missing), remedy)
+        meta = read_record(sidecar_path, remedy,
+                           version=("version", COLUMNAR_TRACE_VERSION))
+        if ("data_sha256" in meta
+                and file_sha256(data_path) != meta["data_sha256"]):
+            raise RecordError(data_path, "data digest mismatch", remedy)
+        try:
+            data = np.load(str(path), mmap_mode="r" if mmap else None,
+                           allow_pickle=False)
+            if data.ndim != 2 or data.shape[0] != 3:
+                raise ValueError(f"bad columnar trace shape {data.shape}")
+            cores = []
+            for entry in meta["cores"]:
+                lo = int(entry["offset"])
+                hi = lo + int(entry["count"])
+                if hi > data.shape[1]:
+                    raise ValueError("columnar trace sidecar out of range")
+                cores.append(CoreTrace(app_name=str(entry["app_name"]),
+                                       app_id=int(entry["app_id"]),
+                                       gaps=data[0, lo:hi],
+                                       read_addrs=data[1, lo:hi],
+                                       wb_addrs=data[2, lo:hi]))
+            name = str(meta["name"])
+        except (OSError, EOFError, ValueError, KeyError, TypeError) as exc:
+            raise RecordError(data_path, f"unloadable ({exc})",
+                              remedy) from exc
+        return cls(name=name, cores=cores)

@@ -19,25 +19,26 @@ Properties:
 * **hit/miss by construction** — any change to the configuration, the
   scale settings, or the seed changes the key, so stale entries can
   never be returned; they are simply never looked up again;
-* **corruption-safe** — unreadable or truncated entries are treated as
-  misses (and deleted), falling back to regeneration;
-* **atomic** — entries are written to a temp file and ``os.replace``d
-  into place, so concurrent writers (the parallel runner's workers)
-  can only ever observe complete entries.
+* **verified** — every entry is written and read through
+  :mod:`repro.records`: atomically, so concurrent writers (the parallel
+  runner's workers) only ever observe complete entries, and with a
+  content digest checked on load. Generated traces and baseline runs
+  are derived data, so an entry that fails to load (a
+  :class:`~repro.records.RecordError`) is deleted and counted as a
+  miss, and regenerated. Imported traces are originals that cannot be
+  regenerated: damage raises, naming the re-import command.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.config import SystemConfig
 from repro.cpu.trace import WorkloadTrace, columnar_sidecar_path
+from repro.records import (RecordError, content_digest, file_sha256,
+                           read_record, write_record)
 from repro.sim.results import RunResult
 from repro.sim.serialize import run_result_from_dict, run_result_to_dict
 
@@ -71,11 +72,9 @@ def config_fingerprint(config: SystemConfig) -> Dict[str, object]:
     return payload
 
 
-def content_digest(payload: Dict[str, object]) -> str:
-    """Stable sha256 of a JSON-serializable payload (canonical form)."""
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
+#: Next step named by a damaged cache entry, which the cache takes
+#: itself: the entry is deleted and counted as a miss.
+_REGENERATE = "the cache deletes and regenerates it"
 
 #: Characters allowed in an imported-trace name (it becomes a file name).
 _NAME_OK = frozenset(
@@ -135,11 +134,13 @@ class ExperimentCache:
         """
         path = self._trace_path(key)
         sidecar = columnar_sidecar_path(path)
+        # A lone half may be a concurrent writer's entry in progress:
+        # a plain miss, left in place.
         if path.exists() and sidecar.exists():
             try:
-                trace = WorkloadTrace.load_columnar(path, mmap=True)
-            except Exception:
-                # Corrupted / truncated entry: discard and regenerate.
+                trace = WorkloadTrace.load_columnar(path, mmap=True,
+                                                    remedy=_REGENERATE)
+            except RecordError:
                 path.unlink(missing_ok=True)
                 sidecar.unlink(missing_ok=True)
             else:
@@ -150,21 +151,7 @@ class ExperimentCache:
 
     def store_trace(self, key: str, trace: WorkloadTrace) -> Path:
         path = self._trace_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # np.save appends ".npy" unless the name already ends with it,
-        # so the temp files must carry the final suffix. The data file
-        # is moved into place before the sidecar: a reader only trusts
-        # an entry once both halves exist.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npy")
-        os.close(fd)
-        tmp_sidecar = columnar_sidecar_path(tmp)
-        try:
-            trace.save_columnar(tmp)
-            os.replace(tmp, path)
-            os.replace(tmp_sidecar, columnar_sidecar_path(path))
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-            tmp_sidecar.unlink(missing_ok=True)
+        trace.save_columnar(path)
         return path
 
     # -- imported external traces -------------------------------------------
@@ -179,30 +166,18 @@ class ExperimentCache:
     def store_imported_trace(self, name: str, trace: WorkloadTrace,
                              summary: Optional[Dict[str, object]] = None
                              ) -> Path:
-        """Persist an ingested trace under ``imported/<name>``."""
+        """Persist an ingested trace under ``imported/<name>``.
+
+        Data, sidecar, then the meta record last: a reader only trusts
+        the entry once all pieces exist.
+        """
         check_trace_name(name)
         path = self._imported_path(name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp.npy")
-        os.close(fd)
-        tmp_sidecar = columnar_sidecar_path(tmp)
-        try:
-            trace.save_columnar(tmp)
-            digest = self._file_digest(Path(tmp), tmp_sidecar)
-            meta = {"name": name, "digest": digest,
-                    "summary": summary or {}}
-            fd, tmp_meta = tempfile.mkstemp(dir=path.parent,
-                                            suffix=".import.json.tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(meta))
-            # Data first, sidecar second, meta last: a reader only
-            # trusts the entry once all pieces exist.
-            os.replace(tmp, path)
-            os.replace(tmp_sidecar, columnar_sidecar_path(path))
-            os.replace(tmp_meta, self._imported_meta_path(name))
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-            tmp_sidecar.unlink(missing_ok=True)
+        trace.save_columnar(path)
+        write_record(self._imported_meta_path(name), {
+            "name": name,
+            "digest": file_sha256(path, columnar_sidecar_path(path)),
+            "summary": summary or {}})
         return path
 
     def load_imported_trace(self, name: str) -> Optional[WorkloadTrace]:
@@ -210,31 +185,24 @@ class ExperimentCache:
         path = self._imported_path(name)
         if not (path.exists() and columnar_sidecar_path(path).exists()):
             return None
-        return WorkloadTrace.load_columnar(path, mmap=True)
+        return WorkloadTrace.load_columnar(path, mmap=True,
+                                           remedy=_reimport(name))
 
     def imported_trace_digest(self, name: str) -> Optional[str]:
-        """Content digest of the named imported trace, or None."""
+        """Content digest of the named imported trace, or None.
+
+        The digest comes from the meta record, which must verify; an
+        entry without one (imported before meta records existed) is
+        hashed from its data and sidecar files.
+        """
         meta_path = self._imported_meta_path(name)
         if meta_path.exists():
-            try:
-                return str(json.loads(meta_path.read_text())["digest"])
-            except (ValueError, KeyError):
-                pass
+            return str(read_record(meta_path, _reimport(name))["digest"])
         path = self._imported_path(name)
         sidecar = columnar_sidecar_path(path)
         if path.exists() and sidecar.exists():
-            return self._file_digest(path, sidecar)
+            return file_sha256(path, sidecar)
         return None
-
-    def imported_trace_meta(self, name: str) -> Optional[Dict[str, object]]:
-        """The stored import record (digest + ingestion summary)."""
-        meta_path = self._imported_meta_path(name)
-        if not meta_path.exists():
-            return None
-        try:
-            return json.loads(meta_path.read_text())
-        except ValueError:
-            return None
 
     def imported_names(self) -> List[str]:
         """Names of complete imported traces (both halves present)."""
@@ -244,13 +212,6 @@ class ExperimentCache:
         return sorted(
             p.stem for p in imported.glob("*.npy")
             if columnar_sidecar_path(p).exists())
-
-    @staticmethod
-    def _file_digest(*paths: Path) -> str:
-        h = hashlib.sha256()
-        for path in paths:
-            h.update(path.read_bytes())
-        return h.hexdigest()
 
     def _imported_path(self, name: str) -> Path:
         return self.root / "imported" / f"{name}.npy"
@@ -263,12 +224,9 @@ class ExperimentCache:
     def load_run(self, key: str) -> Optional[RunResult]:
         """The cached run result for ``key``, or None on a miss."""
         path = self._run_path(key)
-        if not path.exists():
-            self.misses += 1
-            return None
         try:
-            result = run_result_from_dict(json.loads(path.read_text()))
-        except Exception:
+            result = run_result_from_dict(read_record(path, _REGENERATE))
+        except RecordError:
             path.unlink(missing_ok=True)
             self.misses += 1
             return None
@@ -276,17 +234,7 @@ class ExperimentCache:
         return result
 
     def store_run(self, key: str, result: RunResult) -> Path:
-        path = self._run_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(run_result_to_dict(result))
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-        return path
+        return write_record(self._run_path(key), run_result_to_dict(result))
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -358,35 +306,21 @@ class ExperimentCache:
         }
 
     def prune(self) -> Dict[str, int]:
-        """Delete every entry (traces, sidecars, runs); returns what was
-        removed. The root directory itself is kept.
+        """Delete every entry (traces, sidecars, runs, orphan halves);
+        returns what was removed. The root directory itself is kept.
 
-        Columnar entries are removed pair-wise, data half first: an
-        interruption between the two unlinks leaves an orphan
-        *sidecar*, which readers already refuse to load and the next
-        prune (or stats) treats as stale rather than as an entry.
-        Pre-existing orphan halves are swept the same way.
+        The order of deletion does not matter: the lone half of a
+        columnar entry an interrupted prune can leave is never loaded,
+        and the next prune sweeps it.
         """
         files_removed = 0
         bytes_removed = 0
-
-        def _rm(path: Path) -> None:
-            nonlocal files_removed, bytes_removed
-            if path.is_file():
-                bytes_removed += path.stat().st_size
-                path.unlink()
-                files_removed += 1
-
         if self.root.exists():
-            complete, orphans = self._scan_traces()
-            for npy in complete:
-                _rm(npy)
-                _rm(columnar_sidecar_path(npy))
-            for orphan in orphans:
-                _rm(orphan)
             for path in sorted(self.root.rglob("*"), reverse=True):
                 if path.is_file():
-                    _rm(path)
+                    bytes_removed += path.stat().st_size
+                    path.unlink()
+                    files_removed += 1
                 elif path.is_dir():
                     try:
                         path.rmdir()
@@ -400,3 +334,8 @@ class ExperimentCache:
 
     def _run_path(self, key: str) -> Path:
         return self.root / "runs" / f"{key}.json"
+
+
+def _reimport(name: str) -> str:
+    """Next step for a damaged imported trace: it is an original."""
+    return f"re-import it with `repro trace import FILE --name {name}`"

@@ -83,8 +83,8 @@ from repro.config import SystemConfig, scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
 from repro.core.governor import Governor
 from repro.cpu.workloads import known_mix_names
-from repro.sim.cache import (DEFAULT_CACHE_DIR, ExperimentCache,
-                             content_digest)
+from repro.records import content_digest
+from repro.sim.cache import DEFAULT_CACHE_DIR, ExperimentCache
 from repro.sim.results import PolicyComparison, RunResult
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, POLICY_NAMES,
                               ExperimentRunner, RunnerSettings,

@@ -14,6 +14,7 @@ from typing import Dict, List, Union
 
 import numpy as np
 
+from repro.records import atomic_write
 from repro.sim.results import EpochSample, PolicyComparison, RunResult
 
 PathLike = Union[str, Path]
@@ -114,7 +115,7 @@ def comparison_from_dict(data: Dict) -> PolicyComparison:
 
 def save_results(path: PathLike,
                  results: List[Union[RunResult, PolicyComparison]]) -> None:
-    """Write a list of results/comparisons to a JSON file."""
+    """Write a list of results/comparisons to a JSON file, atomically."""
     payload = []
     for item in results:
         if isinstance(item, RunResult):
@@ -123,7 +124,7 @@ def save_results(path: PathLike,
             payload.append(comparison_to_dict(item))
         else:
             raise TypeError(f"cannot serialize {type(item).__name__}")
-    Path(path).write_text(json.dumps(payload, indent=1))
+    atomic_write(path, json.dumps(payload, indent=1))
 
 
 def load_results(path: PathLike

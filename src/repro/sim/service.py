@@ -19,8 +19,12 @@ order), the store defines completion. A ``done`` line is appended
 *after* the store record lands, so the ledger is advisory — on resume,
 pending = enqueued jobs whose store record is missing **or failed**
 (failed jobs get another chance; if they fail again the fresh failure
-record simply replaces the old one). A truncated trailing ledger line —
-the signature a SIGKILL leaves — is skipped and counted, never fatal.
+record simply replaces the old one). Every ledger line carries its
+``record_sha256`` and is read back through
+:func:`repro.records.read_jsonl`: a truncated trailing line — the
+signature a SIGKILL leaves — is skipped and counted, never fatal; any
+other damaged line raises :class:`~repro.records.RecordError` naming
+``queue.jsonl:<line>``. A damaged store record raises the same way.
 
 Job identity is content-addressed: a job's key hashes its spec
 (kind, mix, point) together with the config and settings fingerprints,
@@ -52,7 +56,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.config import (ConfigError, SystemConfig, config_from_dict,
                           config_to_dict, scaled_config)
-from repro.sim.cache import config_fingerprint, content_digest
+from repro.records import content_digest, read_jsonl, signed
+from repro.sim.cache import config_fingerprint
 from repro.sim.parallel import (SERVICE_FORMAT, JobFailure, JobSpec,
                                 check_specs, default_jobs, run_specs)
 from repro.sim.runner import RunnerSettings
@@ -70,6 +75,9 @@ STORE_NAME = "store"
 #: Advisory lock file inside the service directory.
 LOCK_NAME = "lock"
 
+#: Next step named by a damaged ledger line.
+LEDGER_REMEDY = "restore the ledger or use a fresh --dir"
+
 
 class ServiceError(RuntimeError):
     """A service directory is unusable or was used inconsistently."""
@@ -83,39 +91,12 @@ def settings_fingerprint(settings: RunnerSettings) -> Dict[str, object]:
 # -- ledger ----------------------------------------------------------------
 
 def _append_jsonl(path: Path, record: Dict[str, object]) -> None:
-    """Append one ledger line durably (flush + fsync: the queue must
-    survive the power cord, not just the process)."""
+    """Append one signed ledger line durably (flush + fsync: the queue
+    must survive the power cord, not just the process)."""
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record) + "\n")
+        fh.write(json.dumps(signed(record)) + "\n")
         fh.flush()
         os.fsync(fh.fileno())
-
-
-def read_ledger(path: Path) -> Tuple[List[Dict[str, object]], int]:
-    """Parse a JSONL ledger; returns ``(records, skipped)``.
-
-    A malformed *final* line — what a crash mid-append leaves behind —
-    is skipped and counted. A malformed line anywhere else means real
-    corruption and raises :class:`ServiceError`.
-    """
-    if not path.exists():
-        return [], 0
-    lines = [(i, line) for i, line in
-             enumerate(path.read_text(encoding="utf-8").splitlines())
-             if line.strip()]
-    records: List[Dict[str, object]] = []
-    skipped = 0
-    for pos, (i, line) in enumerate(lines):
-        try:
-            records.append(json.loads(line))
-        except ValueError:
-            if pos == len(lines) - 1:
-                skipped += 1
-            else:
-                raise ServiceError(
-                    f"{path}: corrupt ledger line {i + 1} "
-                    "(not the final line; refusing to guess)")
-    return records, skipped
 
 
 # -- service-directory lock -------------------------------------------------
@@ -215,7 +196,7 @@ class SweepService:
         ``repro service resume/status`` after the original process is
         long gone). ``jobs``/``retries`` override the recorded values."""
         root = Path(root)
-        records, _ = read_ledger(root / LEDGER_NAME)
+        records, _ = read_jsonl(root / LEDGER_NAME, LEDGER_REMEDY)
         meta = next((r for r in records if r.get("type") == "meta"), None)
         if meta is None:
             raise ServiceError(f"{root}: no service ledger meta record "
@@ -247,7 +228,7 @@ class SweepService:
         return self.root / LEDGER_NAME
 
     def _ledger(self) -> Tuple[List[Dict[str, object]], int]:
-        return read_ledger(self.ledger_path)
+        return read_jsonl(self.ledger_path, LEDGER_REMEDY)
 
     def _ensure_meta(self) -> None:
         records, _ = self._ledger()

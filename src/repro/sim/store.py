@@ -15,9 +15,13 @@ Properties mirror the experiment cache's:
   the outcome, so re-running an identical job overwrites the record
   with identical deterministic content, and sweeps *compose*: a later
   sweep over a superset of jobs only executes the new ones;
-* **atomic** — records are written to a temp file and ``os.replace``d
-  into place, so readers (and a crash mid-write) can only ever observe
-  complete records;
+* **verified** — records are written and read through
+  :mod:`repro.records`: atomically, so readers (and a crash mid-write)
+  only ever observe complete records, and with their ``record_sha256``
+  checked on every read. A record that is unreadable, fails its digest
+  or carries another ``format`` raises
+  :class:`~repro.records.RecordError` naming the file: a damaged
+  outcome is never served, and its job never silently re-runs;
 * **self-describing** — each record carries its job spec, status,
   attempt count, and either the full serialized outcome or a
   structured failure (exception class, message, worker traceback), so
@@ -32,7 +36,9 @@ Record schema (``STORE_FORMAT`` 1)::
      "config_hash": "...", "settings_hash": "...",
      "attempts": 1, "wall_s": 0.42,
      "outcome": {...}        # ok records: serialized outcome
-     "error": {"error_type": ..., "message": ..., "traceback": ...}}
+     "error": {"error_type": ..., "message": ..., "traceback": ...},
+     "record_sha256": "<sha256>"}   # stripped on read; absent in
+                                    # records written before digests
 
 ``outcome`` is the serialized :class:`~repro.sim.parallel.Outcome`:
 the job's kind, mix and point fields, the serialized
@@ -46,13 +52,10 @@ kind.
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro.sim.cache import content_digest
+from repro.records import content_digest, read_record, write_record
 from repro.sim.parallel import KINDS, JobFailure, JobSpec, Outcome
 from repro.sim.serialize import (comparison_from_dict, comparison_to_dict,
                                  run_result_from_dict, run_result_to_dict)
@@ -140,10 +143,11 @@ def deterministic_digest(record: Dict[str, object]) -> str:
     """sha256 of a record's deterministic content.
 
     Volatile fields (wall clock, cache hits, telemetry file placement,
-    attempt counts, failure tracebacks with memory addresses) are
-    excluded, so two executions of the same job — e.g. an interrupted
-    sweep resumed later vs an uninterrupted one — digest identically
-    exactly when the simulation results are byte-identical.
+    attempt counts, failure tracebacks with memory addresses) and the
+    record's own ``record_sha256`` are excluded, so two executions of
+    the same job — e.g. an interrupted sweep resumed later vs an
+    uninterrupted one — digest identically exactly when the simulation
+    results are byte-identical.
     """
     payload = {
         "key": record.get("key"),
@@ -182,33 +186,18 @@ class ResultStore:
         key = record.get("key")
         if not key:
             raise ValueError("record has no key")
-        path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(record)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-        return path
+        return write_record(self.path(key), record)
 
     # -- reads -------------------------------------------------------------
 
     def get(self, key: str) -> Optional[Dict[str, object]]:
-        """The record for ``key``, or None. Unreadable records (a crash
-        can only leave complete files, but disks rot) read as None."""
+        """The record for ``key``, or None when it has none. A crash can
+        only leave complete files, but disks rot: a damaged record
+        raises :class:`~repro.records.RecordError`."""
         path = self.path(key)
         if not path.exists():
             return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if record.get("format") != STORE_FORMAT:
-            return None
-        return record
+        return _read(path)
 
     def status(self, key: str) -> Optional[str]:
         """``"ok"``, ``"failed"``, or None when ``key`` has no record."""
@@ -216,16 +205,10 @@ class ResultStore:
         return record.get("status") if record is not None else None
 
     def records(self) -> Iterator[Dict[str, object]]:
-        """Every readable record in the store, key order."""
-        if not self.root.exists():
-            return
+        """Every record in the store, key order; a damaged one raises
+        :class:`~repro.records.RecordError`."""
         for path in sorted(self.root.glob("*/*.json")):
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
-            if record.get("format") == STORE_FORMAT:
-                yield record
+            yield _read(path)
 
     def query(self, mix: Optional[str] = None,
               policy: Optional[str] = None,
@@ -269,3 +252,8 @@ class ResultStore:
         :func:`deterministic_digest`) — the store-identity check the
         crash-resume tests and the service smoke compare."""
         return {r["key"]: deterministic_digest(r) for r in self.records()}
+
+
+def _read(path: Path) -> Dict[str, object]:
+    return read_record(path, "delete it to re-run its job",
+                       version=("format", STORE_FORMAT))

@@ -15,8 +15,15 @@ Records follow the JSONL schema documented field-by-field in
 
 Sinks:
 
-* :class:`JsonlTelemetry` — append records to a ``.jsonl`` file;
+* :class:`JsonlTelemetry` — stream one run's records to a ``.jsonl``
+  file, replacing what the file held before;
 * :class:`ListTelemetry`  — keep records in memory (tests, notebooks).
+
+Files are read back with :func:`read_telemetry`, which is
+:func:`repro.records.read_jsonl` plus schema validation: a partial
+final line is skipped and counted, any other damage raises. Telemetry
+lines carry no record digest: the documented field list is their
+schema.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ import json
 from itertools import accumulate
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
+
+from repro.records import read_jsonl
 
 PathLike = Union[str, Path]
 
@@ -92,12 +101,16 @@ class ListTelemetry(TelemetrySink):
 
 
 class JsonlTelemetry(TelemetrySink):
-    """Append-to-file sink writing one JSON object per line."""
+    """File sink writing one JSON object per line.
+
+    A file holds one run: opening truncates it, so re-running into the
+    same path (or a job's retry attempt) never appends a second run.
+    """
 
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("a", encoding="utf-8")
+        self._fh = self.path.open("w", encoding="utf-8")
 
     def emit(self, record: Dict[str, object]) -> None:
         self._fh.write(json.dumps(record) + "\n")
@@ -230,28 +243,15 @@ def read_telemetry(path: PathLike
     """Read and validate a telemetry JSONL file; ``(records, skipped)``.
 
     A run killed mid-write (SIGKILL, OOM, power loss) leaves a partial
-    final line in its append-only JSONL stream; that trailing fragment
-    is *skipped and counted* — losing one epoch record must not lose
-    the file. Only an unparseable **final** line gets this treatment
-    (the truncation signature): a line that fails to parse anywhere
-    before the end, or one that parses but violates the epoch schema,
-    means real corruption and still raises.
+    final line; :func:`repro.records.read_jsonl` skips and counts that
+    fragment — losing one epoch record must not lose the file. A line
+    that fails to parse anywhere before the end raises
+    :class:`~repro.records.RecordError`, and one that parses but
+    violates the epoch schema raises ``ValueError``.
     """
-    lines = [(i, line.strip()) for i, line in
-             enumerate(Path(path).read_text(encoding="utf-8").splitlines())
-             if line.strip()]
-    records: List[Dict[str, object]] = []
-    skipped = 0
-    for pos, (i, line) in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except ValueError:
-            if pos == len(lines) - 1:
-                skipped += 1
-                continue
-            raise
+    records, skipped = read_jsonl(path, "re-run to regenerate it")
+    for record in records:
         validate_epoch_record(record)
-        records.append(record)
     return records, skipped
 
 

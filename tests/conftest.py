@@ -104,3 +104,37 @@ def delta_factory(test_config):
     def factory(**kwargs):
         return make_delta(test_config, **kwargs)
     return factory
+
+
+class BitFlipper:
+    """Flips one byte of a file between its writer and its reader — the
+    file-level form of a memory test XOR-ing a mask into read data."""
+
+    @staticmethod
+    def xor(path, offset: int, mask: int = 0x01) -> None:
+        data = bytearray(path.read_bytes())
+        data[offset] ^= mask
+        path.write_bytes(bytes(data))
+
+    def number(self, path, field: str) -> None:
+        """Flip the low bit of the last digit of the first JSON number
+        stored under ``field``: a digit stays a digit, so the file
+        still parses."""
+        text = path.read_bytes()
+        end = text.index(f'"{field}": '.encode()) + len(field) + 4
+        while chr(text[end]) in "0123456789.eE+-":
+            end += 1
+        self.xor(path, end - 1)
+
+    def npy_data(self, path) -> None:
+        """Flip the low bit of the first element of an ``.npy``'s data
+        region (past its header)."""
+        array = np.load(str(path), mmap_mode="r")
+        offset = path.stat().st_size - array.nbytes
+        del array
+        self.xor(path, offset)
+
+
+@pytest.fixture()
+def bit_flipper() -> BitFlipper:
+    return BitFlipper()

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import functools
+import shutil
 from pathlib import Path
 
 import pytest
@@ -471,3 +472,72 @@ class TestCacheOrphanDisplay:
         assert code == 0
         code, out = run_cli(capsys, "cache", "--cache-dir", str(cache_dir))
         assert "orphan files" not in out
+
+
+class TestDamagedRecords:
+    """A damaged store record, ledger line or imported trace ends the
+    command with the RecordError message — the file, the cause, the
+    next step — and a non-zero exit, not a traceback."""
+
+    SMALL = ["--instructions", "4000", "--cores", "4", "--seed", "7"]
+    SAMPLE = Path(__file__).parent / "data" / "sample_k6.trc"
+
+    @pytest.fixture(scope="class")
+    def service_dir(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("svc") / "svc"
+        main(["service", "run", "--dir", str(directory), "--mixes", "MID1",
+              "--policies", "Static", "--jobs", "1", *self.SMALL])
+        return directory
+
+    def damaged_copy(self, service_dir, tmp_path, bit_flipper, what):
+        directory = tmp_path / "svc"
+        shutil.copytree(service_dir, directory)
+        if what == "store":
+            path = next(directory.glob("store/*/*.json"))
+            bit_flipper.number(path, "attempts")
+            return directory, (f"{path}: record digest mismatch; delete it "
+                               "to re-run its job")
+        path = directory / "queue.jsonl"
+        bit_flipper.number(path, "retries")  # the meta line
+        return directory, (f"{path}:1: record digest mismatch; restore the "
+                           "ledger or use a fresh --dir")
+
+    @pytest.mark.parametrize("what, command", [
+        ("store", "run"), ("store", "resume"), ("store", "status"),
+        ("store", "query"), ("ledger", "run"), ("ledger", "resume"),
+        ("ledger", "status")])
+    def test_service_commands(self, service_dir, tmp_path, bit_flipper,
+                              what, command):
+        directory, message = self.damaged_copy(service_dir, tmp_path,
+                                               bit_flipper, what)
+        argv = {
+            "run": ["service", "run", "--dir", str(directory), "--mixes",
+                    "MID1", "--policies", "Static", "--jobs", "1",
+                    *self.SMALL],
+            "resume": ["service", "resume", "--dir", str(directory)],
+            "status": ["service", "status", "--dir", str(directory)],
+            "query": ["query", "--dir", str(directory)],
+        }[command]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == message
+
+    @pytest.mark.parametrize("part", ["meta", "data"])
+    def test_run_imported_trace(self, tmp_path, bit_flipper, part):
+        cache_dir = tmp_path / "c"
+        main(["trace", "import", str(self.SAMPLE), "--name", "app",
+              "--cores", "4", "--cache-dir", str(cache_dir)])
+        if part == "meta":
+            path = cache_dir / "imported" / "app.import.json"
+            bit_flipper.number(path, "reads")
+            cause = "record digest mismatch"
+        else:
+            path = cache_dir / "imported" / "app.npy"
+            bit_flipper.npy_data(path)
+            cause = "data digest mismatch"
+        with pytest.raises(SystemExit) as info:
+            main(["run", "trace:app", "--cores", "4",
+                  "--cache-dir", str(cache_dir)])
+        assert info.value.code == (
+            f"{path}: {cause}; re-import it with "
+            "`repro trace import FILE --name app`")

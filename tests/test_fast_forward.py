@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import scaled_config
 from repro.core.baselines import StaticFrequencyGovernor
-from repro.sim.cache import (ExperimentCache, config_fingerprint,
-                              content_digest)
+from repro.records import content_digest
+from repro.sim.cache import ExperimentCache, config_fingerprint
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 from repro.sim.serialize import run_result_to_dict
 from repro.sim.system import SystemSimulator

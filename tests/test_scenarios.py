@@ -22,6 +22,7 @@ from repro.scenarios.ingest import (ImportSummary, TraceFormatError,
                                     convert_records, detect_format,
                                     import_trace, iter_csv, iter_k6,
                                     read_records, reinterleave)
+from repro.records import read_record
 from repro.sim.cache import ExperimentCache, check_trace_name
 from repro.sim.parallel import run_specs, run_sweep, scenario_specs
 from repro.sim.runner import (IMPORTED_TRACE_PREFIX, ExperimentRunner,
@@ -322,7 +323,7 @@ class TestImportedTraceStore:
         assert cache.imported_names() == ["s1"]
         digest = cache.imported_trace_digest("s1")
         assert digest and digest == cache.imported_trace_digest("s1")
-        meta = cache.imported_trace_meta("s1")
+        meta = read_record(cache._imported_meta_path("s1"), "unused")
         assert meta["digest"] == digest
         assert meta["summary"]["reads"] == summary.reads
         assert cache.stats()["imported_entries"] == 1

@@ -17,14 +17,15 @@ from pathlib import Path
 import pytest
 
 from repro.config import scaled_config
+from repro.records import RecordError, read_jsonl
 from repro.sim.parallel import (KINDS, JobFailure, JobSpec, cap_specs,
                                 multidomain_specs, placement_specs,
                                 policy_specs, run_specs, run_sweep,
                                 scenario_specs, split_outcomes)
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import run_result_to_dict
-from repro.sim.service import (LEDGER_NAME, LOCK_NAME, ServiceError,
-                               ServiceLock, SweepService, read_ledger)
+from repro.sim.service import (LEDGER_NAME, LEDGER_REMEDY, LOCK_NAME,
+                               ServiceError, ServiceLock, SweepService)
 from repro.sim.store import (deterministic_digest, outcome_from_dict,
                              outcome_to_dict)
 
@@ -33,6 +34,10 @@ SETTINGS = RunnerSettings(cores=4, instructions_per_core=4_000, seed=7)
 
 def result_bytes(result):
     return json.dumps(run_result_to_dict(result), sort_keys=True).encode()
+
+
+def read_ledger(path):
+    return read_jsonl(path, LEDGER_REMEDY)
 
 
 def make_service(root, **kwargs):
@@ -94,7 +99,8 @@ class TestLedger:
     def test_corruption_before_the_tail_raises(self, tmp_path):
         path = tmp_path / "q.jsonl"
         path.write_text('{"type": "meta"}\nGARBAGE\n{"type": "done"}\n')
-        with pytest.raises(ServiceError, match="corrupt ledger line 2"):
+        with pytest.raises(RecordError, match=r"q\.jsonl:2: unreadable .*"
+                                              "restore the ledger"):
             read_ledger(path)
 
     def test_missing_ledger_is_empty(self, tmp_path):

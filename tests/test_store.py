@@ -4,9 +4,11 @@ deterministic digest the crash-resume checks compare."""
 
 import copy
 import json
+import re
 
 import pytest
 
+from repro.records import RecordError
 from repro.sim.parallel import JobFailure, JobSpec, Outcome, run_sweep
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import run_result_to_dict
@@ -158,17 +160,21 @@ class TestResultStore:
         assert store.get(key)["status"] == "ok"
         assert store.status(key) == "ok"
 
-    def test_missing_and_corrupt_records_read_as_none(self, tmp_path):
+    def test_missing_record_reads_as_none_and_damage_raises(self, tmp_path):
         store = ResultStore(tmp_path / "s")
         assert store.get("ee" + "0" * 62) is None
+        assert store.status("ee" + "0" * 62) is None
         key = "ff" + "0" * 62
         path = store.path(key)
         path.parent.mkdir(parents=True)
         path.write_text("{ truncated")
-        assert store.get(key) is None
+        with pytest.raises(RecordError, match="unreadable .*delete it to "
+                                              "re-run its job"):
+            store.get(key)
         path.write_text(json.dumps({"format": 999, "key": key}))
-        assert store.get(key) is None  # unknown format
-        assert store.status(key) is None
+        with pytest.raises(RecordError,
+                           match="format 999, this code reads 1"):
+            store.status(key)
 
     def test_put_requires_a_key(self, tmp_path):
         with pytest.raises(ValueError, match="key"):
@@ -208,11 +214,15 @@ class TestResultStore:
         digests = store.digests()
         assert set(digests) == {"aa" + "0" * 62, "bb" + "0" * 62}
 
-    def test_records_skips_unreadable_files(self, tmp_path, sweep_outcome):
+    def test_records_raises_on_unreadable_files(self, tmp_path,
+                                                sweep_outcome):
         store = ResultStore(tmp_path / "s")
         store.put(ok_record("aa" + "0" * 62, _job(), sweep_outcome,
                             "cfg", "set"))
-        junk = store.root / "zz"
-        junk.mkdir(parents=True)
-        (junk / ("zz" + "0" * 62 + ".json")).write_text("not json")
         assert len(list(store.records())) == 1
+        junk = store.root / "zz" / ("zz" + "0" * 62 + ".json")
+        junk.parent.mkdir(parents=True)
+        junk.write_text("not json")
+        with pytest.raises(RecordError,
+                           match=re.escape(f"{junk}: unreadable")):
+            list(store.records())

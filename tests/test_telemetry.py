@@ -326,6 +326,19 @@ class TestJsonlSink:
                 channel_util=[]))
         assert len(load_telemetry(path)) == 1
 
+    def test_a_file_holds_one_run(self, tmp_path):
+        # Re-running into the same file replaces the earlier run rather
+        # than appending a second one after it.
+        from repro.cli import main
+        path = tmp_path / "t.jsonl"
+        argv = ["run", "MID1", "--instructions", "4000", "--cores", "4",
+                "--no-cache", "--telemetry", str(path)]
+        main(argv)
+        first = load_telemetry(path)
+        main(argv)
+        assert load_telemetry(path) == first
+        assert [r["epoch"] for r in first] == list(range(len(first)))
+
     def test_load_rejects_invalid_record(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"schema": 1, "kind": "epoch"}\n')

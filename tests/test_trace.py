@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from repro.cpu.trace import (CoreTrace, WorkloadTrace,
                              columnar_sidecar_path)
+from repro.records import DIGEST_FIELD, RecordError
 
 
 def make_core_trace(n=10, app="swim", app_id=0, gap=100, wb_every=2):
@@ -138,7 +139,7 @@ class TestColumnarFormat:
         path = tmp_path / "trace.npy"
         self.make_mix().save_columnar(path)
         path.unlink()
-        with pytest.raises(FileNotFoundError) as exc:
+        with pytest.raises(RecordError) as exc:
             WorkloadTrace.load_columnar(path)
         message = str(exc.value)
         assert f"data file {path}" in message
@@ -149,7 +150,7 @@ class TestColumnarFormat:
         path = tmp_path / "trace.npy"
         self.make_mix().save_columnar(path)
         columnar_sidecar_path(path).unlink()
-        with pytest.raises(FileNotFoundError) as exc:
+        with pytest.raises(RecordError) as exc:
             WorkloadTrace.load_columnar(path)
         message = str(exc.value)
         assert f"sidecar {columnar_sidecar_path(path)}" in message
@@ -157,28 +158,34 @@ class TestColumnarFormat:
 
     def test_both_halves_missing_names_both(self, tmp_path):
         path = tmp_path / "absent.npy"
-        with pytest.raises(FileNotFoundError, match="data file .* and "
-                                                    "sidecar"):
+        with pytest.raises(RecordError, match="incomplete columnar pair: "
+                                              "missing data file .* and "
+                                              "sidecar"):
             WorkloadTrace.load_columnar(path)
+
+    def edit_sidecar(self, path, edit):
+        """Rewrite the sidecar as an unsigned (pre-digest) record."""
+        sidecar = columnar_sidecar_path(path)
+        meta = json.loads(sidecar.read_text())
+        del meta[DIGEST_FIELD], meta["data_sha256"]
+        edit(meta)
+        sidecar.write_text(json.dumps(meta))
 
     def test_unsupported_version_rejected(self, tmp_path):
         path = tmp_path / "trace.npy"
         self.make_mix().save_columnar(path)
-        sidecar = columnar_sidecar_path(path)
-        meta = json.loads(sidecar.read_text())
-        meta["version"] = 99
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(ValueError):
+        self.edit_sidecar(path, lambda meta: meta.update(version=99))
+        with pytest.raises(RecordError, match="format 99, this code "
+                                              "reads 1"):
             WorkloadTrace.load_columnar(path)
 
     def test_out_of_range_sidecar_rejected(self, tmp_path):
         path = tmp_path / "trace.npy"
         self.make_mix().save_columnar(path)
-        sidecar = columnar_sidecar_path(path)
-        meta = json.loads(sidecar.read_text())
-        meta["cores"][-1]["count"] += 1
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(ValueError):
+        # the last core holds 7 records; claim one more
+        self.edit_sidecar(
+            path, lambda meta: meta["cores"][-1].update(count=8))
+        with pytest.raises(RecordError, match="out of range"):
             WorkloadTrace.load_columnar(path)
 
     def test_negative_address_fails_at_load(self, tmp_path):
@@ -188,8 +195,13 @@ class TestColumnarFormat:
         data[1, 10 + 3] = -3  # the second core's fourth read
         data.flush()
         del data
-        with pytest.raises(ValueError, match=r"app 'gap': record 3 has "
-                                             r"read line address -3"):
+        with pytest.raises(RecordError, match="data digest mismatch"):
+            WorkloadTrace.load_columnar(path)
+        # Without a data digest (a pre-digest sidecar) the address
+        # check still catches the record.
+        self.edit_sidecar(path, lambda meta: None)
+        with pytest.raises(RecordError, match=r"app 'gap': record 3 has "
+                                              r"read line address -3"):
             WorkloadTrace.load_columnar(path)
 
     def test_bad_shape_rejected(self, tmp_path):
