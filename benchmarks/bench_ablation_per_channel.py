@@ -50,6 +50,8 @@ def skewed_workload(config):
 
 
 def run_policy(config, workload, per_channel):
+    """The run, its comparison with the baseline and the per-channel
+    drops the governor made (0 for uniform MemScale)."""
     baseline = SystemSimulator(config, workload, BaselineGovernor()).run()
     rest_w = rest_of_system_power_w(baseline.avg_dimm_power_w,
                                     config.power.memory_power_fraction)
@@ -64,7 +66,7 @@ def run_policy(config, workload, per_channel):
                               config.power.memory_power_fraction,
                               rest_power_w=rest_w)
     drops = getattr(governor, "per_channel_drops", 0)
-    return cmp, drops
+    return result, cmp, drops
 
 
 def test_ablation_per_channel_frequency(benchmark):
@@ -82,15 +84,15 @@ def test_ablation_per_channel_frequency(benchmark):
     rows = [[name, f"{cmp.memory_energy_savings * 100:5.1f}%",
              f"{cmp.system_energy_savings * 100:5.1f}%",
              f"{cmp.worst_cpi_increase * 100:5.1f}%", drops]
-            for name, (cmp, drops) in stats.items()]
+            for name, (_, cmp, drops) in stats.items()]
     print()
     print(format_table(
         ["policy", "mem savings", "sys savings", "worst CPI", "drops"],
         rows, title="Ablation: per-channel DFS on a channel-skewed "
                     "workload"))
 
-    uniform, _ = stats["uniform"]
-    per_channel, drops = stats["per-channel"]
+    _, uniform, _ = stats["uniform"]
+    _, per_channel, drops = stats["per-channel"]
     # The refinement actually fires on the skewed workload...
     assert drops > 0
     # ...saves at least as much memory energy as uniform MemScale...

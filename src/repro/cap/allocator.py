@@ -18,7 +18,12 @@ The search is exhaustive over the global ladder (ten points) and greedy
 over per-channel refinements: from each global point, channels are
 dropped one ladder step in ascending-utilization order, each cumulative
 prefix forming one more candidate — at most ``ladder x (1 + channels)``
-evaluations per epoch, all through the pure perf/power models.
+evaluations per epoch, all through the pure perf/power models: the
+drop order and each step's cost are
+:meth:`~repro.core.perf_model.PerformanceModel.channel_steps`, and a
+refined candidate's CPI is Eq. 3
+(:meth:`~repro.core.perf_model.PerformanceModel.cpi`) at its
+E[TPI_mem].
 
 When no candidate fits the budget the allocator *degrades gracefully*:
 it returns the lowest-predicted-power configuration (throttle-hardest)
@@ -110,12 +115,9 @@ class CapAllocator:
         config.validate()
         if n_cores <= 0:
             raise ValueError("n_cores must be positive")
-        self._config = config
         self._perf: PerformanceModel = energy_model.perf_model
         self._power: PowerModel = energy_model.power_model
         self._ladder = self._perf.ladder
-        self._n_cores = n_cores
-        self._cycle_ns = config.cpu.cycle_ns
 
     @property
     def ladder(self) -> FrequencyLadder:
@@ -144,12 +146,7 @@ class CapAllocator:
         cpi_max = perf.predict(delta, base, 0.0,
                                profiled_freq=current_freq).cpi
         n_channels = len(delta.channel_busy_ns)
-        accesses = delta.channel_reads + delta.channel_writes
-        total_accesses = float(accesses.sum())
-        utils = np.array([delta.channel_utilization(c)
-                          for c in range(n_channels)])
-        drop_order = [int(c) for c in np.argsort(utils, kind="stable")]
-        xi_product = perf.xi_bank(delta) * perf.xi_bus(delta)
+        _, steps = perf.channel_steps(delta)
         # The global ladder in one batched pass.
         pred = perf.predict_ladder(delta, None, profiled_freq=current_freq)
         tpi_mem = pred.tpi_mem_ns.tolist()
@@ -165,21 +162,17 @@ class CapAllocator:
                 predicted_power_w=powers[g.index], predicted_cpi=cpi_g,
                 min_perf=min_perf(cpi_g, cpi_max),
                 tpi_mem_ns=tpi_mem[g.index]))
-            if g.index >= len(self._ladder) - 1 or total_accesses <= 0:
+            if g.index >= len(self._ladder) - 1 or not steps:
                 continue
             lower = self._ladder[g.index + 1]
-            extra_burst_ns = lower.burst_ns - g.burst_ns
-            tpi_mem_g = tpi_mem[g.index]
+            burst_step_ns = lower.burst_ns - g.burst_ns
             channel_mhz = [g.bus_mhz] * n_channels
             extra_tpi_ns = 0.0
-            for ch in drop_order:
+            for ch, weight in steps:
                 channel_mhz[ch] = lower.bus_mhz
-                # Only the dropped channel's share of misses pays the
-                # longer burst (the Section 6 refinement's cost model).
-                share = float(accesses[ch]) / total_accesses
-                extra_tpi_ns += xi_product * share * extra_burst_ns
-                cpi_k = self._cpi_with_tpi_mem(delta,
-                                               tpi_mem_g + extra_tpi_ns)
+                extra_tpi_ns += weight * burst_step_ns
+                tpi_mem_k = tpi_mem[g.index] + extra_tpi_ns
+                cpi_k = perf.cpi(delta, tpi_mem_k)
                 power_k = self._power.predict(
                     delta, g, scales[g.index],
                     channel_bus_mhz=tuple(channel_mhz)).memory_w
@@ -187,19 +180,8 @@ class CapAllocator:
                     global_point=g, channel_bus_mhz=tuple(channel_mhz),
                     predicted_power_w=power_k, predicted_cpi=cpi_k,
                     min_perf=min_perf(cpi_k, cpi_max),
-                    tpi_mem_ns=tpi_mem_g + extra_tpi_ns))
+                    tpi_mem_ns=tpi_mem_k))
         return out
-
-    def _cpi_with_tpi_mem(self, delta: CounterDelta,
-                          tpi_mem_ns: float) -> np.ndarray:
-        """Per-core CPI for a given expected memory time per miss."""
-        tpi_cpu = self._perf.tpi_cpu_ns
-        cycle = self._cycle_ns
-        n = len(delta.tic)
-        cpi = np.empty(n, dtype=np.float64)
-        for core in range(n):
-            cpi[core] = (tpi_cpu + delta.alpha(core) * tpi_mem_ns) / cycle
-        return cpi
 
     # -- selection ------------------------------------------------------------
 

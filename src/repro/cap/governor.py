@@ -28,7 +28,13 @@ from repro.memsim.counters import CounterDelta
 
 
 class CapGovernor(Governor):
-    """Power-capping governor: allocate under budget, ledger every epoch."""
+    """Power-capping governor: allocate under budget, ledger every epoch.
+
+    :class:`~repro.cap.multidomain.MultiDomainGovernor` derives from it:
+    its allocation programs the controller and reads measured power
+    back through the same methods, and it adds the core domain through
+    :meth:`_log_entry` and :meth:`_epoch_power_w`.
+    """
 
     def __init__(self, allocator: CapAllocator, budget: PowerBudget):
         self._allocator = allocator
@@ -37,7 +43,7 @@ class CapGovernor(Governor):
         #: Epochs where no candidate fit the budget (throttle fallback).
         self.infeasible_epochs = 0
         #: (time_ns, bus_mhz) after every decision, for timeline figures.
-        self.frequency_log: List[Tuple[float, float]] = []
+        self.frequency_log: List[Tuple[float, ...]] = []
         self._last_allocation: Optional[Allocation] = None
         self._epochs_decided = 0
 
@@ -73,18 +79,27 @@ class CapGovernor(Governor):
             self.infeasible_epochs += 1
         self._last_allocation = allocation
         self._epochs_decided += 1
-        self.frequency_log.append(
-            (controller.engine.now, allocation.global_point.bus_mhz))
+        self.frequency_log.append(self._log_entry(now, allocation))
+
+    def _log_entry(self, now: float, allocation) -> Tuple[float, ...]:
+        return (now, allocation.global_point.bus_mhz)
 
     def on_epoch_end(self, delta: CounterDelta,
                      controller: MemoryController,
                      epoch_wall_ns: float) -> None:
-        breakdown = self._allocator.power_model.measure(
-            delta, controller.freq,
-            channel_bus_mhz=controller.channel_bus_mhz_list())
         t_end = controller.engine.now
         self._budget.account(t_end - epoch_wall_ns, t_end,
-                             breakdown.memory_w)
+                             self._epoch_power_w(delta, controller,
+                                                 epoch_wall_ns))
+
+    def _epoch_power_w(self, delta: CounterDelta,
+                       controller: MemoryController,
+                       epoch_wall_ns: float) -> float:
+        """The epoch's average power booked against the budget: the
+        memory subsystem's, measured at the clocks it ran at."""
+        return self._allocator.power_model.measure(
+            delta, controller.freq,
+            channel_bus_mhz=controller.channel_bus_mhz_list()).memory_w
 
     def channel_bus_mhz(self, controller: MemoryController
                         ) -> Optional[List[float]]:

@@ -38,12 +38,12 @@ import numpy as np
 
 from repro.cap.allocator import CapAllocator, CapCandidate, min_perf
 from repro.cap.budget import PowerBudget
+from repro.cap.governor import CapGovernor
 from repro.config import SystemConfig
 from repro.core.cpu_power import (CoreFrequencyLadder, CoreFrequencyPoint,
                                   CorePowerModel)
 from repro.core.energy_model import EnergyModel
 from repro.core.frequency import FrequencyPoint
-from repro.core.governor import Governor
 from repro.memsim.controller import MemoryController
 from repro.memsim.counters import CounterDelta
 
@@ -156,43 +156,40 @@ class MultiDomainAllocator:
         """Every (core, memory) pair the epoch search considers.
 
         Memory candidates come from :meth:`CapAllocator.candidates`
-        unchanged; each is re-priced at every core point by stretching
-        only the compute term of Eq. 3. The reference for slowdown and
-        energy is (nominal cores, fastest memory, no powerdown exits) —
-        execution without energy management in *either* domain.
+        unchanged; each is re-priced at every core point by
+        :meth:`PerformanceModel.cpi
+        <repro.core.perf_model.PerformanceModel.cpi>` at the candidate's
+        E[TPI_mem] and the core point's compute time, and its slowdown
+        is the model's :meth:`weighted_ratio
+        <repro.core.perf_model.PerformanceModel.weighted_ratio>`. The
+        reference for slowdown and energy is (nominal cores, fastest
+        memory, no powerdown exits) — execution without energy
+        management in *either* domain.
         """
         mem_cands = self._mem.candidates(delta, current_freq)
         utils = self._core.utilizations(delta)
         perf = self._mem.perf_model
         tpi_mem_ref = perf.tpi_mem_ns(delta, self._mem.ladder.fastest, 0.0,
                                       profiled_freq=current_freq)
-        cpi_ref = self._core.predicted_cpi(delta, self.core_ladder.fastest,
-                                           tpi_mem_ref)
-        weights = np.asarray(delta.tic, dtype=np.float64)
-        total_weight = float(weights.sum())
+        cpi_ref = perf.cpi(delta, tpi_mem_ref,
+                           self._core.tpi_cpu_ns(self.core_ladder.fastest))
+        tpi_mem = np.array([mc.tpi_mem_ns for mc in mem_cands])
         min_perf_floor = 1.0 / (1.0 + self._bound)
 
         out: List[MultiDomainCandidate] = []
         for cp in self.core_ladder:
             p_core = self._core.cluster_power_w(utils, cp)
-            for mc in mem_cands:
-                cpi = self._core.predicted_cpi(delta, cp, mc.tpi_mem_ns)
-                worst = min_perf(cpi, cpi_ref)
+            # (memory candidates x cores), and the instruction-weighted
+            # slowdown vs the reference, one per memory candidate.
+            cpi = perf.cpi(delta, tpi_mem, self._core.tpi_cpu_ns(cp))
+            time_scales = perf.weighted_ratio(delta, cpi, cpi_ref).tolist()
+            for mc, cpi_k, time_scale in zip(mem_cands, cpi, time_scales):
+                worst = min_perf(cpi_k, cpi_ref)
                 total_w = p_core + mc.predicted_power_w
-                # Instruction-weighted slowdown vs the reference — the
-                # same mean perf_model.time_scale uses.
-                if total_weight > 0:
-                    ratios = np.divide(cpi, cpi_ref,
-                                       out=np.ones_like(cpi),
-                                       where=cpi_ref > 0)
-                    time_scale = float((ratios * weights).sum()
-                                       / total_weight)
-                else:
-                    time_scale = 1.0
                 energy_score = (total_w + self._rest_w) * time_scale
                 out.append(MultiDomainCandidate(
                     core_point=cp, mem=mc, core_power_w=p_core,
-                    total_power_w=total_w, predicted_cpi=cpi,
+                    total_power_w=total_w, predicted_cpi=cpi_k,
                     min_perf=worst,
                     meets_bound=worst >= min_perf_floor - 1e-12,
                     energy_score=energy_score))
@@ -249,25 +246,22 @@ class MultiDomainAllocator:
             candidates_evaluated=len(cands))
 
 
-class MultiDomainGovernor(Governor):
+class MultiDomainGovernor(CapGovernor):
     """Coordinated CPU+memory governor under one global power budget.
 
-    A drop-in :class:`~repro.core.governor.Governor` mirroring
-    :class:`~repro.cap.governor.CapGovernor`'s epoch lifecycle: allocate
-    at each profile boundary, program the memory side (global point plus
-    per-channel down-steps), ledger the epoch's **total** (measured
-    memory + modeled core) average power at each epoch end. The core
-    point decided for the epoch is charged analytically; the simulated
-    memory timeline is identical to an uncapped run at the same memory
-    decisions.
+    A :class:`~repro.cap.governor.CapGovernor` whose allocator is the
+    joint (core x memory) search: it allocates at each profile
+    boundary and programs the memory side (global point plus
+    per-channel down-steps) through the cap governor's path, and
+    ledgers the epoch's **total** (measured memory + modeled core)
+    average power at each epoch end. The core point decided for the
+    epoch is charged analytically; the simulated memory timeline is
+    identical to an uncapped run at the same memory decisions.
     """
 
     def __init__(self, allocator: MultiDomainAllocator, budget: PowerBudget):
-        self._allocator = allocator
-        self._budget = budget
+        super().__init__(allocator, budget)
         self.name = f"MultiDomain-{budget.min_watts:.2f}W"
-        #: Epochs where no (core, memory) pair fit the budget.
-        self.infeasible_epochs = 0
         #: Epochs where the chosen pair missed the slowdown bound.
         self.bound_missed_epochs = 0
         #: Epochs where cores at nominal frequency alone broke the budget.
@@ -279,59 +273,32 @@ class MultiDomainGovernor(Governor):
         #: Wall time covered by the ledgered epochs (nanoseconds) —
         #: core_energy_j / this is the run-average modeled core power.
         self.ledgered_time_ns = 0.0
-        #: (time_ns, bus_mhz, core_mhz) after every decision.
-        self.frequency_log: List[Tuple[float, float, float]] = []
-        self._last_allocation: Optional[MultiDomainAllocation] = None
         self._last_core_power_w: Optional[float] = None
-        self._epochs_decided = 0
         self._core_mhz_sum = 0.0
-
-    @property
-    def allocator(self) -> MultiDomainAllocator:
-        return self._allocator
-
-    @property
-    def budget(self) -> PowerBudget:
-        return self._budget
-
-    @property
-    def last_allocation(self) -> Optional[MultiDomainAllocation]:
-        return self._last_allocation
 
     def on_profile_end(self, delta: CounterDelta,
                        controller: MemoryController,
                        epoch_remaining_ns: float) -> None:
-        now = controller.engine.now
-        allocation = self._allocator.allocate(
-            delta, controller.freq, self._budget.budget_at(now))
-        controller.set_frequency(allocation.global_point)
-        if allocation.channel_bus_mhz is not None:
-            ladder = controller.ladder
-            for ch, mhz in enumerate(allocation.channel_bus_mhz):
-                if mhz != allocation.global_point.bus_mhz:
-                    controller.set_channel_frequency(
-                        ch, ladder.at_bus_mhz(mhz))
-        if not allocation.feasible:
-            self.infeasible_epochs += 1
+        super().on_profile_end(delta, controller, epoch_remaining_ns)
+        allocation = self._last_allocation
         if not allocation.bound_met:
             self.bound_missed_epochs += 1
         if allocation.core_max_infeasible:
             self.core_max_infeasible_epochs += 1
         if allocation.mem_max_infeasible:
             self.mem_max_infeasible_epochs += 1
-        self._last_allocation = allocation
-        self._epochs_decided += 1
         self._core_mhz_sum += allocation.core_point.freq_mhz
-        self.frequency_log.append(
-            (controller.engine.now, allocation.global_point.bus_mhz,
-             allocation.core_point.freq_mhz))
 
-    def on_epoch_end(self, delta: CounterDelta,
-                     controller: MemoryController,
-                     epoch_wall_ns: float) -> None:
-        breakdown = self._allocator.power_model.measure(
-            delta, controller.freq,
-            channel_bus_mhz=controller.channel_bus_mhz_list())
+    def _log_entry(self, now: float, allocation) -> Tuple[float, ...]:
+        """(time_ns, bus_mhz, core_mhz) after every decision."""
+        return (now, allocation.global_point.bus_mhz,
+                allocation.core_point.freq_mhz)
+
+    def _epoch_power_w(self, delta: CounterDelta,
+                       controller: MemoryController,
+                       epoch_wall_ns: float) -> float:
+        """Measured memory power plus the modeled core power of the
+        epoch's core point, whose energy is booked here too."""
         core_model = self._allocator.core_model
         core_point = (self._last_allocation.core_point
                       if self._last_allocation is not None
@@ -341,13 +308,8 @@ class MultiDomainGovernor(Governor):
         self.core_energy_j += core_w * epoch_wall_ns * 1e-9
         self.ledgered_time_ns += epoch_wall_ns
         self._last_core_power_w = core_w
-        t_end = controller.engine.now
-        self._budget.account(t_end - epoch_wall_ns, t_end,
-                             breakdown.memory_w + core_w)
-
-    def channel_bus_mhz(self, controller: MemoryController
-                        ) -> Optional[List[float]]:
-        return controller.channel_bus_mhz_list()
+        return (super()._epoch_power_w(delta, controller, epoch_wall_ns)
+                + core_w)
 
     def telemetry_snapshot(self) -> Dict[str, object]:
         """Cap fields plus the per-domain fields of telemetry schema v3."""
@@ -371,9 +333,7 @@ class MultiDomainGovernor(Governor):
 
     def multidomain_summary(self) -> Dict[str, object]:
         """JSON-serializable run summary for the multi-domain experiments."""
-        summary = self._budget.summary()
-        summary["infeasible_epochs"] = self.infeasible_epochs
-        summary["epochs_decided"] = self._epochs_decided
+        summary = self.cap_summary()
         summary["bound_missed_epochs"] = self.bound_missed_epochs
         summary["core_max_infeasible_epochs"] = self.core_max_infeasible_epochs
         summary["mem_max_infeasible_epochs"] = self.mem_max_infeasible_epochs

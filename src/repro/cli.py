@@ -694,7 +694,7 @@ def _service_report(service, outcomes, wall: float, verb: str) -> None:
         else:
             rows.append([o.mix, o.point, "ok",
                          f"sys {o.comparison.system_energy_savings:+.1%}"])
-    status = service.status()
+    status = service.status(service.last_snapshot)
     print(format_table(["workload", "point", "status", "detail"], rows,
                        title=f"service {verb}: {status['root']}"))
     print(f"\n{status['ok']} ok, {status['failed']} failed, "
@@ -718,12 +718,13 @@ def cmd_service(args) -> None:
 def _cmd_service(args, svc) -> None:
     if args.service_command == "status":
         service = svc.SweepService.open(args.dir)
-        status = service.status()
+        snap = service.snapshot()
+        status = service.status(snap)
         for key in ("root", "enqueued", "ok", "failed", "pending",
                     "ledger_lines_skipped", "jobs", "retries"):
             print(f"{key:21}: {status[key]}")
-        for key, spec in service.pending():
-            state = service.store.status(key) or "never ran"
+        for key, spec in snap.pending():
+            state = snap.state(key) or "never ran"
             print(f"  pending: {spec.label} ({state})")
         return
 

@@ -408,23 +408,6 @@ class SystemConfig:
         return self.replace(
             placement=dataclasses.replace(self.placement, **kwargs))
 
-    def describe(self) -> Dict[str, object]:
-        """Flat summary used by reports and experiment logs."""
-        return {
-            "cores": self.cpu.cores,
-            "cpu_freq_mhz": self.cpu.freq_mhz,
-            "channels": self.org.channels,
-            "dimms": self.org.total_dimms,
-            "ranks": self.org.total_ranks,
-            "banks": self.org.total_banks,
-            "bus_freqs_mhz": list(self.sorted_bus_freqs()),
-            "cpi_bound": self.policy.cpi_bound,
-            "epoch_ns": self.policy.epoch_ns,
-            "profile_ns": self.policy.profile_ns,
-            "memory_power_fraction": self.power.memory_power_fraction,
-            "proportionality_idle_frac": self.power.proportionality_idle_frac,
-        }
-
 
 def config_to_dict(config: SystemConfig) -> Dict[str, object]:
     """JSON-ready dictionary capturing every field of ``config``.

@@ -1,4 +1,4 @@
-"""Core-domain DVFS model: frequency ladder, V^2*f power, CPI scaling.
+"""Core-domain DVFS model: frequency ladder, V^2*f power, compute time.
 
 MemScale scales only the memory domain; SysScale-style multi-domain
 coordination needs the compute side of the same two models the memory
@@ -11,11 +11,12 @@ domain already has:
   <repro.core.power_model.PowerModel.mc_power_w>`: utilization-linear
   between idle and peak, then scaled by ``V^2 * f`` relative to the
   nominal operating point;
-* a **performance model** routing the frequency-dependent compute time
-  through the existing Eq. 3 decomposition: the time per instruction is
-  ``cpi_cpu * cycle(f_core) + alpha * E[TPI_mem]``, so slowing the cores
-  stretches only the compute term while the memory term comes from
-  :class:`~repro.core.perf_model.PerformanceModel` unchanged.
+* the **compute time per instruction** at a core point,
+  ``cpi_cpu * cycle(f_core)``: the one term of Eq. 3 a core clock
+  changes. :meth:`PerformanceModel.cpi
+  <repro.core.perf_model.PerformanceModel.cpi>` prices a candidate
+  with it, so slowing the cores stretches only the compute term while
+  E[TPI_mem] comes from the memory-side model unchanged.
 
 The simulated timeline never re-clocks the cores (``Core`` fixes its
 instruction time at construction); the model is *analytical*, exactly
@@ -29,8 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.config import SystemConfig
 
@@ -117,7 +116,6 @@ class CoreFrequencyLadder:
             points.append(CoreFrequencyPoint(freq_mhz=mhz, voltage=voltage,
                                              index=idx))
         self._points = tuple(points)
-        self._by_mhz = {p.freq_mhz: p for p in self._points}
 
     def __len__(self) -> int:
         return len(self._points)
@@ -140,19 +138,10 @@ class CoreFrequencyLadder:
     def slowest(self) -> CoreFrequencyPoint:
         return self._points[-1]
 
-    def at_mhz(self, freq_mhz: float) -> CoreFrequencyPoint:
-        """Look up the point with exactly this core frequency."""
-        try:
-            return self._by_mhz[freq_mhz]
-        except KeyError:
-            raise ValueError(
-                f"{freq_mhz} MHz is not an available core frequency; "
-                f"choose one of {sorted(self._by_mhz)}"
-            ) from None
-
 
 class CorePowerModel:
-    """V^2*f core power plus frequency-dependent CPI (the compute domain).
+    """V^2*f core power and compute time per instruction (the compute
+    domain).
 
     The power idiom is :meth:`PowerModel.mc_power_w`'s: a base power
     linear in utilization between idle and peak, scaled by
@@ -170,9 +159,8 @@ class CorePowerModel:
         self._ladder = CoreFrequencyLadder(self._dvfs, config.cpu.freq_mhz)
         self._nominal = self._ladder.fastest
         self._cpi_cpu = config.cpu.cpi_cpu
-        self._nominal_cycle_ns = config.cpu.cycle_ns
         #: Compute time per instruction at the nominal clock.
-        self._tpi_cpu_nominal_ns = self._cpi_cpu * self._nominal_cycle_ns
+        self._tpi_cpu_nominal_ns = self._cpi_cpu * config.cpu.cycle_ns
 
     @property
     def dvfs(self) -> CoreDvfsConfig:
@@ -243,24 +231,6 @@ class CorePowerModel:
 
     # -- performance ---------------------------------------------------------
 
-    def predicted_cpi(self, delta, point: CoreFrequencyPoint,
-                      tpi_mem_ns: float) -> np.ndarray:
-        """Per-core CPI (in nominal cycles) at a core/memory operating pair.
-
-        Routes the memory term through the existing perf model's
-        ``E[TPI_mem]`` (Eq. 9) and stretches only the compute term by the
-        candidate core clock:
-
-            TPI(core) = cpi_cpu * cycle(f_core) + alpha * E[TPI_mem]
-
-        Expressing the result in *nominal* cycles makes CPI ratios equal
-        wall-clock ratios, so they compose directly with the cap
-        allocator's min-perf arithmetic.
-        """
-        tpi_cpu = self._cpi_cpu * point.cycle_ns
-        n = len(delta.tic)
-        cpi = np.empty(n, dtype=np.float64)
-        for core in range(n):
-            cpi[core] = ((tpi_cpu + delta.alpha(core) * tpi_mem_ns)
-                         / self._nominal_cycle_ns)
-        return cpi
+    def tpi_cpu_ns(self, point: CoreFrequencyPoint) -> float:
+        """Compute time per instruction at ``point`` (Eq. 3's TPI_cpu)."""
+        return self._cpi_cpu * point.cycle_ns

@@ -56,10 +56,6 @@ class FrequencyPoint:
         """Wall-clock MC processing latency per request."""
         return MC_PROCESSING_CYCLES * self.mc_cycle_ns
 
-    def relative_speed(self, reference: "FrequencyPoint") -> float:
-        """This point's bus frequency as a fraction of ``reference``'s."""
-        return self.bus_mhz / reference.bus_mhz
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.bus_mhz:.0f}MHz(bus)/{self.mc_mhz:.0f}MHz(MC)@{self.mc_voltage:.3f}V"
 
@@ -122,16 +118,3 @@ class FrequencyLadder:
                 f"{bus_mhz} MHz is not an available bus frequency; "
                 f"choose one of {sorted(self._by_bus)}"
             ) from None
-
-    def nearest(self, bus_mhz: float) -> FrequencyPoint:
-        """The available point closest to an arbitrary bus frequency."""
-        return min(self._points, key=lambda p: abs(p.bus_mhz - bus_mhz))
-
-    def neighbours(self, point: FrequencyPoint) -> Sequence[FrequencyPoint]:
-        """The adjacent ladder points (1 or 2 of them)."""
-        out = []
-        if point.index > 0:
-            out.append(self._points[point.index - 1])
-        if point.index < len(self._points) - 1:
-            out.append(self._points[point.index + 1])
-        return out

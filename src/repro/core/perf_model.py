@@ -15,6 +15,12 @@ transactions-outstanding accumulators:
 * ``E[TPI_mem] = xi_bank * (S_bank + xi_bus * S_bus)`` (Eq. 9), and
   per-core CPI follows from the miss fraction alpha = TLM/TIC (Eq. 3).
 
+Every frequency search prices its candidates here: MemScale's ladder
+scan, the power-cap and multi-domain searches (which re-price Eq. 3 at
+a per-channel refinement's E[TPI_mem] or a core point's compute time
+with :meth:`PerformanceModel.cpi`) and the per-channel refinement,
+whose down-step cost is :meth:`PerformanceModel.channel_steps`.
+
 The xi values measured at the profiling frequency are assumed to hold at
 every candidate frequency — the paper's approximation, whose residual
 error the slack mechanism absorbs.
@@ -23,7 +29,7 @@ error the slack mechanism absorbs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -163,27 +169,64 @@ class PerformanceModel:
                              freq.mc_latency_ns, freq.burst_ns,
                              profiled_freq)
 
+    # -- Section 6: per-channel down-steps ------------------------------------
+
+    def channel_steps(self, delta: CounterDelta
+                      ) -> Tuple[np.ndarray, List[Tuple[int, float]]]:
+        """The per-channel down-step model of the Section 6 refinement.
+
+        Returns each channel's utilization and the order channels drop
+        in: stable ascending utilization, each channel paired with its
+        step weight ``xi_bank * xi_bus * share``. Dropping a channel one
+        ladder step adds ``weight * (burst_ns(lower) - burst_ns(point))``
+        to E[TPI_mem]: only its ``share`` of the interval's accesses pays
+        the longer burst, queued as Eq. 9 queues it. Drops accumulate.
+        The order is empty when the interval saw no accesses.
+        """
+        n_channels = len(delta.channel_busy_ns)
+        utils = np.array([delta.channel_utilization(c)
+                          for c in range(n_channels)])
+        accesses = delta.channel_reads + delta.channel_writes
+        total = float(accesses.sum())
+        if total <= 0:
+            return utils, []
+        xi_product = self.xi_bank(delta) * self.xi_bus(delta)
+        return utils, [(int(ch), xi_product * (float(accesses[ch]) / total))
+                       for ch in np.argsort(utils, kind="stable")]
+
     # -- Eq. 3: per-core CPI -------------------------------------------------------
+
+    def cpi(self, delta: CounterDelta, tpi_mem_ns,
+            tpi_cpu_ns: Optional[float] = None) -> np.ndarray:
+        """Eq. 3: per-core CPI at an expected memory time per miss.
+
+        ``tpi_mem_ns`` is E[TPI_mem], a float or one value per candidate
+        (``cpi`` is then candidates x cores). ``tpi_cpu_ns`` is the
+        compute time per instruction, :attr:`tpi_cpu_ns` unless a
+        candidate re-clocks the cores; CPI stays in nominal cycles, so
+        CPI ratios are wall-clock ratios. ``alpha`` is TLM/TIC per core
+        (0 where a core committed nothing).
+        """
+        tic = np.asarray(delta.tic, dtype=np.float64)
+        alpha = np.divide(delta.tlm, tic, out=np.zeros(len(tic)),
+                          where=tic > 0)
+        per_point = (tpi_mem_ns[:, None] if isinstance(tpi_mem_ns, np.ndarray)
+                     else tpi_mem_ns)
+        if tpi_cpu_ns is None:
+            tpi_cpu_ns = self._tpi_cpu_ns
+        return (tpi_cpu_ns + alpha * per_point) / self._cycle_ns
 
     def _predict(self, delta: CounterDelta, bus_mhz, mc_latency_ns,
                  burst_ns, pd_exit_ns: Optional[float],
                  profiled_freq: Optional[FrequencyPoint]) -> CpiPrediction:
-        """Eq. 3 per core on top of Eq. 9, for one point or many.
-
-        ``alpha`` is TLM/TIC per core (0 where a core committed
-        nothing); with per-point arrays, ``cpi`` is (points x cores).
-        """
+        """Eq. 3 on top of Eq. 9, for one point or many (with per-point
+        arrays, ``cpi`` is points x cores)."""
         device_ns = self.device_time_ns(delta, pd_exit_ns)
         tpi_mem = self._tpi_mem(delta, device_ns, mc_latency_ns, burst_ns,
                                 profiled_freq)
-        tic = np.asarray(delta.tic, dtype=np.float64)
-        alpha = np.divide(delta.tlm, tic, out=np.zeros(len(tic)),
-                          where=tic > 0)
-        per_point = (tpi_mem[:, None] if isinstance(tpi_mem, np.ndarray)
-                     else tpi_mem)
-        cpi = (self._tpi_cpu_ns + alpha * per_point) / self._cycle_ns
         return CpiPrediction(
-            freq_bus_mhz=bus_mhz, cpi=cpi, tpi_mem_ns=tpi_mem,
+            freq_bus_mhz=bus_mhz, cpi=self.cpi(delta, tpi_mem),
+            tpi_mem_ns=tpi_mem,
             device_time_ns=device_ns,
             xi_bank=self.xi_bank(delta), xi_bus=self.xi_bus(delta),
         )
@@ -217,10 +260,11 @@ class PerformanceModel:
     # -- execution-time ratio ----------------------------------------------------
 
     @staticmethod
-    def _weighted_ratio(delta: CounterDelta, at_to: np.ndarray,
-                        at_from: np.ndarray):
+    def weighted_ratio(delta: CounterDelta, at_to: np.ndarray,
+                       at_from: np.ndarray):
         """Instruction-weighted mean of the per-core ratios at_to / at_from,
-        over the last axis (one value per row of a matrix)."""
+        over the last axis (one value per row of a matrix): cores with
+        more committed work dominate the epoch's wall-clock length."""
         weights = np.asarray(delta.tic, dtype=np.float64)
         total = weights.sum()
         if total <= 0:
@@ -232,16 +276,13 @@ class PerformanceModel:
     def time_scale(self, delta: CounterDelta, from_freq: FrequencyPoint,
                    to_freq: FrequencyPoint,
                    pd_exit_ns: Optional[float] = None) -> float:
-        """Predicted execution-time ratio T(to) / T(from) for the mix.
-
-        Instruction-weighted mean of the per-core CPI ratios: cores with
-        more committed work dominate the epoch's wall-clock length.
-        """
+        """Predicted execution-time ratio T(to) / T(from) for the mix:
+        the :meth:`weighted_ratio` of the per-core CPIs."""
         at_from = self.predict(delta, from_freq, pd_exit_ns,
                                profiled_freq=from_freq).cpi
         at_to = self.predict(delta, to_freq, pd_exit_ns,
                              profiled_freq=from_freq).cpi
-        return float(self._weighted_ratio(delta, at_to, at_from))
+        return float(self.weighted_ratio(delta, at_to, at_from))
 
     def time_scale_ladder(self, delta: CounterDelta,
                           from_freq: FrequencyPoint,
@@ -251,4 +292,4 @@ class PerformanceModel:
                                profiled_freq=from_freq).cpi
         at_to = self.predict_ladder(delta, pd_exit_ns,
                                     profiled_freq=from_freq).cpi
-        return self._weighted_ratio(delta, at_to, at_from)
+        return self.weighted_ratio(delta, at_to, at_from)

@@ -71,9 +71,6 @@ class PowerBreakdown:
         """The whole memory subsystem: DIMMs plus memory controller."""
         return self.dimm_w + self.mc_w
 
-    def scaled(self, factor: float) -> "PowerBreakdown":
-        return PowerBreakdown(*(getattr(self, f) * factor for f in _FIELDS))
-
     def at(self, index: int) -> "PowerBreakdown":
         """Point ``index`` of a breakdown with per-point array fields."""
         return PowerBreakdown(*(float(getattr(self, f)[index])
@@ -164,9 +161,6 @@ class PowerModel:
                 np.array([self._freq_derate(p.bus_mhz) for p in points]),
                 np.array([p.bus_mhz / self._f_max.bus_mhz for p in points]),
                 np.array([self._vf_ratio(p) for p in points]))
-
-    def mc_voltage(self, freq: FrequencyPoint) -> float:
-        return freq.mc_voltage
 
     # -- component models -----------------------------------------------------
 

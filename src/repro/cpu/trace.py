@@ -73,8 +73,7 @@ class CoreTrace:
                 raise ValueError(
                     f"trace of app {self.app_name!r}: record {index} has "
                     f"{kind} line address {int(addrs[index])}, but {kind} "
-                    f"addresses must be {rule}; re-import or regenerate "
-                    "the trace")
+                    f"addresses must be {rule}")
 
     def __len__(self) -> int:
         return len(self.gaps)

@@ -108,11 +108,6 @@ class CounterDelta:
     def total_misses(self) -> float:
         return float(self.tlm.sum())
 
-    def alpha(self, core: int) -> float:
-        """Per-core fraction of instructions that miss the LLC (TLM/TIC)."""
-        tic = float(self.tic[core])
-        return float(self.tlm[core]) / tic if tic > 0 else 0.0
-
     def rank_state_fraction(self, rank: int, state: RankPowerState) -> float:
         """Fraction of the interval rank ``rank`` spent in ``state``."""
         if self.interval_ns <= 0:

@@ -148,6 +148,64 @@ class ServiceLock:
         self.release()
 
 
+# -- one read of a service directory ----------------------------------------
+
+@dataclasses.dataclass
+class Snapshot:
+    """A service directory as one command reads it: the ledger's meta
+    record, the count of truncated ledger lines it skipped, its
+    enqueued jobs (key -> spec, ledger order) and the store record of
+    each job that has one. A command takes one snapshot, adds the jobs
+    it enqueues and the records it writes, and answers from it: it
+    parses the ledger once and reads each store record at most once.
+    """
+
+    meta: Optional[Dict[str, object]]
+    skipped: int
+    jobs: Dict[str, JobSpec] = dataclasses.field(default_factory=dict)
+    records: Dict[str, Dict[str, object]] = dataclasses.field(
+        default_factory=dict)
+
+    def state(self, key: str) -> Optional[str]:
+        """``"ok"``, ``"failed"``, or None when ``key`` has no record."""
+        record = self.records.get(key)
+        return record.get("status") if record is not None else None
+
+    def pending(self) -> List[Tuple[str, JobSpec]]:
+        """Enqueued jobs still owed a successful outcome: no store
+        record at all (never ran, or crashed mid-run) or a failed one
+        (gets retried — a fresh failure record replaces the old)."""
+        return [(key, spec) for key, spec in self.jobs.items()
+                if self.state(key) != "ok"]
+
+    def outcomes(self) -> List[object]:
+        """Outcome per enqueued job, enqueue order: an
+        :class:`~repro.sim.parallel.Outcome` for ok records, a
+        :class:`JobFailure` for failed ones. Jobs still pending are
+        omitted."""
+        out: List[object] = []
+        for key, spec in self.jobs.items():
+            record = self.records.get(key)
+            if record is None:
+                continue
+            if record["status"] == "ok":
+                out.append(outcome_from_dict(record["outcome"]))
+            else:
+                error = record.get("error", {})
+                out.append(JobFailure(
+                    job=spec, label=spec.label,
+                    error_type=error.get("error_type", "?"),
+                    message=error.get("message", ""),
+                    traceback=error.get("traceback", ""),
+                    attempts=record.get("attempts", 1),
+                    wall_s=record.get("wall_s", 0.0)))
+        return out
+
+
+def _meta(ledger: List[Dict[str, object]]) -> Optional[Dict[str, object]]:
+    return next((r for r in ledger if r.get("type") == "meta"), None)
+
+
 # -- the service -----------------------------------------------------------
 
 class SweepService:
@@ -185,6 +243,9 @@ class SweepService:
         self.settings_hash = content_digest(
             settings_fingerprint(self.settings))
         self.store = ResultStore(self.root / STORE_NAME)
+        #: The directory as the last :meth:`run` or :meth:`resume` left
+        #: it, for a report that must not read it again.
+        self.last_snapshot: Optional[Snapshot] = None
 
     # -- opening an existing directory -------------------------------------
 
@@ -196,8 +257,7 @@ class SweepService:
         ``repro service resume/status`` after the original process is
         long gone). ``jobs``/``retries`` override the recorded values."""
         root = Path(root)
-        records, _ = read_jsonl(root / LEDGER_NAME, LEDGER_REMEDY)
-        meta = next((r for r in records if r.get("type") == "meta"), None)
+        meta = _meta(read_jsonl(root / LEDGER_NAME, LEDGER_REMEDY)[0])
         if meta is None:
             raise ServiceError(f"{root}: no service ledger meta record "
                                f"(is this a service directory?)")
@@ -227,12 +287,25 @@ class SweepService:
     def ledger_path(self) -> Path:
         return self.root / LEDGER_NAME
 
-    def _ledger(self) -> Tuple[List[Dict[str, object]], int]:
-        return read_jsonl(self.ledger_path, LEDGER_REMEDY)
+    def snapshot(self) -> Snapshot:
+        """One read of the directory: one ledger parse, and one store
+        read per enqueued job."""
+        ledger, skipped = read_jsonl(self.ledger_path, LEDGER_REMEDY)
+        snap = Snapshot(_meta(ledger), skipped)
+        for line in ledger:
+            if (line.get("type") == "enqueue"
+                    and line.get("key") not in snap.jobs):
+                self._add_job(snap, line.get("key"),
+                              JobSpec.from_dict(line["spec"]))
+        return snap
 
-    def _ensure_meta(self) -> None:
-        records, _ = self._ledger()
-        meta = next((r for r in records if r.get("type") == "meta"), None)
+    def _add_job(self, snap: Snapshot, key: str, spec: JobSpec) -> None:
+        snap.jobs[key] = spec
+        record = self.store.get(key)
+        if record is not None:
+            snap.records[key] = record
+
+    def _ensure_meta(self, meta: Optional[Dict[str, object]]) -> None:
         if meta is not None:
             if (meta.get("config_hash") != self.config_hash
                     or meta.get("settings_hash") != self.settings_hash):
@@ -257,18 +330,7 @@ class SweepService:
 
     def enqueued(self) -> List[Tuple[str, JobSpec]]:
         """Every enqueued ``(key, spec)``, ledger order, de-duplicated."""
-        out: List[Tuple[str, JobSpec]] = []
-        seen = set()
-        records, _ = self._ledger()
-        for record in records:
-            if record.get("type") != "enqueue":
-                continue
-            key = record.get("key")
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append((key, JobSpec.from_dict(record["spec"])))
-        return out
+        return list(self.snapshot().jobs.items())
 
     # -- queueing -----------------------------------------------------------
 
@@ -277,26 +339,26 @@ class SweepService:
         newly enqueued ones. Idempotent: submitting a sweep twice (or a
         superset) only adds what is missing. A spec naming an unknown
         mix or policy raises before anything reaches the ledger."""
+        return self._submit(specs, self.snapshot())
+
+    def _submit(self, specs: Sequence[JobSpec],
+                snap: Snapshot) -> List[JobSpec]:
         check_specs(specs)
-        self._ensure_meta()
-        known = {key for key, _ in self.enqueued()}
+        self._ensure_meta(snap.meta)
         added = []
         for spec in specs:
             key = self.key_of(spec)
-            if key in known:
+            if key in snap.jobs:
                 continue
-            known.add(key)
             _append_jsonl(self.ledger_path, {
                 "type": "enqueue", "key": key, "spec": spec.to_dict()})
+            self._add_job(snap, key, spec)
             added.append(spec)
         return added
 
     def pending(self) -> List[Tuple[str, JobSpec]]:
-        """Enqueued jobs still owed a successful outcome: no store
-        record at all (never ran, or crashed mid-run) or a failed one
-        (gets retried — a fresh failure record replaces the old)."""
-        return [(key, spec) for key, spec in self.enqueued()
-                if self.store.status(key) != "ok"]
+        """:meth:`Snapshot.pending` of a fresh snapshot."""
+        return self.snapshot().pending()
 
     # -- execution ----------------------------------------------------------
 
@@ -311,31 +373,36 @@ class SweepService:
         exhausted their attempts. ``fail_labels`` injects a
         deterministic failure into matching jobs (tests/smoke);
         ``max_jobs`` bounds how many pending jobs this call executes —
-        the controlled-interrupt hook.
+        the controlled-interrupt hook. :attr:`last_snapshot` holds the
+        directory as the call left it.
 
         Holds the directory's :class:`ServiceLock` for the duration: a
         second concurrent ``run``/``resume`` over the same ``--dir``
         fails fast with :class:`ServiceError`.
         """
         with ServiceLock(self.root):
-            self.submit(specs)
-            self._execute(self.pending(), fail_labels=fail_labels,
-                          max_jobs=max_jobs)
-        return self.results()
+            snap = self.snapshot()
+            self._submit(specs, snap)
+            self._execute(snap, fail_labels=fail_labels, max_jobs=max_jobs)
+        self.last_snapshot = snap
+        return snap.outcomes()
 
     def resume(self, max_jobs: Optional[int] = None) -> List[object]:
         """Finish an interrupted sweep: execute only the pending jobs
         (no failure injection — a resumed job gets a clean attempt).
         Takes the directory's :class:`ServiceLock` like :meth:`run`."""
         with ServiceLock(self.root):
-            self._execute(self.pending(), max_jobs=max_jobs)
-        return self.results()
+            snap = self.snapshot()
+            self._execute(snap, max_jobs=max_jobs)
+        self.last_snapshot = snap
+        return snap.outcomes()
 
-    def _execute(self, pending: Sequence[Tuple[str, JobSpec]],
+    def _execute(self, snap: Snapshot,
                  fail_labels: Optional[Sequence[str]] = None,
                  max_jobs: Optional[int] = None) -> None:
+        pending = snap.pending()
         if max_jobs is not None:
-            pending = list(pending)[:max_jobs]
+            pending = pending[:max_jobs]
         if not pending:
             return
         keys = [key for key, _ in pending]
@@ -353,6 +420,8 @@ class SweepService:
                 record = ok_record(keys[i], specs[i].job_dict(), outcome,
                                    self.config_hash, self.settings_hash)
             self.store.put(record)
+            # The record as a reader gets it back (JSON types).
+            snap.records[keys[i]] = json.loads(json.dumps(record))
             _append_jsonl(self.ledger_path, {
                 "type": "done", "key": keys[i],
                 "status": record["status"]})
@@ -365,46 +434,23 @@ class SweepService:
     # -- results ------------------------------------------------------------
 
     def results(self) -> List[object]:
-        """Outcome per enqueued job, enqueue order: an
-        :class:`~repro.sim.parallel.Outcome` for ok records, a
-        :class:`JobFailure` for failed ones. Jobs still pending are
-        omitted."""
-        out: List[object] = []
-        for key, spec in self.enqueued():
-            record = self.store.get(key)
-            if record is None:
-                continue
-            if record["status"] == "ok":
-                out.append(outcome_from_dict(record["outcome"]))
-            else:
-                error = record.get("error", {})
-                out.append(JobFailure(
-                    job=spec, label=spec.label,
-                    error_type=error.get("error_type", "?"),
-                    message=error.get("message", ""),
-                    traceback=error.get("traceback", ""),
-                    attempts=record.get("attempts", 1),
-                    wall_s=record.get("wall_s", 0.0)))
-        return out
+        """:meth:`Snapshot.outcomes` of a fresh snapshot."""
+        return self.snapshot().outcomes()
 
-    def status(self) -> Dict[str, object]:
-        """Queue/store progress summary (for ``repro service status``)."""
-        _, skipped = self._ledger()
-        enqueued = self.enqueued()
-        ok = failed = 0
-        for key, _ in enqueued:
-            state = self.store.status(key)
-            if state == "ok":
-                ok += 1
-            elif state == "failed":
-                failed += 1
+    def status(self, snap: Optional[Snapshot] = None) -> Dict[str, object]:
+        """Queue/store progress summary (for ``repro service status``)
+        of ``snap``, by default a fresh snapshot."""
+        if snap is None:
+            snap = self.snapshot()
+        states = [snap.state(key) for key in snap.jobs]
+        ok = states.count("ok")
         return {
             "root": str(self.root),
-            "enqueued": len(enqueued),
+            "enqueued": len(states),
             "ok": ok,
-            "failed": failed,
-            "pending": len(enqueued) - ok,
-            "ledger_lines_skipped": skipped,
+            "failed": states.count("failed"),
+            "pending": len(states) - ok,
+            "ledger_lines_skipped": snap.skipped,
             "jobs": self.jobs,
             "retries": self.retries,
         }

@@ -7,6 +7,8 @@ exercising every subsystem end to end.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,26 @@ def make_delta(config: SystemConfig, *, interval_ns: float = 10_000.0,
         channel_reads=channel_reads,
         channel_writes=channel_writes,
     )
+
+
+def jsonify(data):
+    """Round-trip through JSON so numpy scalars/arrays compare as the
+    plain types a golden snapshot stores."""
+    return json.loads(json.dumps(data))
+
+
+def field_diff(path, got, want, out):
+    """Collect leaf-level differences between a run and its golden
+    snapshot into ``out``, for a readable failure message."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        for key in sorted(set(want) | set(got)):
+            field_diff(f"{path}.{key}", got.get(key), want.get(key), out)
+    elif isinstance(want, list) and isinstance(got, list) \
+            and len(want) == len(got):
+        for i, (g, w) in enumerate(zip(got, want)):
+            field_diff(f"{path}[{i}]", g, w, out)
+    elif got != want:
+        out.append(f"{path}: got {got!r}, golden {want!r}")
 
 
 @pytest.fixture()

@@ -213,11 +213,6 @@ class TestSystemConfig:
         assert cfg.org.channels == 2
         assert cfg.cpu.cores == 32
 
-    def test_describe_keys(self):
-        d = default_config().describe()
-        for key in ("cores", "channels", "cpi_bound", "epoch_ns"):
-            assert key in d
-
     @pytest.mark.parametrize("name, config", [
         ("DramTimings.t_rcd_ns",
          default_config().replace(timings=DramTimings(t_rcd_ns=float("nan")))),

@@ -201,14 +201,6 @@ class TestDerivedMetrics:
         assert delta.xi_bank == 0.0
         assert delta.xi_bus == 0.0
 
-    def test_alpha(self, counters):
-        s0 = counters.snapshot(0.0)
-        counters.tic[1] += 1000
-        counters.tlm[1] += 5
-        delta = CounterFile.delta(s0, counters.snapshot(10.0))
-        assert delta.alpha(1) == pytest.approx(0.005)
-        assert delta.alpha(0) == 0.0
-
     def test_accesses_sum(self, counters):
         s0 = counters.snapshot(0.0)
         counters.rbhc += 1.0

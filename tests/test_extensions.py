@@ -195,3 +195,37 @@ class TestRefinementEdgeCases:
         gov.on_profile_end(delta, mc, cfg.policy.epoch_ns)
         assert gov.per_channel_drops == 0
         assert len(mc.channel_bus_mhz_list()) == 1
+
+
+class TestRefinementPricing:
+    def test_drop_is_priced_at_the_profiled_frequency(self):
+        # Counters profiled at 800 MHz with queueing, the global decision
+        # lower: a drop that costs nothing (channel 1 saw no accesses)
+        # must be priced at exactly the CPI the policy's ladder scan
+        # predicted for the chosen point from the same profile.
+        import dataclasses
+        gov = make_governor()
+        engine, mc = make_controller()
+        profiled = mc.freq
+        delta = dataclasses.replace(
+            make_delta(CFG, tlm_per_core=50.0, busy_frac=0.1, bto=50.0,
+                       cto=60.0),
+            channel_busy_ns=np.array([8000.0, 0.0, 10.0, 10.0]),
+            channel_reads=np.array([1000.0, 0.0, 2.0, 2.0]),
+            channel_writes=np.array([10.0, 0.0, 1.0, 1.0]))
+        priced = []
+        feasible = gov.policy._feasible
+
+        def spy(cpi, *args):
+            if cpi.ndim == 1:  # the refinement's per-drop test
+                priced.append(cpi.copy())
+            return feasible(cpi, *args)
+
+        gov.policy._feasible = spy
+        gov.on_profile_end(delta, mc, CFG.policy.epoch_ns)
+        chosen = gov.policy.decisions[-1].chosen
+        assert chosen != profiled
+        assert chosen.index < len(LADDER) - 1
+        want = gov.policy._perf.predict_ladder(
+            delta, profiled_freq=profiled).cpi[chosen.index]
+        assert priced[0].tolist() == want.tolist()

@@ -37,13 +37,6 @@ class TestFrequencyPoint:
             assert point.mc_latency_ns == pytest.approx(
                 MC_PROCESSING_CYCLES * 1000.0 / point.mc_mhz)
 
-    def test_relative_speed(self, ladder):
-        slow = ladder.slowest
-        fast = ladder.fastest
-        assert slow.relative_speed(fast) == pytest.approx(200.0 / 800.0)
-        assert fast.relative_speed(fast) == pytest.approx(1.0)
-
-
 class TestFrequencyLadder:
     def test_length_and_ordering(self, ladder):
         assert len(ladder) == 10
@@ -74,20 +67,6 @@ class TestFrequencyLadder:
     def test_at_bus_mhz_unknown_raises(self, ladder):
         with pytest.raises(ValueError, match="not an available"):
             ladder.at_bus_mhz(450.0)
-
-    def test_nearest(self, ladder):
-        assert ladder.nearest(460.0).bus_mhz == 467.0
-        assert ladder.nearest(1000.0).bus_mhz == 800.0
-        assert ladder.nearest(0.0).bus_mhz == 200.0
-
-    def test_neighbours_interior(self, ladder):
-        point = ladder.at_bus_mhz(467.0)
-        neighbour_freqs = {p.bus_mhz for p in ladder.neighbours(point)}
-        assert neighbour_freqs == {533.0, 400.0}
-
-    def test_neighbours_at_ends(self, ladder):
-        assert [p.bus_mhz for p in ladder.neighbours(ladder.fastest)] == [733.0]
-        assert [p.bus_mhz for p in ladder.neighbours(ladder.slowest)] == [267.0]
 
     def test_single_frequency_ladder(self):
         cfg = default_config().replace(bus_freqs_mhz=(800.0,))

@@ -29,17 +29,12 @@ from repro.sim.cache import CACHE_FORMAT
 from repro.sim.parallel import run_sweep
 from repro.sim.runner import RunnerSettings
 from repro.sim.serialize import comparison_to_dict, run_result_to_dict
+from tests.conftest import field_diff, jsonify
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "smoke_results.json"
 
 SETTINGS = RunnerSettings(cores=4, instructions_per_core=8_000, seed=2011)
 POLICIES = ("MemScale", "Static", "Fast-PD", "Slow-PD", "MemScale+Fast-PD")
-
-
-def _jsonify(data):
-    """Round-trip through JSON so numpy scalars/arrays compare as the
-    plain types the golden file stores."""
-    return json.loads(json.dumps(data))
 
 
 def _current_runs():
@@ -58,7 +53,7 @@ def _regenerate():  # pragma: no cover - manual tool
     behavior change; bump CACHE_FORMAT in the same commit)."""
     golden = json.loads(GOLDEN_PATH.read_text())
     golden["cache_format"] = CACHE_FORMAT
-    golden["runs"] = _jsonify(_current_runs())
+    golden["runs"] = jsonify(_current_runs())
     GOLDEN_PATH.write_text(
         json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
@@ -70,7 +65,7 @@ def golden():
 
 @pytest.fixture(scope="module")
 def current():
-    return _jsonify(_current_runs())
+    return jsonify(_current_runs())
 
 
 def test_snapshot_tracks_cache_format(golden):
@@ -85,27 +80,14 @@ def test_golden_run_matrix(golden):
     assert pairs == [("MID1", p) for p in POLICIES]
 
 
-def _diff(path, got, want, out):
-    """Collect leaf-level differences for a readable failure message."""
-    if isinstance(want, dict) and isinstance(got, dict):
-        for key in sorted(set(want) | set(got)):
-            _diff(f"{path}.{key}", got.get(key), want.get(key), out)
-    elif isinstance(want, list) and isinstance(got, list) \
-            and len(want) == len(got):
-        for i, (g, w) in enumerate(zip(got, want)):
-            _diff(f"{path}[{i}]", g, w, out)
-    elif got != want:
-        out.append(f"{path}: got {got!r}, golden {want!r}")
-
-
 @pytest.mark.parametrize("index,policy", list(enumerate(POLICIES)))
 def test_results_match_golden_exactly(golden, current, index, policy):
     want = golden["runs"][index]
     got = current[index]
     assert got["policy"] == want["policy"] == policy
     mismatches: list = []
-    _diff("result", got["result"], want["result"], mismatches)
-    _diff("comparison", got["comparison"], want["comparison"], mismatches)
+    field_diff("result", got["result"], want["result"], mismatches)
+    field_diff("comparison", got["comparison"], want["comparison"], mismatches)
     assert not mismatches, (
         f"{len(mismatches)} field(s) drifted from the golden snapshot "
         f"(regenerate it and bump CACHE_FORMAT if intentional):\n  "

@@ -18,6 +18,7 @@ from repro.core.cpu_power import (CORE_FREQ_STEPS, CoreDvfsConfig,
                                   CoreFrequencyLadder, CorePowerModel)
 from repro.core.energy_model import EnergyModel
 from repro.core.frequency import FrequencyLadder
+from repro.core.perf_model import PerformanceModel
 from repro.sim import ListTelemetry
 from repro.sim.runner import ExperimentRunner, RunnerSettings
 from tests.conftest import make_delta
@@ -78,12 +79,6 @@ class TestCoreFrequencyLadder:
         volts = [p.voltage for p in ladder]
         assert volts == sorted(volts, reverse=True)
 
-    def test_at_mhz_lookup_and_error(self):
-        ladder = CoreFrequencyLadder(CoreDvfsConfig(), 4000.0)
-        assert ladder.at_mhz(2000.0) is ladder.slowest
-        with pytest.raises(ValueError, match="not an available"):
-            ladder.at_mhz(1234.5)
-
     def test_single_step_ladder_uses_vmax(self):
         ladder = CoreFrequencyLadder(CoreDvfsConfig(freq_steps=(1.0,)),
                                      4000.0)
@@ -121,15 +116,18 @@ class TestCorePowerModel:
 
     def test_predicted_cpi_stretches_only_compute_term(self):
         model = CorePowerModel(CFG)
+        perf = PerformanceModel(CFG)
         delta = delta_for()
         tpi_mem = 40.0
-        cpi_fast = model.predicted_cpi(delta, model.nominal, tpi_mem)
-        cpi_slow = model.predicted_cpi(delta, model.ladder.slowest, tpi_mem)
+        cpi_fast = perf.cpi(delta, tpi_mem, model.tpi_cpu_ns(model.nominal))
+        cpi_slow = perf.cpi(delta, tpi_mem,
+                            model.tpi_cpu_ns(model.ladder.slowest))
         # The memory term (alpha * tpi_mem) is identical; the compute
         # term doubles at half the clock.
         cycle = CFG.cpu.cycle_ns
         for core in range(4):
-            mem_cycles = delta.alpha(core) * tpi_mem / cycle
+            alpha = delta.tlm[core] / delta.tic[core]
+            mem_cycles = alpha * tpi_mem / cycle
             compute_fast = cpi_fast[core] - mem_cycles
             compute_slow = cpi_slow[core] - mem_cycles
             assert compute_slow == pytest.approx(2.0 * compute_fast)

@@ -29,12 +29,6 @@ class TestBreakdownArithmetic:
         assert b.dimm_w == 21
         assert b.memory_w == 28
 
-    def test_scaled(self):
-        b = PowerBreakdown(1, 2, 3, 4, 5, 6, 7).scaled(2.0)
-        assert b.background_w == 2
-        assert b.mc_w == 14
-
-
 class TestBackgroundPower:
     def test_all_standby_positive(self):
         delta = make_delta(CFG, act_frac=0.0)

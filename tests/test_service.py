@@ -4,6 +4,7 @@ controlled interrupt and a real SIGKILL of an in-flight `repro service
 run`), and byte-identity of a resumed store against an uninterrupted
 serial sweep."""
 
+import collections
 import hashlib
 import json
 import os
@@ -165,6 +166,82 @@ class TestFailureIsolation:
         resumed = SweepService.open(tmp_path / "s").resume()
         good, bad = split_outcomes(resumed)
         assert not bad and len(good) == 2
+
+
+class TestOneReadPerCommand:
+    """A command parses the ledger once and reads each store record at
+    most once; records it writes are never read back."""
+
+    SPECS = policy_specs(["MID1"], ["Static", "MemScale"])
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        from repro.sim import service as service_module
+        from repro.sim import store as store_module
+        counts = {"ledger": 0, "records": collections.Counter()}
+        read_record = store_module.read_record
+        read_jsonl_ = service_module.read_jsonl
+
+        def counted_record(path, *args, **kwargs):
+            counts["records"][Path(path).name] += 1
+            return read_record(path, *args, **kwargs)
+
+        def counted_jsonl(path, *args, **kwargs):
+            counts["ledger"] += 1
+            return read_jsonl_(path, *args, **kwargs)
+
+        monkeypatch.setattr(store_module, "read_record", counted_record)
+        monkeypatch.setattr(service_module, "read_jsonl", counted_jsonl)
+
+        def take():
+            taken = (counts["ledger"], dict(counts["records"]))
+            counts["ledger"] = 0
+            counts["records"].clear()
+            return taken
+        return take
+
+    def test_run_resume_and_status(self, tmp_path, reads):
+        svc = make_service(tmp_path / "s")
+        svc.run(self.SPECS[:1])
+        ledger, records = reads()
+        assert (ledger, records) == (1, {})  # the fresh record is kept
+
+        out = svc.run(self.SPECS)  # one stored job, one executed now
+        ledger, records = reads()
+        assert ledger == 1
+        assert list(records.values()) == [1]
+        assert len(out) == 2
+
+        resumed = SweepService.open(tmp_path / "s")
+        reads()  # opening reads the meta record, once
+        assert len(resumed.resume()) == 2
+        ledger, records = reads()
+        assert ledger == 1
+        assert sorted(records.values()) == [1, 1]
+
+        assert resumed.status()["ok"] == 2
+        ledger, records = reads()
+        assert ledger == 1
+        assert sorted(records.values()) == [1, 1]
+
+    def test_cli_run_and_status(self, capsys, tmp_path, reads):
+        from repro.cli import main
+        directory = str(tmp_path / "svc")
+        argv = ["--dir", directory, "--mixes", "MID1", "--policies",
+                "Static", "MemScale", "--jobs", "1", "--retries", "0",
+                "--instructions", "4000", "--cores", "4", "--seed", "7"]
+        assert main(["service", "run", *argv]) == 0
+        reads()
+        # Nothing pending: the report comes from the run's own read.
+        assert main(["service", "run", *argv]) == 0
+        ledger, records = reads()
+        assert ledger == 1
+        assert sorted(records.values()) == [1, 1]
+        assert main(["service", "status", "--dir", directory]) == 0
+        ledger, records = reads()
+        assert ledger == 2  # the meta record, then the snapshot
+        assert sorted(records.values()) == [1, 1]
+        assert "2 ok, 0 failed, 0 never-ran of 2" in capsys.readouterr().out
 
 
 class TestCrashResume:

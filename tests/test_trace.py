@@ -204,6 +204,23 @@ class TestColumnarFormat:
                                               r"read line address -3"):
             WorkloadTrace.load_columnar(path)
 
+    def test_bad_address_names_one_next_step(self, tmp_path):
+        # A pre-digest entry reaches the address check; the error states
+        # the cause once and ends in the loader's one remedy.
+        path = tmp_path / "trace.npy"
+        self.make_mix().save_columnar(path)
+        data = np.load(str(path), mmap_mode="r+")
+        data[1, 10 + 3] = -3
+        data.flush()
+        del data
+        self.edit_sidecar(path, lambda meta: None)
+        with pytest.raises(RecordError) as err:
+            WorkloadTrace.load_columnar(path, remedy="the one next step")
+        message = str(err.value)
+        assert "read addresses must be >= 0" in message
+        assert message.count(";") == 1
+        assert message.endswith("; the one next step")
+
     def test_bad_shape_rejected(self, tmp_path):
         path = tmp_path / "trace.npy"
         self.make_mix().save_columnar(path)
